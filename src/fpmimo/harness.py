@@ -170,8 +170,8 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
     x = _unit_symbols(rng, (c,))
     z = math.sqrt(rho) * h * x[:, None] + _noise(rng, (c, M))
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
-    hq = round_input(comb, policy)
-    zq = round_input(z, policy)
+    hq = round_input(comb, policy, rng_round)
+    zq = round_input(z, policy, rng_round)
     r_fp = mrc_combine(hq, zq, policy, rng_round)
     r_ref = mrc_combine(hq, zq, ref)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
@@ -199,8 +199,8 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
     x = _unit_symbols(rng, (c,))
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
     hn = comb / np.linalg.norm(comb, axis=-1, keepdims=True)
-    hq = round_input(hn, policy)
-    xq = round_input(x, policy)
+    hq = round_input(hn, policy, rng_round)
+    xq = round_input(x, policy, rng_round)
     s_fp = mrt_precode(hq, xq, policy, rng_round, prenormalized=True)
     s_ref = mrt_precode(hq, xq, ref, prenormalized=True)
     ds = s_fp - s_ref
@@ -232,8 +232,8 @@ def _batch_mu_simo(c, M, rho, config, rng, rng_round):
     x = _unit_symbols(rng, (c, K))
     z = math.sqrt(rho) * np.einsum("cmk,ck->cm", H, x) + _noise(rng, (c, M))
     Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
-    Hq = round_input(Hc, policy)
-    zq = round_input(z, policy)
+    Hq = round_input(Hc, policy, rng_round)
+    zq = round_input(z, policy, rng_round)
     r_fp, breakdown = zf_detect_ne(Hq, zq, policy, rng_round, error="mask")
     r_ref = zf_detect_ne(Hq, zq, ref)
     dr = r_fp - r_ref
@@ -267,8 +267,8 @@ def _batch_mu_miso(c, M, rho, config, rng, rng_round):
     H = draw_channel(M, K, rng, (c,))
     x = _unit_symbols(rng, (c, K))
     Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
-    Hq = round_input(Hc, policy)
-    xq = round_input(x, policy)
+    Hq = round_input(Hc, policy, rng_round)
+    xq = round_input(x, policy, rng_round)
     s_fp, breakdown = zf_precode_ne(Hq, xq, policy, rng_round, error="mask")
     s_ref = zf_precode_ne(Hq, xq, ref)
     ds = s_fp - s_ref
@@ -457,8 +457,8 @@ def inner_product_violation_study(
         b = draw_channel(n, 1, rng, (c,))[..., 0]
         a /= np.linalg.norm(a, axis=-1, keepdims=True)
         b /= np.linalg.norm(b, axis=-1, keepdims=True)
-        aq = round_input(a, policy)
-        bq = round_input(b, policy)
+        aq = round_input(a, policy, rng_round)
+        bq = round_input(b, policy, rng_round)
         s_fp = inner_product_fp(aq, bq, policy, rng_round)
         s_ref = inner_product_fp(aq, bq, ref)
         norms = np.linalg.norm(aq, axis=-1) * np.linalg.norm(bq, axis=-1)

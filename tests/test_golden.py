@@ -6,8 +6,8 @@ a change that alters a result on purpose says so and rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-Sweeps cover each scenario with fp16 uniform, fp16+fp32 mixed (b=8) and MMSE
-channel estimates; ``bounds.txt`` holds the stdout of
+Sweeps cover each scenario with fp16 uniform, fp16+fp32 mixed (b=8), MMSE
+channel estimates and fp16 stochastic rounding; ``bounds.txt`` holds the stdout of
 ``fpmimo bounds <name> --samples 2000`` for every evaluator.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from fpmimo.cli import main
-from fpmimo.formats import FP16, FP32
+from fpmimo.formats import FP16, FP32, RoundingMode
 from fpmimo.harness import ExperimentConfig, emit_csv, run_sweep
 from fpmimo.kernels import PrecisionPolicy
 
@@ -34,6 +34,9 @@ _VARIANTS = {
     "fp16": dict(policy=PrecisionPolicy.uniform(FP16)),
     "mixed-b8": dict(policy=PrecisionPolicy.mixed(FP16, FP32, 8)),
     "mmse": dict(policy=PrecisionPolicy.uniform(FP16), csi="mmse"),
+    "stochastic": dict(
+        policy=PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
+    ),
 }
 SWEEPS = {
     f"{scenario.lower()}_{variant}.csv": ExperimentConfig(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fpmimo.formats import FP16, FP32, FP64
+from fpmimo.formats import FP16, FP32, FP64, RoundingMode
 from fpmimo.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -92,6 +92,14 @@ class TestRunSweep:
         r1 = run_sweep(cfg).rows
         r2 = run_sweep(cfg).rows
         assert r1 == r2
+
+    @pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO"])
+    def test_stochastic_reproducible(self, scenario):
+        pol = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
+        cfg = ExperimentConfig(scenario, (16,), pol, K=2, trials=20, seed=4)
+        rows = run_sweep(cfg).rows
+        assert rows == run_sweep(cfg).rows
+        assert math.isfinite(rows[0]["mean_rate"])
 
     def test_row_schema(self):
         cfg = ExperimentConfig("MISO", (16, 32), POL16, trials=20, rho_grid_db=(0.0, 10.0))
