@@ -9,9 +9,6 @@ from .formats import (
     FloatFormat,
     RangeMode,
     RoundingMode,
-    fl_cadd,
-    fl_cmul,
-    fl_op,
     get_format,
     round_to_format,
 )
@@ -19,8 +16,6 @@ from .kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    blocked_inner_mixed,
-    blocked_matmul_mixed,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,

@@ -232,12 +232,14 @@ def c_u(M: int, K: int, u: float, lam: float = 1.0) -> float:
     return c1_u(M, K, u, lam) + math.sqrt(2 * K) * gamma_n(2 * M, u, lam)
 
 
-def c_d(M: int, K: int, u: float, lam: float = 1.0, kappa2: float = 1.0) -> float:
+def c_d(M: int, K: int, u: float, lam: float = 1.0, kappa2=1.0):
     """Forward-error constant for ZF precoding at condition number kappa2.
 
     c_d = c1*kappa2 + sqrt(2K)*gamma_{2K}*(1 + c1*kappa2) with c1 = c1_u.
+    ``kappa2`` may be an array of condition numbers; the result then has
+    its shape.
     """
-    if kappa2 < 1.0:
+    if np.any(np.asarray(kappa2) < 1.0):
         raise ValueError("kappa2 must be >= 1")
     c1k = c1_u(M, K, u, lam) * kappa2
     return c1k + math.sqrt(2 * K) * gamma_n(2 * K, u, lam) * (1.0 + c1k)
@@ -338,10 +340,7 @@ def expected_cd_sq(
 ) -> float:
     """Monte Carlo estimate of E{c_d^2} over the kappa2 distribution."""
     kappa = _kappa2_samples(M, K, samples, seed)
-    c1 = c1_u(M, K, u, lam)
-    g2k = math.sqrt(2 * K) * gamma_n(2 * K, u, lam)
-    cd = c1 * kappa + g2k * (1.0 + c1 * kappa)
-    return float(np.mean(cd**2))
+    return float(np.mean(c_d(M, K, u, lam, kappa) ** 2))
 
 
 def lb_sumrate_mu_simo(

@@ -157,65 +157,43 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_EVALUATORS = (
-    "gamma_n",
-    "gamma_n_det",
-    "xi_bn",
-    "delta_simo",
-    "delta_miso",
-    "lb_rate_simo",
-    "lb_rate_miso",
-    "rate_gap",
-    "m_max_simo",
-    "c1_u",
-    "c_u",
-    "c_d",
-    "upsilon",
-    "lb_sumrate_mu_simo",
-    "lb_sumrate_mu_miso",
-)
+def _lb_sumrate_mu_simo(a, u, u_h):
+    ups = bounds.upsilon(a.M, a.K, "monte-carlo", samples=a.samples, seed=a.seed)
+    return bounds.lb_sumrate_mu_simo(a.M, a.K, a.rho, u, a.lambda_, ups).value_bits
+
+
+def _lb_sumrate_mu_miso(a, u, u_h):
+    ecd = bounds.expected_cd_sq(a.M, a.K, u, a.lambda_, samples=a.samples, seed=a.seed)
+    return bounds.lb_sumrate_mu_miso(a.M, a.K, a.rho, u, a.lambda_, ecd).value_bits
+
+
+# name -> evaluator(parsed flags, unit roundoff of --format, of --format-high)
+_EVALUATORS = {
+    "gamma_n": lambda a, u, u_h: bounds.gamma_n(a.n, u, a.lambda_),
+    "gamma_n_det": lambda a, u, u_h: bounds.gamma_n_det(a.n, u),
+    "xi_bn": lambda a, u, u_h: bounds.xi_bn(a.block_size, a.n, u, u_h, a.lambda_),
+    "delta_simo": lambda a, u, u_h: bounds.delta_simo(a.M, u, a.lambda_),
+    "delta_miso": lambda a, u, u_h: bounds.delta_miso(u, a.lambda_),
+    "lb_rate_simo": lambda a, u, u_h: bounds.lb_rate_simo(a.M, a.rho, u, a.lambda_).value_bits,
+    "lb_rate_miso": lambda a, u, u_h: bounds.lb_rate_miso(a.M, a.rho, u, a.lambda_).value_bits,
+    "rate_gap": lambda a, u, u_h: bounds.rate_gap(a.M, a.rho, u, a.lambda_),
+    "m_max_simo": lambda a, u, u_h: bounds.m_max_simo(a.rho, u, a.lambda_),
+    "c1_u": lambda a, u, u_h: bounds.c1_u(a.M, a.K, u, a.lambda_),
+    "c_u": lambda a, u, u_h: bounds.c_u(a.M, a.K, u, a.lambda_),
+    "c_d": lambda a, u, u_h: bounds.c_d(a.M, a.K, u, a.lambda_, a.kappa2),
+    "upsilon": lambda a, u, u_h: bounds.upsilon(
+        a.M, a.K, a.method, samples=a.samples, seed=a.seed
+    ),
+    "lb_sumrate_mu_simo": _lb_sumrate_mu_simo,
+    "lb_sumrate_mu_miso": _lb_sumrate_mu_miso,
+}
 
 
 def _cmd_bounds(args) -> int:
     u = get_format(args.format).unit_roundoff
     u_h = get_format(args.format_high).unit_roundoff
-    lam, M, K, n, b, rho = args.lambda_, args.M, args.K, args.n, args.block_size, args.rho
-    name = args.evaluator
-    if name == "gamma_n":
-        value = bounds.gamma_n(n, u, lam)
-    elif name == "gamma_n_det":
-        value = bounds.gamma_n_det(n, u)
-    elif name == "xi_bn":
-        value = bounds.xi_bn(b, n, u, u_h, lam)
-    elif name == "delta_simo":
-        value = bounds.delta_simo(M, u, lam)
-    elif name == "delta_miso":
-        value = bounds.delta_miso(u, lam)
-    elif name == "lb_rate_simo":
-        value = bounds.lb_rate_simo(M, rho, u, lam).value_bits
-    elif name == "lb_rate_miso":
-        value = bounds.lb_rate_miso(M, rho, u, lam).value_bits
-    elif name == "rate_gap":
-        value = bounds.rate_gap(M, rho, u, lam)
-    elif name == "m_max_simo":
-        value = bounds.m_max_simo(rho, u, lam)
-    elif name == "c1_u":
-        value = bounds.c1_u(M, K, u, lam)
-    elif name == "c_u":
-        value = bounds.c_u(M, K, u, lam)
-    elif name == "c_d":
-        value = bounds.c_d(M, K, u, lam, args.kappa2)
-    elif name == "upsilon":
-        value = bounds.upsilon(M, K, args.method, samples=args.samples, seed=args.seed)
-    elif name == "lb_sumrate_mu_simo":
-        ups = bounds.upsilon(M, K, "monte-carlo", samples=args.samples, seed=args.seed)
-        value = bounds.lb_sumrate_mu_simo(M, K, rho, u, lam, ups).value_bits
-    elif name == "lb_sumrate_mu_miso":
-        ecd = bounds.expected_cd_sq(M, K, u, lam, samples=args.samples, seed=args.seed)
-        value = bounds.lb_sumrate_mu_miso(M, K, rho, u, lam, ecd).value_bits
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown evaluator {name}")
-    print(f"{name} = {value}")
+    value = _EVALUATORS[args.evaluator](args, u, u_h)
+    print(f"{args.evaluator} = {value}")
     return 0
 
 

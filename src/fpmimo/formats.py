@@ -12,7 +12,7 @@ All rounding entry points accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,9 +28,6 @@ __all__ = [
     "PRESETS",
     "get_format",
     "round_to_format",
-    "fl_op",
-    "fl_cmul",
-    "fl_cadd",
 ]
 
 
@@ -171,7 +168,7 @@ def round_to_format(
 
 
 # Internal fast path: skips the finiteness check and scalar conversion.
-# Kernels guarantee finite inputs (they validate once at the boundary).
+# Kernels do not check their inputs either: a non-finite value propagates.
 def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN:
         if range_mode is RangeMode.STRICT_IEEE:
@@ -181,80 +178,3 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     if range_mode is RangeMode.STRICT_IEEE:
         y = _apply_range(y, fmt)
     return y
-
-
-_OPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-}
-
-
-def fl_op(
-    a,
-    b,
-    op: str,
-    fmt: FloatFormat,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    range_mode: RangeMode = RangeMode.UNBOUNDED,
-    rng=None,
-):
-    """One elementary operation under the standard model: round(a op b).
-
-    Operands are assumed representable in ``fmt``; the relative error of the
-    result is at most the format's unit roundoff (unbounded range).
-    """
-    if op not in _OPS:
-        raise ValueError(f"op must be one of {sorted(_OPS)}, got {op!r}")
-    if op == "/" and np.any(np.asarray(b) == 0):
-        raise ZeroDivisionError("fl_op division by zero")
-    exact = _OPS[op](np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return round_to_format(exact, fmt, mode, range_mode, rng)
-
-
-def fl_cmul(
-    a,
-    b,
-    fmt: FloatFormat,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    range_mode: RangeMode = RangeMode.UNBOUNDED,
-    rng=None,
-):
-    """Complex multiply via 4 real multiplies + 2 real additions, each rounded.
-
-    This is the naive scheme whose error expands into the 2n-length real
-    inner-product model; no 3-multiply tricks.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    rnd = lambda v: round_to_format(v, fmt, mode, range_mode, rng)  # noqa: E731
-    p1 = rnd(a.real * b.real)
-    p2 = rnd(a.imag * b.imag)
-    p3 = rnd(a.real * b.imag)
-    p4 = rnd(a.imag * b.real)
-    re = rnd(np.subtract(p1, p2))
-    im = rnd(np.add(p3, p4))
-    out = np.asarray(re) + 1j * np.asarray(im)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def fl_cadd(
-    a,
-    b,
-    fmt: FloatFormat,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    range_mode: RangeMode = RangeMode.UNBOUNDED,
-    rng=None,
-):
-    """Componentwise rounded complex addition."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    re = round_to_format(a.real + b.real, fmt, mode, range_mode, rng)
-    im = round_to_format(a.imag + b.imag, fmt, mode, range_mode, rng)
-    out = np.asarray(re) + 1j * np.asarray(im)
-    if out.ndim == 0:
-        return complex(out)
-    return out

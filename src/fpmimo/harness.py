@@ -9,6 +9,7 @@ isolates arithmetic rounding error from input-representation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +66,12 @@ class ExperimentConfig:
             raise ValueError("csi must be 'perfect' or 'mmse'")
         if self.csi == "mmse" and self.tau < self.K:
             raise ValueError("pilot length tau must be >= K")
+        if self.csi == "mmse" and self.tau >= self.csi_T:
+            raise ValueError("pilot length tau must be below the coherence length csi_T")
+        if not self.lam > 0:
+            raise ValueError("lam must be positive")
+        if self.scenario.startswith("MU") and min(self.M_grid) < self.K + 1:
+            raise ValueError(f"M={min(self.M_grid)} too small for K={self.K}")
 
     @property
     def tau(self) -> int:
@@ -274,10 +281,10 @@ def _batch_mu_miso(c, M, rho, config, rng, rng_round):
     ds = s_fp - s_ref
     beta = M - K
     leak = rho * np.abs(np.einsum("cmk,cm->ck", H.conj(), ds)) ** 2
+    G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
     if config.csi == "perfect":
         sinr = rho * beta / (leak + 1.0)
     else:
-        G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
         # effective gain of user k from the precoder built on the estimate
         Geff = np.swapaxes(
             np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H)), -1, -2
@@ -287,8 +294,7 @@ def _batch_mu_miso(c, M, rho, config, rng, rng_round):
         sinr = rho * beta * diag / (rho * beta * cross + leak + 1.0)
     err = np.linalg.norm(ds, axis=-1)
     ref_norm = np.linalg.norm(s_ref, axis=-1)
-    Gq = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
-    kappa = np.linalg.cond(Gq, 2)
+    kappa = np.linalg.cond(G, 2)
     return {
         "rate": np.sum(np.log2(1.0 + sinr), axis=-1),
         "rel_err": err / ref_norm,
@@ -310,8 +316,6 @@ _BATCHES = {
 
 def _collect_point(config: ExperimentConfig, M: int, rho: float, grid_index: int):
     """Run all trials of one grid point; returns concatenated per-trial arrays."""
-    if config.scenario in ("MU-SIMO", "MU-MISO") and M < config.K + 1:
-        raise ValueError(f"M={M} too small for K={config.K}")
     ss = np.random.SeedSequence(config.seed, spawn_key=(grid_index,))
     ss_draw, ss_round = ss.spawn(2)
     rng = np.random.default_rng(ss_draw)
@@ -327,6 +331,13 @@ def _collect_point(config: ExperimentConfig, M: int, rho: float, grid_index: int
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
+def _grid(config: ExperimentConfig):
+    """Yield (M, rho_db, per-trial data) for every grid point, M-major."""
+    points = itertools.product(config.M_grid, config.rho_grid_db)
+    for gi, (M, rho_db) in enumerate(points):
+        yield M, rho_db, _collect_point(config, M, 10.0 ** (rho_db / 10.0), gi)
+
+
 def _bound_constant(config: ExperimentConfig, M: int, lam: float, kappa=None):
     """Per-trial bound on err_abs, divided by the recorded scale factor."""
     u = config.policy.working.unit_roundoff
@@ -338,9 +349,18 @@ def _bound_constant(config: ExperimentConfig, M: int, lam: float, kappa=None):
     if scen == "MU-SIMO":
         return bounds.c_u(M, config.K, u, lam)
     # MU-MISO: the constant depends on the per-trial condition number
-    c1 = bounds.c1_u(M, config.K, u, lam)
-    g2k = math.sqrt(2 * config.K) * bounds.gamma_n(2 * config.K, u, lam)
-    return c1 * kappa + g2k * (1.0 + c1 * kappa)
+    return bounds.c_d(M, config.K, u, lam, kappa)
+
+
+def _det_constant(n: int, u: float) -> float:
+    """Worst-case relative error bound sqrt(2)*gamma_n_det of an n-term reduction.
+
+    The factor n*u/(1-n*u) diverges as n*u -> 1; past that point no finite
+    deterministic bound exists, so it is vacuously satisfied.
+    """
+    if n * u < 1.0:
+        return math.sqrt(2.0) * bounds.gamma_n_det(n, u)
+    return math.inf
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -352,37 +372,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     else:
         fmt_name = policy.working.name
     pilot = _pilot_factor(config)
-    gi = 0
-    for M in config.M_grid:
-        for rho_db in config.rho_grid_db:
-            rho = 10.0 ** (rho_db / 10.0)
-            data = _collect_point(config, M, rho, gi)
-            gi += 1
-            ok = ~data["breakdown"]
-            n_ok = int(np.sum(ok))
-            rate = pilot * data["rate"][ok]
-            rel = data["rel_err"][ok]
-            const = _bound_constant(config, M, config.lam, data.get("kappa"))
-            viol = data["err_abs"] > np.asarray(const) * data["scale"]
-            row = {
-                "scenario": config.scenario,
-                "M": M,
-                "K": 1 if config.scenario in ("SIMO", "MISO") else config.K,
-                "rho_db": rho_db,
-                "format": fmt_name,
-                "mode": policy.mode.value,
-                "block_size": policy.block_size if policy.mode is PolicyMode.MIXED else 0,
-                "lambda": config.lam,
-                "mean_rate": float(np.mean(rate)) if n_ok else 0.0,
-                "rate_stderr": float(np.std(rate) / math.sqrt(n_ok)) if n_ok else 0.0,
-                "median_rel_err": float(np.median(rel)) if n_ok else math.nan,
-                "p99_rel_err": float(np.percentile(rel, 99)) if n_ok else math.nan,
-                "bound_violation_rate": float(np.mean(viol[ok])) if n_ok else math.nan,
-                "breakdown_rate": float(np.mean(data["breakdown"])),
-                "trials": config.trials,
-                "seed": config.seed,
-            }
-            result.rows.append(row)
+    for M, rho_db, data in _grid(config):
+        ok = ~data["breakdown"]
+        n_ok = int(np.sum(ok))
+        rate = pilot * data["rate"][ok]
+        rel = data["rel_err"][ok]
+        const = _bound_constant(config, M, config.lam, data.get("kappa"))
+        viol = data["err_abs"] > np.asarray(const) * data["scale"]
+        row = {
+            "scenario": config.scenario,
+            "M": M,
+            "K": 1 if config.scenario in ("SIMO", "MISO") else config.K,
+            "rho_db": rho_db,
+            "format": fmt_name,
+            "mode": policy.mode.value,
+            "block_size": policy.block_size if policy.mode is PolicyMode.MIXED else 0,
+            "lambda": config.lam,
+            "mean_rate": float(np.mean(rate)) if n_ok else 0.0,
+            "rate_stderr": float(np.std(rate) / math.sqrt(n_ok)) if n_ok else 0.0,
+            "median_rel_err": float(np.median(rel)) if n_ok else math.nan,
+            "p99_rel_err": float(np.percentile(rel, 99)) if n_ok else math.nan,
+            "bound_violation_rate": float(np.mean(viol[ok])) if n_ok else math.nan,
+            "breakdown_rate": float(np.mean(data["breakdown"])),
+            "trials": config.trials,
+            "seed": config.seed,
+        }
+        result.rows.append(row)
     return result
 
 
@@ -395,38 +410,29 @@ def verify_bounds(config: ExperimentConfig, lambdas=(0.5, 1.0, 3.0)) -> list:
     """
     reports = []
     u = config.policy.working.unit_roundoff
-    gi = 0
-    for M in config.M_grid:
-        for rho_db in config.rho_grid_db:
-            rho = 10.0 ** (rho_db / 10.0)
-            data = _collect_point(config, M, rho, gi)
-            gi += 1
-            ok = ~data["breakdown"]
-            err = data["err_abs"][ok]
-            scale = data["scale"][ok]
-            kappa = data["kappa"][ok] if "kappa" in data else None
-            rates = {}
-            for lam in lambdas:
-                const = _bound_constant(config, M, lam, kappa)
-                rates[lam] = float(np.mean(err > np.asarray(const) * scale))
-            det = None
-            if config.scenario in ("SIMO", "MISO"):
-                n_red = 2 * M if config.scenario == "SIMO" else 2
-                if n_red * u < 1.0:
-                    det_const = math.sqrt(2.0) * bounds.gamma_n_det(n_red, u)
-                else:  # worst-case factor diverges; bound vacuously holds
-                    det_const = math.inf
-                det = float(np.mean(err > det_const * scale))
-            reports.append(
-                {
-                    "scenario": config.scenario,
-                    "M": M,
-                    "rho_db": rho_db,
-                    "violation_rates": rates,
-                    "deterministic_violation_rate": det,
-                    "trials": int(np.sum(ok)),
-                }
-            )
+    for M, rho_db, data in _grid(config):
+        ok = ~data["breakdown"]
+        err = data["err_abs"][ok]
+        scale = data["scale"][ok]
+        kappa = data["kappa"][ok] if "kappa" in data else None
+        rates = {}
+        for lam in lambdas:
+            const = _bound_constant(config, M, lam, kappa)
+            rates[lam] = float(np.mean(err > np.asarray(const) * scale))
+        det = None
+        if config.scenario in ("SIMO", "MISO"):
+            n_red = 2 * M if config.scenario == "SIMO" else 2
+            det = float(np.mean(err > _det_constant(n_red, u) * scale))
+        reports.append(
+            {
+                "scenario": config.scenario,
+                "M": M,
+                "rho_db": rho_db,
+                "violation_rates": rates,
+                "deterministic_violation_rate": det,
+                "trials": int(np.sum(ok)),
+            }
+        )
     return reports
 
 
@@ -469,13 +475,7 @@ def inner_product_violation_study(
         lam: float(np.mean(err > math.sqrt(2.0) * bounds.gamma_n(2 * n, u, lam)))
         for lam in lambdas
     }
-    # The worst-case factor n*u/(1-n*u) diverges as n*u -> 1; past that point
-    # no finite deterministic bound exists, so it is vacuously satisfied.
-    if 2 * n * u < 1.0:
-        det_const = math.sqrt(2.0) * bounds.gamma_n_det(2 * n, u)
-    else:
-        det_const = math.inf
-    det = float(np.mean(err > det_const))
+    det = float(np.mean(err > _det_constant(2 * n, u)))
     return {"n": n, "trials": trials, "violation_rates": rates, "deterministic": det}
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "inner_product_fp",
     "matvec_fp",
     "matmul_fp",
-    "blocked_inner_mixed",
-    "blocked_matmul_mixed",
     "cholesky_fp",
     "trisolve_fp",
 ]
@@ -35,7 +33,6 @@ __all__ = [
 
 class PolicyMode(Enum):
     UNIFORM_LOW = "uniform-low"
-    UNIFORM_HIGH = "uniform-high"
     MIXED = "mixed"
 
 
@@ -65,8 +62,6 @@ class PrecisionPolicy:
     @property
     def working(self) -> FloatFormat:
         """Format of products and (for mixed mode) intra-block arithmetic."""
-        if self.mode is PolicyMode.UNIFORM_HIGH:
-            return self.high
         return self.low
 
     def _rnd_work(self, x, rng):
@@ -128,12 +123,6 @@ def _seq_sum(terms, fmt, policy: PrecisionPolicy, rng):
     return s
 
 
-def _dot_uniform(a, d, policy: PrecisionPolicy, rng):
-    e, f = _expand_terms(a, d, policy, rng)
-    fmt = policy.working
-    return _seq_sum(e, fmt, policy, rng) + 1j * _seq_sum(f, fmt, policy, rng)
-
-
 def _blocked_sum(terms, policy: PrecisionPolicy, rng):
     """Intra-block sums in low precision, inter-block combine in high.
 
@@ -156,15 +145,17 @@ def _blocked_sum(terms, policy: PrecisionPolicy, rng):
     return _seq_sum(s, policy.high, policy, rng)
 
 
-def _dot_mixed(a, d, policy: PrecisionPolicy, rng):
+def _dot(a, d, policy: PrecisionPolicy, rng):
+    """Rounded sum_i a_i d_i over the last axis (no conjugation).
+
+    A uniform policy sums each real expansion sequentially in the working
+    format; a mixed policy uses the blocked summation of :func:`_blocked_sum`.
+    """
     e, f = _expand_terms(a, d, policy, rng)
-    return _blocked_sum(e, policy, rng) + 1j * _blocked_sum(f, policy, rng)
-
-
-def _dot_any(a, d, policy: PrecisionPolicy, rng):
     if policy.mode is PolicyMode.MIXED:
-        return _dot_mixed(a, d, policy, rng)
-    return _dot_uniform(a, d, policy, rng)
+        return _blocked_sum(e, policy, rng) + 1j * _blocked_sum(f, policy, rng)
+    fmt = policy.working
+    return _seq_sum(e, fmt, policy, rng) + 1j * _seq_sum(f, fmt, policy, rng)
 
 
 def _as_cvec(x, name: str):
@@ -175,40 +166,21 @@ def _as_cvec(x, name: str):
 
 
 def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
-    """Finite-precision a^H b by sequential recursive summation.
+    """Finite-precision a^H b; ``a`` and ``b`` are complex with shape (..., n).
 
-    ``a`` and ``b`` are complex with shape (..., n).  Requires a uniform
-    policy; use :func:`blocked_inner_mixed` for the mixed architecture.
+    A uniform policy sums the 2n-term real expansions sequentially in the
+    working format.  A mixed policy uses blocked summation with block size
+    b: products and size-b intra-block partial sums run in the low format,
+    and the ceil(2n/b) partial results are combined sequentially in the
+    high format.
     """
-    if policy.mode is PolicyMode.MIXED:
-        raise ValueError("inner_product_fp requires a uniform policy")
     a = _as_cvec(a, "a")
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     a = round_input(a, policy, rng)
     b = round_input(b, policy, rng)
-    out = _dot_uniform(np.conj(a), b, policy, rng)
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
-
-
-def blocked_inner_mixed(a, d, policy: PrecisionPolicy, rng=None):
-    """a^H d with blocked mixed-precision summation (block size b).
-
-    Products and size-b intra-block partial sums run in the low format; the
-    ceil(2n/b) partial results are combined sequentially in the high format.
-    """
-    if policy.mode is not PolicyMode.MIXED:
-        raise ValueError("blocked_inner_mixed requires a mixed policy")
-    a = _as_cvec(a, "a")
-    d = _as_cvec(d, "d")
-    if a.shape[-1] != d.shape[-1]:
-        raise ValueError(f"length mismatch: {a.shape[-1]} vs {d.shape[-1]}")
-    a = round_input(a, policy, rng)
-    d = round_input(d, policy, rng)
-    out = _dot_mixed(np.conj(a), d, policy, rng)
+    out = _dot(np.conj(a), b, policy, rng)
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -227,7 +199,7 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")
     A = round_input(A, policy, rng)
     x = round_input(x, policy, rng)
-    return _dot_any(A, x[..., None, :], policy, rng)
+    return _dot(A, x[..., None, :], policy, rng)
 
 
 def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
@@ -244,23 +216,21 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     p = B.shape[-1]
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
     if m * p * 2 * n <= _MATMUL_BULK_LIMIT:
-        return _dot_any(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
+        return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
     cols = [
-        _dot_any(A, Bt[..., j, None, :], policy, rng) for j in range(p)
+        _dot(A, Bt[..., j, None, :], policy, rng) for j in range(p)
     ]
     return np.stack(cols, axis=-1)
 
 
-def blocked_matmul_mixed(A, B, policy: PrecisionPolicy, rng=None):
-    """Matrix-matrix product where each entry uses the blocked mixed kernel."""
-    if policy.mode is not PolicyMode.MIXED:
-        raise ValueError("blocked_matmul_mixed requires a mixed policy")
-    return matmul_fp(A, B, policy, rng)
-
-
-# -- rounded complex scalar helpers used by the factorization kernels -------
+# -- the rounded complex multiply -------------------------------------------
 
 def _cmul(ar, ai, br, bi, rnd):
+    """(ar + i ai)(br + i bi) as 4 rounded real multiplies and 2 rounded adds.
+
+    The naive scheme, with no 3-multiply trick, whose error expands into the
+    2-term real inner-product model.  ``rnd`` rounds into the working format.
+    """
     re = rnd(rnd(ar * br) - rnd(ai * bi))
     im = rnd(rnd(ar * bi) + rnd(ai * br))
     return re, im

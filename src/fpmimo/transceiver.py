@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from .kernels import (
-    PolicyMode,
     PrecisionPolicy,
-    blocked_inner_mixed,
+    _cmul,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -36,8 +35,6 @@ def mrc_combine(h, z, policy: PrecisionPolicy, rng=None):
     ``h`` and ``z`` have shape (..., M).  Uniform policies reduce
     sequentially; a mixed policy uses the blocked summation architecture.
     """
-    if policy.mode is PolicyMode.MIXED:
-        return blocked_inner_mixed(h, z, policy, rng)
     return inner_product_fp(h, z, policy, rng)
 
 
@@ -61,8 +58,7 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
         hn = round_input(h / nrm, policy, rng)
     x = round_input(np.asarray(x_d, dtype=np.complex128)[..., None], policy, rng)
     rnd = lambda v: policy._rnd_work(v, rng)  # noqa: E731
-    re = rnd(rnd(hn.real * x.real) - rnd(hn.imag * x.imag))
-    im = rnd(rnd(hn.real * x.imag) + rnd(hn.imag * x.real))
+    re, im = _cmul(hn.real, hn.imag, x.real, x.imag, rnd)
     return re + 1j * im
 
 

@@ -12,12 +12,13 @@ from fpmimo.formats import (
     FloatFormat,
     RangeMode,
     RoundingMode,
-    fl_cadd,
-    fl_cmul,
-    fl_op,
     get_format,
     round_to_format,
 )
+from fpmimo.kernels import PrecisionPolicy, round_input
+from fpmimo.transceiver import mrt_precode
+
+POL16 = PrecisionPolicy.uniform(FP16)
 
 
 class TestPresets:
@@ -155,16 +156,18 @@ class TestRangeModes:
 
 
 class TestElementaryOps:
+    """One operation under the standard model: round(a op b) on the carrier."""
+
     def test_exact_sum(self):
-        assert fl_op(1.0, 1.0, "+", FP16) == 2.0
+        assert round_to_format(1.0 + 1.0, FP16) == 2.0
 
     def test_tie_in_addition(self):
-        assert fl_op(1.0, 2.0**-11, "+", FP16) == 1.0
+        assert round_to_format(1.0 + 2.0**-11, FP16) == 1.0
 
     def test_fp64_matches_carrier(self):
         rng = np.random.default_rng(7)
         x, y = rng.standard_normal(1000), rng.standard_normal(1000)
-        assert np.array_equal(fl_op(x, y, "*", FP64), x * y)
+        assert np.array_equal(round_to_format(x * y, FP64), x * y)
 
     def test_standard_model_all_ops(self):
         rng = np.random.default_rng(8)
@@ -179,25 +182,20 @@ class TestElementaryOps:
             u = fmt.unit_roundoff
             for op, f in (("+", np.add), ("-", np.subtract), ("*", np.multiply), ("/", np.divide)):
                 exact = f(xr, yr)
-                got = fl_op(xr, yr, op, fmt)
+                got = round_to_format(exact, fmt)
                 assert np.all(np.abs(got - exact) <= u * np.abs(exact))
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            fl_op(1.0, 0.0, "/", FP16)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="op must be"):
-            fl_op(1.0, 1.0, "%", FP16)
 
 
 class TestComplexOps:
+    """The rounded complex multiply (4 multiplies, 2 adds) as MRT runs it,
+    and componentwise rounded complex addition as the kernels run it."""
+
     def test_multiply_by_one(self):
         z = round_to_format(0.3, FP16) + 1j * round_to_format(-1.7, FP16)
-        assert fl_cmul(1.0 + 0j, z, FP16) == z
+        assert mrt_precode(np.array([1.0 + 0j]), z, POL16, prenormalized=True)[0] == z
 
     def test_i_times_i(self):
-        assert fl_cmul(1j, 1j, FP16) == -1.0 + 0j
+        assert mrt_precode(np.array([1j]), 1j, POL16, prenormalized=True)[0] == -1.0 + 0j
 
     def test_error_within_gamma2(self):
         from fpmimo.bounds import gamma_n
@@ -208,21 +206,21 @@ class TestComplexOps:
         b = np.exp(2j * np.pi * phases[:, 1])
         ar = round_to_format(a.real, FP16) + 1j * round_to_format(a.imag, FP16)
         br = round_to_format(b.real, FP16) + 1j * round_to_format(b.imag, FP16)
-        got = fl_cmul(ar, br, FP16)
+        got = mrt_precode(ar[:, None], br, POL16, prenormalized=True)[:, 0]
         exact = ar * br
         bound = math.sqrt(2) * gamma_n(2, FP16.unit_roundoff, 3.0) * np.abs(ar) * np.abs(br)
         assert np.all(np.abs(got - exact) <= bound)
 
     def test_cadd(self):
         z = 0.25 - 0.5j
-        assert fl_cadd(z, 0.0, FP16) == z
-        assert fl_cadd(1.0, 2.0**-11 * 1j, FP16) == 1.0 + 2.0**-11 * 1j
+        assert round_input(z + 0.0, POL16) == z
+        assert round_input(1.0 + 2.0**-11 * 1j, POL16) == 1.0 + 2.0**-11 * 1j
 
     def test_cadd_componentwise_error(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
         b = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        got = fl_cadd(a, b, FP16)
+        got = round_input(a + b, POL16)
         u = FP16.unit_roundoff
         assert np.all(np.abs(got.real - (a.real + b.real)) <= u * np.abs(a.real + b.real))
         assert np.all(np.abs(got.imag - (a.imag + b.imag)) <= u * np.abs(a.imag + b.imag))

@@ -129,6 +129,22 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="too small"):
             run_sweep(ExperimentConfig("MU-SIMO", (4,), POL16, K=4, trials=5))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            ExperimentConfig("SIMO", (8,), POL16, lam=lam)
+
+    def test_rejects_pilots_filling_the_coherence_block(self):
+        ExperimentConfig("MU-SIMO", (8,), POL16, K=4, csi="mmse", csi_tau=195)
+        for tau in (196, 300):
+            with pytest.raises(ValueError, match="csi_T"):
+                ExperimentConfig("MU-SIMO", (8,), POL16, K=4, csi="mmse", csi_tau=tau)
+
+    def test_rejects_small_mu_array_at_construction(self):
+        ExperimentConfig("MU-MISO", (5, 64), POL16, K=4)
+        with pytest.raises(ValueError, match="M=4 too small for K=4"):
+            ExperimentConfig("MU-MISO", (64, 4), POL16, K=4)
+
 
 class TestVerifyBounds:
     def test_lambda_ordering_and_fp64(self):

@@ -9,8 +9,6 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    blocked_inner_mixed,
-    blocked_matmul_mixed,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -44,8 +42,7 @@ def _seq_ref(a, b):
 class TestPolicy:
     def test_uniform_working(self):
         assert POL16.working is FP16
-        high = PrecisionPolicy(low=FP16, high=FP32, mode=PolicyMode.UNIFORM_HIGH)
-        assert high.working is FP32
+        assert MIX.working is FP16
 
     def test_mixed_requires_block(self):
         with pytest.raises(ValueError):
@@ -107,10 +104,6 @@ class TestInnerProduct:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             inner_product_fp(np.ones(3), np.ones(4), POL16)
-
-    def test_rejects_mixed_policy(self):
-        with pytest.raises(ValueError, match="uniform"):
-            inner_product_fp(np.ones(4), np.ones(4), MIX)
 
 
 class TestMatvecMatmul:
@@ -174,7 +167,7 @@ class TestBlockedMixed:
         a = _unit_vectors(rng, 1, n)[0]
         b = _unit_vectors(rng, 1, n)[0]
         wide = PrecisionPolicy.mixed(FP16, FP32, 2 * n)
-        assert blocked_inner_mixed(a, b, wide) == inner_product_fp(a, b, POL16)
+        assert inner_product_fp(a, b, wide) == inner_product_fp(a, b, POL16)
 
     def test_b1_all_high_precision(self):
         rng = np.random.default_rng(11)
@@ -183,7 +176,7 @@ class TestBlockedMixed:
         b = _unit_vectors(rng, 1, n)[0]
         b1 = PrecisionPolicy.mixed(FP16, FP64, 1)
         # products rounded to fp16, all additions exact (fp64 high)
-        got = blocked_inner_mixed(a, b, b1)
+        got = inner_product_fp(a, b, b1)
         from fpmimo.kernels import round_input
 
         aq = round_input(a, POL16)
@@ -204,7 +197,7 @@ class TestBlockedMixed:
         n, trials = 1000, 500
         a = _unit_vectors(rng, trials, n)
         b = _unit_vectors(rng, trials, n)
-        got = blocked_inner_mixed(a, b, MIX)
+        got = inner_product_fp(a, b, MIX)
         ref = inner_product_fp(a, b, POL64)
         bound = math.sqrt(2) * xi_bn(32, n, FP16.unit_roundoff, FP32.unit_roundoff, 1.0)
         frac = np.mean(np.abs(got - ref) <= bound)
@@ -215,7 +208,7 @@ class TestBlockedMixed:
         n = 37  # 2n = 74 = 2*32 + 10
         a = _unit_vectors(rng, 1, n)[0]
         b = _unit_vectors(rng, 1, n)[0]
-        got = blocked_inner_mixed(a, b, MIX)
+        got = inner_product_fp(a, b, MIX)
         ref = inner_product_fp(a, b, POL64)
         assert abs(got - ref) <= math.sqrt(2) * xi_bn(
             32, n, FP16.unit_roundoff, FP32.unit_roundoff, 3.0
@@ -224,15 +217,9 @@ class TestBlockedMixed:
     def test_matmul_entrywise(self):
         rng = np.random.default_rng(14)
         H = (rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))) / math.sqrt(2)
-        C = blocked_matmul_mixed(H.conj().T, H, MIX)
+        C = matmul_fp(H.conj().T, H, MIX)
         a = H[:, 0]
-        assert C[0, 0] == blocked_inner_mixed(a, a, MIX)
-
-    def test_requires_mixed(self):
-        with pytest.raises(ValueError, match="mixed"):
-            blocked_inner_mixed(np.ones(4), np.ones(4), POL16)
-        with pytest.raises(ValueError, match="mixed"):
-            blocked_matmul_mixed(np.ones((2, 2)), np.ones((2, 2)), POL16)
+        assert C[0, 0] == inner_product_fp(a, a, MIX)
 
 
 class TestCholesky:
