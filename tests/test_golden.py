@@ -8,11 +8,15 @@ a change that alters a result on purpose says so and rewrites them with
 
 Sweeps cover each scenario with fp16 uniform, fp16+fp32 mixed (b=8), MMSE
 channel estimates and fp16 stochastic rounding; ``bounds.txt`` holds the stdout of
-``fpmimo bounds <name> --samples 2000`` for every evaluator.
+``fpmimo bounds <name> --samples 2000`` for every evaluator.  The ``cli_*``
+files pin the settings path of the command line: a ``sweep --config`` with
+every config key set, one with only the scenario set (its header echoes every
+default), ``verify`` on a small MU-SIMO grid, ``verify --inner-n`` and ``cost``.
 """
 
 import contextlib
 import io
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,6 +50,41 @@ SWEEPS = {
     for variant, kw in _VARIANTS.items()
 }
 
+# sweep --config file contents
+CLI_SWEEPS = {
+    "cli_sweep_all-keys.csv": (
+        "scenario = MU-SIMO\n"
+        "M_grid = 8,16\n"
+        "K = 2\n"
+        "rho_grid_db = 0,10\n"
+        "format = fp16\n"
+        "format_high = fp32\n"
+        "mode = mixed\n"
+        "block_size = 4\n"
+        "rounding = stochastic\n"
+        "range_mode = strict-ieee\n"
+        "lambda = 3\n"
+        "trials = 16\n"
+        "seed = 7\n"
+        "csi = mmse\n"
+        "csi_T = 100\n"
+        "csi_tau = 4\n"
+    ),
+    "cli_sweep_defaults.csv": "scenario = SIMO\n",
+}
+CLI_STDOUT = {
+    "cli_verify_mu-simo.json": [
+        "verify", "--scenario", "MU-SIMO", "--M-grid", "8,16", "--K", "2",
+        "--rho-grid-db", "0,10", "--trials", "32", "--seed", "1",
+        "--lambdas", "0.02,0.05,1",
+    ],
+    "cli_verify_inner-n.json": [
+        "verify", "--inner-n", "512", "--trials", "300", "--seed", "2",
+        "--lambdas", "0.001,0.01,0.05",
+    ],
+    "cli_cost.txt": ["cost"],
+}
+
 EVALUATORS = (
     "gamma_n",
     "gamma_n_det",
@@ -65,11 +104,23 @@ EVALUATORS = (
 )
 
 
-def _bounds_stdout(name: str) -> str:
+def _stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["bounds", name, "--samples", "2000"])
+        main(argv)
     return out.getvalue()
+
+
+def _bounds_stdout(name: str) -> str:
+    return _stdout(["bounds", name, "--samples", "2000"])
+
+
+def _cli_sweep(name: str, workdir: Path) -> bytes:
+    cfg = workdir / "experiment.cfg"
+    cfg.write_text(CLI_SWEEPS[name])
+    out = workdir / name
+    _stdout(["sweep", "--config", str(cfg), "-o", str(out)])
+    return out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -87,11 +138,26 @@ def test_bounds_stdout(name):
     assert _bounds_stdout(name) == golden[0]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_SWEEPS))
+def test_cli_sweep_csv(name, tmp_path):
+    assert _cli_sweep(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_STDOUT))
+def test_cli_stdout(name):
+    assert _stdout(CLI_STDOUT[name]) == (GOLDEN / name).read_text()
+
+
 def _write_all() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, config in SWEEPS.items():
         emit_csv(run_sweep(config), GOLDEN / name)
     (GOLDEN / "bounds.txt").write_text("".join(_bounds_stdout(n) for n in EVALUATORS))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_SWEEPS:
+            (GOLDEN / name).write_bytes(_cli_sweep(name, Path(tmp)))
+    for name, argv in CLI_STDOUT.items():
+        (GOLDEN / name).write_text(_stdout(argv))
 
 
 if __name__ == "__main__":
