@@ -134,11 +134,19 @@ def _round_significand(x, fmt: FloatFormat, mode: RoundingMode, rng):
     return np.ldexp(k, e - t)
 
 
-def _apply_range(y, fmt: FloatFormat):
-    a = np.abs(y)
-    y = np.where(a > fmt.x_max, np.sign(y) * fmt.x_max, y)
-    y = np.where((a < fmt.x_min) & (y != 0.0), 0.0, y)
-    return y
+def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
+    """The rounding core behind :func:`round_to_format` and every kernel.
+
+    It does no finiteness check, so a non-finite value propagates, and it
+    returns arrays as arrays.
+    """
+    if not (fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN):
+        x = _round_significand(x, fmt, mode, rng)
+    if range_mode is RangeMode.STRICT_IEEE:
+        a = np.abs(x)
+        x = np.where(a > fmt.x_max, np.sign(x) * fmt.x_max, x)
+        x = np.where((a < fmt.x_min) & (x != 0.0), 0.0, x)
+    return x
 
 
 def round_to_format(
@@ -156,25 +164,7 @@ def round_to_format(
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("round_to_format requires finite input")
-    if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN:
-        y = x
-    else:
-        y = _round_significand(x, fmt, mode, rng)
-    if range_mode is RangeMode.STRICT_IEEE:
-        y = _apply_range(y, fmt)
+    y = _round(x, fmt, mode, range_mode, rng)
     if np.ndim(y) == 0:
         return float(y)
-    return y
-
-
-# Internal fast path: skips the finiteness check and scalar conversion.
-# Kernels do not check their inputs either: a non-finite value propagates.
-def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
-    if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN:
-        if range_mode is RangeMode.STRICT_IEEE:
-            return _apply_range(x, fmt)
-        return x
-    y = _round_significand(x, fmt, mode, rng)
-    if range_mode is RangeMode.STRICT_IEEE:
-        y = _apply_range(y, fmt)
     return y

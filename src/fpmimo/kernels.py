@@ -64,11 +64,9 @@ class PrecisionPolicy:
         """Format of products and (for mixed mode) intra-block arithmetic."""
         return self.low
 
-    def _rnd_work(self, x, rng):
-        return _round(x, self.working, self.rounding, self.range_mode, rng)
-
-    def _rnd_high(self, x, rng):
-        return _round(x, self.high, self.rounding, self.range_mode, rng)
+    def _rounder(self, fmt: FloatFormat, rng):
+        """``x -> fl(x)`` in ``fmt`` under this policy's rounding and range mode."""
+        return lambda x: _round(x, fmt, self.rounding, self.range_mode, rng)
 
 
 class CholeskyBreakdownError(ArithmeticError):
@@ -88,12 +86,13 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     rounding twice is a no-op, so callers may pre-round to separate
     representation error from arithmetic error.
     """
+    rnd = policy._rounder(policy.working, rng)
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        re = policy._rnd_work(np.ascontiguousarray(x.real), rng)
-        im = policy._rnd_work(np.ascontiguousarray(x.imag), rng)
+        re = rnd(np.ascontiguousarray(x.real))
+        im = rnd(np.ascontiguousarray(x.imag))
         return re + 1j * im
-    return policy._rnd_work(np.asarray(x, dtype=np.float64), rng)
+    return rnd(np.asarray(x, dtype=np.float64))
 
 
 def _expand_terms(a, d, policy: PrecisionPolicy, rng):
@@ -104,22 +103,23 @@ def _expand_terms(a, d, policy: PrecisionPolicy, rng):
     (Re a Im d, Im a Re d).  Each product is individually rounded; the
     negation is exact.
     """
+    rnd = policy._rounder(policy.working, rng)
     ar, ai = a.real, a.imag
     dr, di = d.real, d.imag
-    e0 = policy._rnd_work(ar * dr, rng)
-    e1 = -policy._rnd_work(ai * di, rng)
-    f0 = policy._rnd_work(ar * di, rng)
-    f1 = policy._rnd_work(ai * dr, rng)
+    e0 = rnd(ar * dr)
+    e1 = -rnd(ai * di)
+    f0 = rnd(ar * di)
+    f1 = rnd(ai * dr)
     e = np.stack([e0, e1], axis=-1).reshape(*e0.shape[:-1], -1)
     f = np.stack([f0, f1], axis=-1).reshape(*f0.shape[:-1], -1)
     return e, f
 
 
-def _seq_sum(terms, fmt, policy: PrecisionPolicy, rng):
-    """Recursive summation over the last axis, each partial sum rounded."""
+def _seq_sum(terms, rnd):
+    """Recursive summation over the last axis, each partial sum rounded by ``rnd``."""
     s = terms[..., 0]
     for j in range(1, terms.shape[-1]):
-        s = _round(s + terms[..., j], fmt, policy.rounding, policy.range_mode, rng)
+        s = rnd(s + terms[..., j])
     return s
 
 
@@ -138,11 +138,9 @@ def _blocked_sum(terms, policy: PrecisionPolicy, rng):
             [terms, np.zeros(terms.shape[:-1] + (pad,))], axis=-1
         )
     blocks = terms.reshape(*terms.shape[:-1], g, b)
-    s = blocks[..., 0]
-    for j in range(1, b):
-        s = _round(s + blocks[..., j], policy.low, policy.rounding, policy.range_mode, rng)
+    s = _seq_sum(blocks, policy._rounder(policy.low, rng))
     # s: (..., g) partial sums; combine sequentially in high precision
-    return _seq_sum(s, policy.high, policy, rng)
+    return _seq_sum(s, policy._rounder(policy.high, rng))
 
 
 def _dot(a, d, policy: PrecisionPolicy, rng):
@@ -154,8 +152,8 @@ def _dot(a, d, policy: PrecisionPolicy, rng):
     e, f = _expand_terms(a, d, policy, rng)
     if policy.mode is PolicyMode.MIXED:
         return _blocked_sum(e, policy, rng) + 1j * _blocked_sum(f, policy, rng)
-    fmt = policy.working
-    return _seq_sum(e, fmt, policy, rng) + 1j * _seq_sum(f, fmt, policy, rng)
+    rnd = policy._rounder(policy.working, rng)
+    return _seq_sum(e, rnd) + 1j * _seq_sum(f, rnd)
 
 
 def _as_cvec(x, name: str):
@@ -186,11 +184,6 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     return out
 
 
-# Above this many scalar product terms, matmul falls back to a column loop
-# to bound peak memory.
-_MATMUL_BULK_LIMIT = 1 << 24
-
-
 def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     """y = A x, each row reduced like an inner product (mixed-aware)."""
     A = np.asarray(A, dtype=np.complex128)
@@ -212,15 +205,8 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
         )
     A = round_input(A, policy, rng)
     B = round_input(B, policy, rng)
-    m, n = A.shape[-2], A.shape[-1]
-    p = B.shape[-1]
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
-    if m * p * 2 * n <= _MATMUL_BULK_LIMIT:
-        return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
-    cols = [
-        _dot(A, Bt[..., j, None, :], policy, rng) for j in range(p)
-    ]
-    return np.stack(cols, axis=-1)
+    return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
 
 
 # -- the rounded complex multiply -------------------------------------------
@@ -255,8 +241,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     if C.shape[-2] != K:
         raise ValueError("C must be square")
     C = round_input(C, policy, rng)
-    fmt = policy.working
-    rnd = lambda v: _round(v, fmt, policy.rounding, policy.range_mode, rng)  # noqa: E731
+    rnd = policy._rounder(policy.working, rng)
 
     batch = C.shape[:-2]
     Rr = np.zeros(batch + (K, K))
@@ -312,8 +297,9 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
     R = round_input(R, policy, rng)
     rhs = round_input(rhs, policy, rng)
-    fmt = policy.working
-    rnd = lambda v: _round(v, fmt, policy.rounding, policy.range_mode, rng)  # noqa: E731
+    rnd = policy._rounder(policy.working, rng)
+    # T is the triangular matrix the solve works on: R^H or R
+    T = np.conj(np.swapaxes(R, -1, -2)) if side == "lower-conjugate" else R
 
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     xr = np.zeros(batch + (K,))
@@ -324,12 +310,7 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
         ti = np.zeros(batch) + rhs[..., i].imag
         ks = range(i) if side == "lower-conjugate" else range(i + 1, K)
         for k in ks:
-            if side == "lower-conjugate":
-                # (R^H)[i, k] = conj(R[k, i])
-                cr, ci = R[..., k, i].real, -R[..., k, i].imag
-            else:
-                cr, ci = R[..., i, k].real, R[..., i, k].imag
-            pr, pi = _cmul(cr, ci, xr[..., k], xi[..., k], rnd)
+            pr, pi = _cmul(T[..., i, k].real, T[..., i, k].imag, xr[..., k], xi[..., k], rnd)
             tr = rnd(tr - pr)
             ti = rnd(ti - pi)
         d = R[..., i, i].real

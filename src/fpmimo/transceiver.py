@@ -57,7 +57,7 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
             raise ValueError("mrt_precode requires a nonzero channel")
         hn = round_input(h / nrm, policy, rng)
     x = round_input(np.asarray(x_d, dtype=np.complex128)[..., None], policy, rng)
-    rnd = lambda v: policy._rnd_work(v, rng)  # noqa: E731
+    rnd = policy._rounder(policy.working, rng)
     re, im = _cmul(hn.real, hn.imag, x.real, x.imag, rnd)
     return re + 1j * im
 
