@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds
 from .formats import FP64, RangeMode, RoundingMode
-from .kernels import PolicyMode, PrecisionPolicy, round_input
+from .kernels import PolicyMode, PrecisionPolicy, inner_product_fp, round_input
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 __all__ = [
@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
         if self.trials < 1 or not self.M_grid or not len(self.rho_grid_db):
             raise ValueError("trials >= 1 and nonempty grids required")
+        if min(self.M_grid) < 1 or self.K < 1:
+            raise ValueError("antenna counts and K must be >= 1")
         if self.csi not in ("perfect", "mmse"):
             raise ValueError("csi must be 'perfect' or 'mmse'")
         if self.csi == "mmse" and self.tau < self.K:
@@ -448,8 +450,8 @@ def inner_product_violation_study(
     Checks |fl(a^H b) - a^H b| <= sqrt(2) gamma_{2n}(lambda) ||a|| ||b|| per
     trial for each lambda, plus the deterministic 2n*u/(1 - 2n*u) variant.
     """
-    from .kernels import inner_product_fp
-
+    if n < 1 or trials < 1:
+        raise ValueError("n >= 1 and trials >= 1 required")
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     rng_round = _round_rng(policy, ss.spawn(1)[0])
@@ -472,7 +474,7 @@ def inner_product_violation_study(
         done += c
     err = np.concatenate(errs)
     rates = {
-        lam: float(np.mean(err > math.sqrt(2.0) * bounds.gamma_n(2 * n, u, lam)))
+        lam: float(np.mean(err > bounds.delta_simo(n, u, lam)))
         for lam in lambdas
     }
     det = float(np.mean(err > _det_constant(2 * n, u)))

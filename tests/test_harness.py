@@ -145,6 +145,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="M=4 too small for K=4"):
             ExperimentConfig("MU-MISO", (64, 4), POL16, K=4)
 
+    def test_rejects_nonpositive_antenna_count_at_construction(self):
+        with pytest.raises(ValueError, match="antenna counts"):
+            ExperimentConfig("SIMO", (16, 0), POL16)
+
+    def test_rejects_nonpositive_user_count(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            ExperimentConfig("SIMO", (16,), POL16, K=0)
+
 
 class TestVerifyBounds:
     def test_lambda_ordering_and_fp64(self):
@@ -168,6 +176,15 @@ class TestVerifyBounds:
         assert rep["deterministic"] == 0.0
         r = rep["violation_rates"]
         assert r[0.5] >= r[1.0] >= r[3.0]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_inner_study_rejects_nonpositive_length(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            inner_product_violation_study(n, POL16, trials=10)
+
+    def test_inner_study_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            inner_product_violation_study(8, POL16, trials=0)
 
 
 class TestCsv:
