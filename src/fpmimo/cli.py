@@ -16,10 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 from . import bounds
-from .formats import RangeMode, RoundingMode, get_format
+from .formats import FP16, RangeMode, RoundingMode, get_format
 from .harness import (
+    _SCENARIOS,
     ExperimentConfig,
     emit_csv,
     inner_product_violation_study,
@@ -28,24 +31,47 @@ from .harness import (
 )
 from .kernels import PolicyMode, PrecisionPolicy
 
-_CONFIG_KEYS = {
-    "scenario",
-    "M_grid",
-    "K",
-    "rho_grid_db",
-    "format",
-    "format_high",
-    "mode",
-    "block_size",
-    "rounding",
-    "range_mode",
-    "lambda",
-    "trials",
-    "seed",
-    "csi",
-    "csi_T",
-    "csi_tau",
+
+def _int_list(text: str):
+    return tuple(int(v) for v in str(text).split(","))
+
+
+def _float_list(text: str):
+    return tuple(float(v) for v in str(text).split(","))
+
+
+def _optional_int(text):
+    return None if text in ("", "none") else int(text)
+
+
+class _Key(NamedTuple):
+    field: str  # the ExperimentConfig or PrecisionPolicy field it sets
+    parse: Callable  # of config-file text; also takes numeric flag values
+    choices: tuple = None
+    help: str = None
+
+
+# Every config key; each is also the flag "--" + key with "_" as "-".
+_KEYS = {
+    "scenario": _Key("scenario", str, _SCENARIOS),
+    "M_grid": _Key("M_grid", _int_list, help="comma-separated antenna counts"),
+    "K": _Key("K", int),
+    "rho_grid_db": _Key("rho_grid_db", _float_list, help="comma-separated SNRs in dB"),
+    "format": _Key("low", get_format, help="working format name"),
+    "format_high": _Key("high", get_format),
+    "mode": _Key("mode", PolicyMode, tuple(m.value for m in PolicyMode)),
+    "block_size": _Key("block_size", int),
+    "rounding": _Key("rounding", RoundingMode, tuple(m.value for m in RoundingMode)),
+    "range_mode": _Key("range_mode", RangeMode, tuple(m.value for m in RangeMode)),
+    "lambda": _Key("lam", float),
+    "trials": _Key("trials", int),
+    "seed": _Key("seed", int),
+    "csi": _Key("csi", str, ("perfect", "mmse")),
+    "csi_T": _Key("csi_T", int),
+    "csi_tau": _Key("csi_tau", _optional_int),
 }
+_POLICY_FIELDS = {f.name for f in fields(PrecisionPolicy)}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -59,74 +85,49 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
 
 
-def _int_list(text: str):
-    return tuple(int(v) for v in str(text).split(","))
+def _parsed(values: dict, names) -> dict:
+    """Parsed settings of ``values`` for the fields in ``names``, by field."""
+    return {
+        spec.field: spec.parse(values[key])
+        for key, spec in _KEYS.items()
+        if key in values and spec.field in names
+    }
 
 
-def _float_list(text: str):
-    return tuple(float(v) for v in str(text).split(","))
+def build_policy(values: dict) -> PrecisionPolicy:
+    """PrecisionPolicy of config/flag settings; unset: fp16, then its defaults."""
+    return PrecisionPolicy(**{"low": FP16, **_parsed(values, _POLICY_FIELDS)})
 
 
 def build_config(values: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from string-valued config/flag settings."""
-    mode = PolicyMode(values.get("mode", "uniform-low"))
-    policy = PrecisionPolicy(
-        low=get_format(values.get("format", "fp16")),
-        high=get_format(values.get("format_high", "fp64")),
-        mode=mode,
-        block_size=int(values.get("block_size", 32)),
-        rounding=RoundingMode(values.get("rounding", "nearest-even")),
-        range_mode=RangeMode(values.get("range_mode", "unbounded")),
-    )
-    tau = values.get("csi_tau")
-    return ExperimentConfig(
-        scenario=values["scenario"],
-        M_grid=_int_list(values.get("M_grid", "64,128,256")),
-        policy=policy,
-        K=int(values.get("K", 4)),
-        rho_grid_db=_float_list(values.get("rho_grid_db", "10")),
-        lam=float(values.get("lambda", 1.0)),
-        trials=int(values.get("trials", 500)),
-        seed=int(values.get("seed", 0)),
-        csi=values.get("csi", "perfect"),
-        csi_T=int(values.get("csi_T", 196)),
-        csi_tau=None if tau in (None, "", "none") else int(tau),
-    )
+    """ExperimentConfig of config/flag settings; unset: M 64,128,256, then defaults."""
+    kw = {"M_grid": (64, 128, 256), **_parsed(values, _CONFIG_FIELDS)}
+    return ExperimentConfig(policy=build_policy(values), **kw)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--scenario", choices=["SIMO", "MISO", "MU-SIMO", "MU-MISO"])
-    p.add_argument("--M-grid", dest="M_grid", help="comma-separated antenna counts")
-    p.add_argument("--K", type=int)
-    p.add_argument("--rho-grid-db", dest="rho_grid_db", help="comma-separated SNRs in dB")
-    p.add_argument("--format", help="working format name")
-    p.add_argument("--format-high", dest="format_high")
-    p.add_argument("--mode", choices=[m.value for m in PolicyMode])
-    p.add_argument("--block-size", dest="block_size", type=int)
-    p.add_argument("--rounding", choices=[m.value for m in RoundingMode])
-    p.add_argument("--range-mode", dest="range_mode", choices=[m.value for m in RangeMode])
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--csi", choices=["perfect", "mmse"])
-    p.add_argument("--csi-T", dest="csi_T", type=int)
-    p.add_argument("--csi-tau", dest="csi_tau", type=int)
+    for key, spec in _KEYS.items():
+        numeric = spec.parse in (int, float, _optional_int)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, choices=spec.choices,
+                       type=spec.parse if numeric else None, help=spec.help)
+
+
+def _gather_values(args) -> dict:
+    """Config-file settings, overridden by the flags given."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
+    return values
 
 
 def _gather_config(args) -> ExperimentConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        attr = "lambda_" if key == "lambda" else key
-        v = getattr(args, attr, None)
-        if v is not None:
-            values[key] = v
+    values = _gather_values(args)
     if "scenario" not in values:
         raise SystemExit("error: a scenario is required (flag or config file)")
     return build_config(values)
@@ -142,13 +143,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     lambdas = tuple(float(v) for v in args.lambdas.split(","))
-    if args.inner_n:
-        values = parse_config_file(args.config) if args.config else {}
-        fmt = get_format(args.format or values.get("format", "fp16"))
-        policy = PrecisionPolicy.uniform(fmt)
+    if args.inner_n is not None:
+        values = _gather_values(args)
         report = inner_product_violation_study(
-            args.inner_n, policy, trials=args.trials or 10000,
-            seed=args.seed or 0, lambdas=lambdas,
+            args.inner_n, build_policy(values), lambdas=lambdas,
+            **_parsed(values, {"trials", "seed"}),
         )
         print(json.dumps(report, indent=2))
         return 0

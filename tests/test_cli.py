@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import fpmimo.cli as cli
 from fpmimo.cli import build_config, main, parse_config_file
+from fpmimo.formats import FP16, FP32, RoundingMode
 from fpmimo.harness import read_csv
-from fpmimo.kernels import PolicyMode
+from fpmimo.kernels import PolicyMode, PrecisionPolicy
 
 
 class TestConfigFile:
@@ -91,6 +93,43 @@ class TestVerifyCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["n"] == 100
         assert set(rep["violation_rates"]) == {"0.5", "1.0", "3.0"}
+
+    @staticmethod
+    def _capture_study(monkeypatch):
+        seen = {}
+
+        def study(n, policy, **kw):
+            seen.update(kw, n=n, policy=policy)
+            return {}
+
+        monkeypatch.setattr(cli, "inner_product_violation_study", study)
+        return seen
+
+    def test_inner_study_takes_policy_flags(self, monkeypatch, capsys):
+        seen = self._capture_study(monkeypatch)
+        main(["verify", "--inner-n", "64", "--mode", "mixed", "--format-high", "fp32",
+              "--block-size", "8", "--rounding", "stochastic", "--trials", "20",
+              "--seed", "3"])
+        assert seen["policy"] == PrecisionPolicy.mixed(
+            FP16, FP32, 8, rounding=RoundingMode.STOCHASTIC
+        )
+        assert (seen["n"], seen["trials"], seen["seed"]) == (64, 20, 3)
+
+    def test_inner_study_takes_config_file_policy(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("mode = mixed\nformat_high = fp32\nblock_size = 16\ntrials = 7\n")
+        seen = self._capture_study(monkeypatch)
+        main(["verify", "--inner-n", "32", "--config", str(cfg), "--block-size", "4"])
+        assert seen["policy"] == PrecisionPolicy.mixed(FP16, FP32, 4)
+        assert seen["trials"] == 7 and "seed" not in seen
+
+    @pytest.mark.parametrize("argv", [
+        ["--inner-n", "0"],
+        ["--inner-n", "8", "--trials", "0"],
+    ])
+    def test_inner_study_rejects_empty_study(self, argv):
+        with pytest.raises(ValueError, match=">= 1"):
+            main(["verify", *argv])
 
     def test_scenario_verify(self, capsys):
         main(["verify", "--scenario", "SIMO", "--M-grid", "32", "--trials", "50",
