@@ -5,10 +5,14 @@ hardware casts for fp16 and fp32, and round-to-nearest-even truncation of the
 float32 bit pattern for bfloat16.  Every case lies in the target's normal
 range, because ``RangeMode.UNBOUNDED`` (the default) keeps a full t-bit
 significand where IEEE arithmetic goes subnormal, so below the smallest
-normal number the two are meant to differ.
+normal number the two are meant to differ.  Hypothesis then checks the
+properties nearest-even rounding must have in every preset low format.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmimo.formats import BFLOAT16, FP16, FP32, round_to_format
 
@@ -66,3 +70,48 @@ def test_bfloat16_against_float32_truncation():
     x = bits.view(np.float32).astype(np.float64)
     want = _bf16_rne(bits).astype(np.float64)
     _assert_bits_equal(round_to_format(x, BFLOAT16), want)
+
+
+# -- properties of nearest-even rounding, checked with Hypothesis -------------
+# A fixed example sequence keeps the suite reproducible; the unbounded range
+# has no subnormals, so normal doubles (and zero) are the natural inputs.
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+DOUBLES = st.floats(
+    min_value=-1e30, max_value=1e30, allow_nan=False, allow_subnormal=False
+)
+FORMATS = pytest.mark.parametrize("fmt", [BFLOAT16, FP16, FP32], ids=str)
+
+
+@FORMATS
+@PROPERTY
+@given(x=DOUBLES)
+def test_idempotent(fmt, x):
+    y = round_to_format(x, fmt)
+    assert round_to_format(y, fmt) == y
+
+
+@FORMATS
+@PROPERTY
+@given(x=DOUBLES, y=DOUBLES)
+def test_monotone(fmt, x, y):
+    lo, hi = min(x, y), max(x, y)
+    assert round_to_format(lo, fmt) <= round_to_format(hi, fmt)
+
+
+@FORMATS
+@PROPERTY
+@given(x=DOUBLES)
+def test_relative_error_within_unit_roundoff(fmt, x):
+    assert abs(round_to_format(x, fmt) - x) <= fmt.unit_roundoff * abs(x)
+
+
+@FORMATS
+@PROPERTY
+@given(x=DOUBLES)
+def test_exact_on_representable(fmt, x):
+    # clearing the low 53 - t significand bits leaves a t-bit value
+    drop = (1 << (53 - fmt.significand_bits)) - 1
+    bits = np.array([x]).view(np.int64) & ~np.int64(drop)
+    y = float(bits.view(np.float64)[0])
+    assert round_to_format(y, fmt) == y
