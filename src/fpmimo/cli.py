@@ -46,9 +46,9 @@ def _optional_int(text):
 
 class _Key(NamedTuple):
     field: str  # the ExperimentConfig or PrecisionPolicy field it sets
-    parse: Callable  # of config-file text; also takes numeric flag values
-    choices: tuple = None
-    help: str = None
+    parse: Callable  # of config-file text; numeric ones also type-check flags
+    choices: tuple | None = None
+    help: str | None = None
 
 
 # Every config key; each is also the flag "--" + key with "_" as "-".
@@ -101,12 +101,12 @@ def _parsed(values: dict, names) -> dict:
 
 
 def build_policy(values: dict) -> PrecisionPolicy:
-    """PrecisionPolicy of config/flag settings; unset: fp16, then its defaults."""
+    """PrecisionPolicy from config/flag settings; unset fields keep defaults, low=fp16."""
     return PrecisionPolicy(**{"low": FP16, **_parsed(values, _POLICY_FIELDS)})
 
 
 def build_config(values: dict) -> ExperimentConfig:
-    """ExperimentConfig of config/flag settings; unset: M 64,128,256, then defaults."""
+    """ExperimentConfig from settings; unset fields keep defaults, M_grid=64,128,256."""
     kw = {"M_grid": (64, 128, 256), **_parsed(values, _CONFIG_FIELDS)}
     return ExperimentConfig(policy=build_policy(values), **kw)
 
