@@ -117,28 +117,40 @@ def get_format(name: str) -> FloatFormat:
 
 
 def _round_significand(x, fmt: FloatFormat, mode: RoundingMode, rng):
-    """Round finite carrier values to t significand bits (unbounded range)."""
+    """Round finite carrier values to t significand bits (unbounded range).
+
+    It never writes into ``x``: every step after ``frexp`` works in the
+    significand buffer ``frexp`` returned, so the result is a fresh array
+    (a scalar for a 0-d input).  Stochastic rounding takes one draw per
+    element per call, so the rng stream follows the order of the calls and
+    callers must not reorder them.
+    """
     t = fmt.significand_bits
     m, e = np.frexp(x)  # x = m * 2**e, |m| in [0.5, 1)
-    scaled = np.ldexp(m, t)  # exact: |scaled| in [2**(t-1), 2**t)
+    m = np.asarray(m)  # frexp gives scalars for 0-d input; `out=` needs an array
+    np.ldexp(m, t, out=m)  # exact: |m| in [2**(t-1), 2**t)
     if mode is RoundingMode.NEAREST_EVEN:
-        k = np.rint(scaled)
+        np.rint(m, out=m)
     elif mode is RoundingMode.STOCHASTIC:
         if rng is None:
             raise ValueError("stochastic rounding requires an rng")
-        lo = np.floor(scaled)
-        frac = scaled - lo
-        k = lo + (rng.random(np.shape(frac)) < frac)
+        lo = np.floor(m)
+        m -= lo  # the fraction in [0, 1)
+        np.add(lo, rng.random(m.shape) < m, out=m)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown rounding mode {mode}")
-    return np.ldexp(k, e - t)
+    e -= t
+    return np.ldexp(m, e, out=m)[()]  # [()] turns a 0-d result back into a scalar
 
 
 def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     """The rounding core behind :func:`round_to_format` and every kernel.
 
     It does no finiteness check, so a non-finite value propagates, and it
-    returns arrays as arrays.
+    returns arrays as arrays.  It never writes into ``x``.  The result is a
+    fresh array, except on the fp64 nearest-even unbounded passthrough,
+    which returns ``x`` itself.  Stochastic draws are taken in call order,
+    so callers must keep the order of their calls to reproduce a stream.
     """
     if not (fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN):
         x = _round_significand(x, fmt, mode, rng)

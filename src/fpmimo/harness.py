@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds
 from .formats import FP64, RangeMode, RoundingMode
-from .kernels import PolicyMode, PrecisionPolicy, inner_product_fp, round_input
+from .kernels import PolicyMode, PrecisionPolicy, _join, inner_product_fp, round_input
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 __all__ = [
@@ -113,7 +113,9 @@ def draw_channel(M: int, K: int, rng, size=()) -> np.ndarray:
     if M < 1 or K < 1:
         raise ValueError("M and K must be positive")
     shape = tuple(size) + (M, K)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    h = _join(rng.standard_normal(shape), rng.standard_normal(shape))
+    h /= math.sqrt(2.0)
+    return h
 
 
 def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:

@@ -7,6 +7,7 @@ reductions for the real and imaginary parts), summed strictly in index order.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
+Each kernel raises ValueError on non-finite input before it rounds anything.
 """
 
 from __future__ import annotations
@@ -79,19 +80,39 @@ class CholeskyBreakdownError(ArithmeticError):
         )
 
 
+def _require_finite(name: str, *arrays) -> None:
+    """Raise ValueError unless every entry of every array is finite."""
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} requires finite input")
+
+
+def _join(re, im):
+    """``re + 1j*im`` built in the buffer of ``1j*im``.
+
+    IEEE addition is commutative, so the bits are those of ``re + 1j*im``,
+    signed zeros included; assigning ``.real`` and ``.imag`` would not be.
+    """
+    out = 1j * im
+    out += re
+    return out
+
+
 def round_input(x, policy: PrecisionPolicy, rng=None):
     """Round a real or complex array into the policy's working format.
 
     Kernels apply this on entry so that all inputs are representable;
     rounding twice is a no-op, so callers may pre-round to separate
-    representation error from arithmetic error.
+    representation error from arithmetic error.  It does no finiteness
+    check (the kernels check their arguments first), and it never writes
+    into ``x``; a real fp64 input under nearest-even rounding comes back
+    as ``x`` itself.
     """
     rnd = policy._rounder(policy.working, rng)
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        re = rnd(np.ascontiguousarray(x.real))
-        im = rnd(np.ascontiguousarray(x.imag))
-        return re + 1j * im
+        re = rnd(x.real)  # the real part first: stochastic draws follow call order
+        return _join(re, rnd(x.imag))
     return rnd(np.asarray(x, dtype=np.float64))
 
 
@@ -151,9 +172,9 @@ def _dot(a, d, policy: PrecisionPolicy, rng):
     """
     e, f = _expand_terms(a, d, policy, rng)
     if policy.mode is PolicyMode.MIXED:
-        return _blocked_sum(e, policy, rng) + 1j * _blocked_sum(f, policy, rng)
+        return _join(_blocked_sum(e, policy, rng), _blocked_sum(f, policy, rng))
     rnd = policy._rounder(policy.working, rng)
-    return _seq_sum(e, rnd) + 1j * _seq_sum(f, rnd)
+    return _join(_seq_sum(e, rnd), _seq_sum(f, rnd))
 
 
 def _as_cvec(x, name: str):
@@ -176,6 +197,7 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    _require_finite("inner_product_fp", a, b)
     a = round_input(a, policy, rng)
     b = round_input(b, policy, rng)
     out = _dot(np.conj(a), b, policy, rng)
@@ -190,6 +212,7 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     x = _as_cvec(x, "x")
     if A.shape[-1] != x.shape[-1]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")
+    _require_finite("matvec_fp", A, x)
     A = round_input(A, policy, rng)
     x = round_input(x, policy, rng)
     return _dot(A, x[..., None, :], policy, rng)
@@ -203,6 +226,7 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
         raise ValueError(
             f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x..."
         )
+    _require_finite("matmul_fp", A, B)
     A = round_input(A, policy, rng)
     B = round_input(B, policy, rng)
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
@@ -217,9 +241,15 @@ def _cmul(ar, ai, br, bi, rnd):
     The naive scheme, with no 3-multiply trick, whose error expands into the
     2-term real inner-product model.  ``rnd`` rounds into the working format.
     """
-    re = rnd(rnd(ar * br) - rnd(ai * bi))
-    im = rnd(rnd(ar * bi) + rnd(ai * br))
-    return re, im
+    # rnd returns a fresh array or, on the fp64 passthrough, the product it
+    # was given: a buffer of this function either way, so it may be updated
+    # in place.  The rnd calls keep their order for the stochastic stream.
+    re = rnd(ar * br)
+    re -= rnd(ai * bi)
+    re = rnd(re)
+    im = rnd(ar * bi)
+    im += rnd(ai * br)
+    return re, rnd(im)
 
 
 def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
@@ -240,6 +270,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     K = C.shape[-1]
     if C.shape[-2] != K:
         raise ValueError("C must be square")
+    _require_finite("cholesky_fp", C)
     C = round_input(C, policy, rng)
     rnd = policy._rounder(policy.working, rng)
 
@@ -272,7 +303,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
                 ti = rnd(ti - pi)
             Rr[..., j, i] = rnd(tr / rjj)
             Ri[..., j, i] = rnd(ti / rjj)
-    R = Rr + 1j * Ri
+    R = _join(Rr, Ri)
     if error == "mask":
         return R, breakdown
     return R
@@ -292,6 +323,7 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
+    _require_finite("trisolve_fp", R, rhs)
     diag = np.diagonal(R, axis1=-2, axis2=-1).real
     if np.any(diag == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
@@ -316,4 +348,4 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
         d = R[..., i, i].real
         xr[..., i] = rnd(tr / d)
         xi[..., i] = rnd(ti / d)
-    return xr + 1j * xi
+    return _join(xr, xi)

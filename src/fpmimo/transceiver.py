@@ -18,6 +18,8 @@ import numpy as np
 from .kernels import (
     PrecisionPolicy,
     _cmul,
+    _join,
+    _require_finite,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -49,6 +51,8 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     consume bit-identical inputs.
     """
     h = np.asarray(h, dtype=np.complex128)
+    x_d = np.asarray(x_d, dtype=np.complex128)
+    _require_finite("mrt_precode", h, x_d)
     if prenormalized:
         hn = round_input(h, policy, rng)
     else:
@@ -56,10 +60,9 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
         hn = round_input(h / nrm, policy, rng)
-    x = round_input(np.asarray(x_d, dtype=np.complex128)[..., None], policy, rng)
+    x = round_input(x_d[..., None], policy, rng)
     rnd = policy._rounder(policy.working, rng)
-    re, im = _cmul(hn.real, hn.imag, x.real, x.imag, rnd)
-    return re + 1j * im
+    return _join(*_cmul(hn.real, hn.imag, x.real, x.imag, rnd))
 
 
 def _gram_solve(H, rhs, policy: PrecisionPolicy, rng, error: str):

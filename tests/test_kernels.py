@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpmimo.bounds import gamma_n, xi_bn
-from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode
+from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode, round_to_format
 from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
@@ -13,8 +13,10 @@ from fpmimo.kernels import (
     inner_product_fp,
     matmul_fp,
     matvec_fp,
+    round_input,
     trisolve_fp,
 )
+from fpmimo.transceiver import mrt_precode
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -319,3 +321,68 @@ class TestPrecisionOrdering:
             got = inner_product_fp(a, b, PrecisionPolicy.uniform(fmt))
             medians.append(np.median(np.abs(got - ref)))
         assert medians[0] > medians[1] > medians[2] > 0
+
+
+# -- inputs: never written, and checked for finiteness -----------------------
+
+def _entry_cases():
+    """(name, call(policy, rng, *args), args) for each array entry point."""
+    rng = np.random.default_rng(31)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    H = cn(3, 6, 2)
+    C = np.conj(np.swapaxes(H, -1, -2)) @ H
+    R = np.conj(np.swapaxes(np.linalg.cholesky(C), -1, -2))  # upper, real diagonal
+    return [
+        ("round_to_format", lambda p, g, x: round_to_format(x, p.working, p.rounding, rng=g),
+         (rng.standard_normal((3, 5)),)),
+        ("round_input-real", lambda p, g, x: round_input(x, p, g), (rng.standard_normal((3, 5)),)),
+        ("round_input-complex", lambda p, g, x: round_input(x, p, g), (cn(3, 5),)),
+        ("inner_product_fp", lambda p, g, a, b: inner_product_fp(a, b, p, g), (cn(3, 40), cn(3, 40))),
+        ("matvec_fp", lambda p, g, A, x: matvec_fp(A, x, p, g), (cn(3, 2, 6), cn(3, 6))),
+        ("matmul_fp", lambda p, g, A, B: matmul_fp(A, B, p, g), (cn(3, 2, 6), H)),
+        ("cholesky_fp", lambda p, g, C: cholesky_fp(C, p, g), (C,)),
+        ("trisolve_fp-lower", lambda p, g, R, b: trisolve_fp(R, b, "lower-conjugate", p, g),
+         (R, cn(3, 2))),
+        ("trisolve_fp-upper", lambda p, g, R, b: trisolve_fp(R, b, "upper", p, g), (R, cn(3, 2))),
+        ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g), (cn(3, 50), cn(3))),
+    ]
+
+
+ENTRY_CASES = _entry_cases()
+ENTRY_POLICIES = [
+    POL16,
+    POL64,  # the fp64 passthrough returns a real argument itself
+    MIX,
+    PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC),
+]
+
+
+@pytest.mark.parametrize(
+    "policy", ENTRY_POLICIES, ids=["fp16", "fp64", "fp16+fp32", "fp16-stochastic"]
+)
+@pytest.mark.parametrize("call,args", [pytest.param(c, a, id=n) for n, c, a in ENTRY_CASES])
+def test_inputs_left_unchanged(call, args, policy):
+    before = [a.copy() for a in args]
+    call(policy, np.random.default_rng(5), *args)
+    for a, b in zip(args, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name,call,args,arg",
+    [
+        pytest.param(n.split("-")[0], c, a, j, id=f"{n}-arg{j}")
+        for n, c, a in ENTRY_CASES
+        if not n.startswith("round_")  # round_input is unchecked; round_to_format has its own test
+        for j in range(len(a))
+    ],
+)
+def test_non_finite_input_rejected(name, call, args, arg, bad):
+    args = [a.copy() for a in args]
+    args[arg].flat[-1] = complex(1.0, bad)
+    with pytest.raises(ValueError, match=f"{name} requires finite input"):
+        call(POL16, None, *args)

@@ -1,4 +1,4 @@
-"""Bit-exact oracles for nearest-even rounding into the preset formats.
+"""Bit-exact oracles for rounding into the preset formats.
 
 ``round_to_format`` is compared with independent implementations: numpy's
 hardware casts for fp16 and fp32, and round-to-nearest-even truncation of the
@@ -7,6 +7,9 @@ range, because ``RangeMode.UNBOUNDED`` (the default) keeps a full t-bit
 significand where IEEE arithmetic goes subnormal, so below the smallest
 normal number the two are meant to differ.  Hypothesis then checks the
 properties nearest-even rounding must have in every preset low format.
+Last, the in-place core ``formats._round`` is compared with the allocating
+``frexp``/``ldexp`` formula it replaced, on every setting and on inputs the
+public API rejects (non-finite values, subnormal carriers).
 """
 
 import numpy as np
@@ -14,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpmimo.formats import BFLOAT16, FP16, FP32, round_to_format
+from fpmimo.formats import (
+    BFLOAT16,
+    FP16,
+    FP32,
+    PRESETS,
+    RangeMode,
+    RoundingMode,
+    _round,
+    round_to_format,
+)
 
 
 def _assert_bits_equal(got, want):
@@ -115,3 +127,69 @@ def test_exact_on_representable(fmt, x):
     bits = np.array([x]).view(np.int64) & ~np.int64(drop)
     y = float(bits.view(np.float64)[0])
     assert round_to_format(y, fmt) == y
+
+
+# -- the in-place core against the allocating formula it replaced -------------
+
+def _oracle_round_significand(x, fmt, mode, rng):
+    t = fmt.significand_bits
+    m, e = np.frexp(x)  # x = m * 2**e, |m| in [0.5, 1)
+    scaled = np.ldexp(m, t)  # exact: |scaled| in [2**(t-1), 2**t)
+    if mode is RoundingMode.NEAREST_EVEN:
+        k = np.rint(scaled)
+    elif mode is RoundingMode.STOCHASTIC:
+        if rng is None:
+            raise ValueError("stochastic rounding requires an rng")
+        lo = np.floor(scaled)
+        frac = scaled - lo
+        k = lo + (rng.random(np.shape(frac)) < frac)
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unknown rounding mode {mode}")
+    return np.ldexp(k, e - t)
+
+
+def _oracle_round(x, fmt, mode, range_mode, rng):
+    if not (fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN):
+        x = _oracle_round_significand(x, fmt, mode, rng)
+    if range_mode is RangeMode.STRICT_IEEE:
+        a = np.abs(x)
+        x = np.where(a > fmt.x_max, np.sign(x) * fmt.x_max, x)
+        x = np.where((a < fmt.x_min) & (x != 0.0), 0.0, x)
+    return x
+
+
+def _core_inputs():
+    rng = np.random.default_rng(2023)
+    z = rng.standard_normal((3, 17)) + 1j * rng.standard_normal((3, 17))
+    z *= 2.0 ** rng.integers(-40, 40, z.shape)
+    tiny = np.finfo(np.float64).tiny
+    specials = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 0.75 * tiny, -0.3 * tiny, tiny,
+         np.inf, -np.inf, np.nan, -np.nan, 1.0, 65504.0, 65520.0, 1e300, -1e-300]
+    )
+    return {
+        "strided-real": z.real,  # a 2-D view with a 16-byte stride
+        "strided-imag": z.imag,
+        "0-d": np.array(-0.1),
+        "python-float": 1.0 / 3.0,
+        "empty": np.empty((0, 5)),
+        "specials": specials,
+    }
+
+
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+@pytest.mark.parametrize("name", list(_core_inputs()))
+def test_core_matches_allocating_formula(name, fmt, mode, range_mode):
+    x = _core_inputs()[name]
+    before = np.array(x, copy=True)
+    rng_got, rng_want = np.random.default_rng(99), np.random.default_rng(99)
+    with np.errstate(invalid="ignore"):  # inf - inf in the stochastic fraction
+        got = _round(x, fmt, mode, range_mode, rng_got)
+        want = _oracle_round(x, fmt, mode, range_mode, rng_want)
+    assert type(got) is type(want)
+    _assert_bits_equal(got, want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(x))  # NaN stays NaN
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    _assert_bits_equal(x, before)  # the argument is never written
