@@ -112,10 +112,7 @@ def draw_channel(M: int, K: int, rng, size=()) -> np.ndarray:
     """iid CN(0, 1) channel matrix of shape size + (M, K), full precision."""
     if M < 1 or K < 1:
         raise ValueError("M and K must be positive")
-    shape = tuple(size) + (M, K)
-    h = _join(rng.standard_normal(shape), rng.standard_normal(shape))
-    h /= math.sqrt(2.0)
-    return h
+    return _noise(rng, tuple(size) + (M, K))
 
 
 def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
@@ -149,7 +146,10 @@ def _unit_symbols(rng, shape):
 
 
 def _noise(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """iid CN(0, 1) samples; all real parts are drawn before the imaginary ones."""
+    z = _join(rng.standard_normal(shape), rng.standard_normal(shape))
+    z /= math.sqrt(2.0)
+    return z
 
 
 def _round_rng(policy: PrecisionPolicy, ss):

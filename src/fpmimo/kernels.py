@@ -105,8 +105,8 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     rounding twice is a no-op, so callers may pre-round to separate
     representation error from arithmetic error.  It does no finiteness
     check (the kernels check their arguments first), and it never writes
-    into ``x``; a real fp64 input under nearest-even rounding comes back
-    as ``x`` itself.
+    into ``x``; under an fp64 nearest-even unbounded policy a real float64
+    ``x`` comes back as itself.
     """
     rnd = policy._rounder(policy.working, rng)
     x = np.asarray(x)
