@@ -48,7 +48,8 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     real multiplies + 2 rounded additions per entry), so the error does not
     grow with M.  ``prenormalized=True`` skips the norm division (the caller
     already passes a unit-norm direction), which lets a full-precision rerun
-    consume bit-identical inputs.
+    consume bit-identical inputs.  Non-finite ``h`` or ``x_d`` raises
+    ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)

@@ -348,6 +348,8 @@ def _entry_cases():
          (R, cn(3, 2))),
         ("trisolve_fp-upper", lambda p, g, R, b: trisolve_fp(R, b, "upper", p, g), (R, cn(3, 2))),
         ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g), (cn(3, 50), cn(3))),
+        ("mrt_precode-prenormalized",
+         lambda p, g, h, x: mrt_precode(h, x, p, g, prenormalized=True), (cn(3, 50), cn(3))),
     ]
 
 
