@@ -7,8 +7,9 @@ Subcommands:
   cost    operation-count table of the summation architectures
 
 Config files are flat ``key = value`` text; every key corresponds to an
-ExperimentConfig or PrecisionPolicy field, and command-line flags override
-file values.
+ExperimentConfig or PrecisionPolicy field (the key table in
+``fpmimo.harness``), and command-line flags override file values.  The
+``#`` header of a sweep CSV is such a file with ``# `` before each line.
 """
 
 from __future__ import annotations
@@ -16,99 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-from typing import Callable, NamedTuple
 
 from . import bounds
-from .formats import FP16, RangeMode, RoundingMode, get_format
+from .formats import get_format
 from .harness import (
-    _SCENARIOS,
-    ExperimentConfig,
+    _KEYS,
+    _optional_int,
+    _parsed,
+    _shown,
+    build_config,
+    build_policy,
     emit_csv,
     inner_product_violation_study,
+    parse_config_file,
     run_sweep,
     verify_bounds,
 )
-from .kernels import PolicyMode, PrecisionPolicy
-
-
-def _int_list(text: str):
-    return tuple(int(v) for v in str(text).split(","))
-
-
-def _float_list(text: str):
-    return tuple(float(v) for v in str(text).split(","))
-
-
-def _optional_int(text):
-    return None if text in ("", "none") else int(text)
-
-
-class _Key(NamedTuple):
-    field: str  # the ExperimentConfig or PrecisionPolicy field it sets
-    parse: Callable  # of config-file text; numeric ones also type-check flags
-    choices: tuple | None = None
-    help: str | None = None
-
-
-# Every config key; each is also the flag "--" + key with "_" as "-".
-_KEYS = {
-    "scenario": _Key("scenario", str, _SCENARIOS),
-    "M_grid": _Key("M_grid", _int_list, help="comma-separated antenna counts"),
-    "K": _Key("K", int),
-    "rho_grid_db": _Key("rho_grid_db", _float_list, help="comma-separated SNRs in dB"),
-    "format": _Key("low", get_format, help="working format name"),
-    "format_high": _Key("high", get_format),
-    "mode": _Key("mode", PolicyMode, tuple(m.value for m in PolicyMode)),
-    "block_size": _Key("block_size", int),
-    "rounding": _Key("rounding", RoundingMode, tuple(m.value for m in RoundingMode)),
-    "range_mode": _Key("range_mode", RangeMode, tuple(m.value for m in RangeMode)),
-    "lambda": _Key("lam", float),
-    "trials": _Key("trials", int),
-    "seed": _Key("seed", int),
-    "csi": _Key("csi", str, ("perfect", "mmse")),
-    "csi_T": _Key("csi_T", int),
-    "csi_tau": _Key("csi_tau", _optional_int),
-}
-_POLICY_FIELDS = {f.name for f in fields(PrecisionPolicy)}
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-
-def parse_config_file(path) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
-    return out
-
-
-def _parsed(values: dict, names) -> dict:
-    """Parsed settings of ``values`` for the fields in ``names``, by field."""
-    return {
-        spec.field: spec.parse(values[key])
-        for key, spec in _KEYS.items()
-        if key in values and spec.field in names
-    }
-
-
-def build_policy(values: dict) -> PrecisionPolicy:
-    """PrecisionPolicy from config/flag settings; unset fields keep defaults, low=fp16."""
-    return PrecisionPolicy(**{"low": FP16, **_parsed(values, _POLICY_FIELDS)})
-
-
-def build_config(values: dict) -> ExperimentConfig:
-    """ExperimentConfig from settings; unset fields keep defaults, M_grid=64,128,256."""
-    kw = {"M_grid": (64, 128, 256), **_parsed(values, _CONFIG_FIELDS)}
-    return ExperimentConfig(policy=build_policy(values), **kw)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -145,11 +69,11 @@ def _cmd_verify(args) -> int:
     lambdas = tuple(float(v) for v in args.lambdas.split(","))
     if args.inner_n is not None:
         values = _gather_values(args)
+        policy = build_policy(values)
         report = inner_product_violation_study(
-            args.inner_n, build_policy(values), lambdas=lambdas,
-            **_parsed(values, {"trials", "seed"}),
+            args.inner_n, policy, lambdas=lambdas, **_parsed(values, {"trials", "seed"}),
         )
-        print(json.dumps(report, indent=2))
+        print(json.dumps({**report, **_shown(policy)}, indent=2))
         return 0
     config = _gather_config(args)
     print(json.dumps(verify_bounds(config, lambdas), indent=2))

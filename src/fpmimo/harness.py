@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bounds
-from .formats import FP64, RangeMode, RoundingMode
+from .formats import FP16, FP64, FloatFormat, RangeMode, RoundingMode, get_format
 from .kernels import PolicyMode, PrecisionPolicy, _join, inner_product_fp, round_input
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
@@ -31,6 +33,9 @@ __all__ = [
     "inner_product_violation_study",
     "emit_csv",
     "read_csv",
+    "parse_config_file",
+    "build_policy",
+    "build_config",
 ]
 
 _SCENARIOS = ("SIMO", "MISO", "MU-SIMO", "MU-MISO")
@@ -70,14 +75,121 @@ class ExperimentConfig:
             raise ValueError("pilot length tau must be >= K")
         if self.csi == "mmse" and self.tau >= self.csi_T:
             raise ValueError("pilot length tau must be below the coherence length csi_T")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not all(math.isfinite(r) for r in self.rho_grid_db):
+            raise ValueError("rho_grid_db must be finite")
         if self.scenario.startswith("MU") and min(self.M_grid) < self.K + 1:
             raise ValueError(f"M={min(self.M_grid)} too small for K={self.K}")
 
     @property
     def tau(self) -> int:
         return self.K if self.csi_tau is None else self.csi_tau
+
+
+# -- settings: one table of config keys, and their text forms ---------------
+
+def _int_list(text: str):
+    return tuple(int(v) for v in str(text).split(","))
+
+
+def _float_list(text: str):
+    return tuple(float(v) for v in str(text).split(","))
+
+
+def _optional_int(text):
+    return None if text in ("", "none") else int(text)
+
+
+class _Key(NamedTuple):
+    field: str  # the ExperimentConfig or PrecisionPolicy field it sets
+    parse: Callable  # inverts _show; numeric ones also type-check flags
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# Every config key, in the order a sweep CSV's "# key = value" header lists
+# them; each is also the flag "--" + key with "_" as "-".
+_KEYS = {
+    "scenario": _Key("scenario", str, _SCENARIOS),
+    "M_grid": _Key("M_grid", _int_list, help="comma-separated antenna counts"),
+    "K": _Key("K", int),
+    "rho_grid_db": _Key("rho_grid_db", _float_list, help="comma-separated SNRs in dB"),
+    "format": _Key("low", get_format, help="working format name"),
+    "format_high": _Key("high", get_format),
+    "mode": _Key("mode", PolicyMode, tuple(m.value for m in PolicyMode)),
+    "block_size": _Key("block_size", int),
+    "rounding": _Key("rounding", RoundingMode, tuple(m.value for m in RoundingMode)),
+    "range_mode": _Key("range_mode", RangeMode, tuple(m.value for m in RangeMode)),
+    "lambda": _Key("lam", float),
+    "trials": _Key("trials", int),
+    "seed": _Key("seed", int),
+    "csi": _Key("csi", str, ("perfect", "mmse")),
+    "csi_T": _Key("csi_T", int),
+    "csi_tau": _Key("csi_tau", _optional_int),
+}
+_POLICY_FIELDS = {f.name for f in fields(PrecisionPolicy)}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
+def _show(value) -> str:
+    """Text of a setting or CSV cell; the key parsers invert it."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(_show(v) for v in value)
+    if isinstance(value, FloatFormat):
+        return value.name
+    if isinstance(value, Enum):
+        return value.value
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _shown(*owners) -> dict:
+    """Text of every key set by a field of one of ``owners``, in table order."""
+    return {
+        key: _show(vars(owner)[spec.field])
+        for key, spec in _KEYS.items()
+        for owner in owners
+        if spec.field in vars(owner)
+    }
+
+
+def parse_config_file(path) -> dict:
+    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    out = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value
+    return out
+
+
+def _parsed(values: dict, names) -> dict:
+    """Parsed settings of ``values`` for the fields in ``names``, by field."""
+    return {
+        spec.field: spec.parse(values[key])
+        for key, spec in _KEYS.items()
+        if key in values and spec.field in names
+    }
+
+
+def build_policy(values: dict) -> PrecisionPolicy:
+    """PrecisionPolicy from config/flag settings; unset fields keep defaults, low=fp16."""
+    return PrecisionPolicy(**{"low": FP16, **_parsed(values, _POLICY_FIELDS)})
+
+
+def build_config(values: dict) -> ExperimentConfig:
+    """ExperimentConfig from settings; unset fields keep defaults, M_grid=64,128,256."""
+    kw = {"M_grid": (64, 128, 256), **_parsed(values, _CONFIG_FIELDS)}
+    return ExperimentConfig(policy=build_policy(values), **kw)
 
 
 @dataclass
@@ -88,24 +200,14 @@ class SweepResult:
     rows: list = field(default_factory=list)
 
 
-CSV_COLUMNS = [
-    "scenario",
-    "M",
-    "K",
-    "rho_db",
-    "format",
-    "mode",
-    "block_size",
-    "lambda",
-    "mean_rate",
-    "rate_stderr",
-    "median_rel_err",
-    "p99_rel_err",
-    "bound_violation_rate",
-    "breakdown_rate",
-    "trials",
-    "seed",
-]
+# Sweep CSV columns, in order, with the type ``read_csv`` reads each back as.
+_COLUMNS = {
+    "scenario": str, "M": int, "K": int, "rho_db": float, "format": str, "mode": str,
+    "block_size": int, "lambda": float, "mean_rate": float, "rate_stderr": float,
+    "median_rel_err": float, "p99_rel_err": float, "bound_violation_rate": float,
+    "breakdown_rate": float, "trials": int, "seed": int,
+}
+CSV_COLUMNS = list(_COLUMNS)
 
 
 def draw_channel(M: int, K: int, rng, size=()) -> np.ndarray:
@@ -485,61 +587,24 @@ def inner_product_violation_study(
 
 # -- CSV serialization -------------------------------------------------------
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def emit_csv(result: SweepResult, path) -> None:
-    """Write one row per grid point with the full config echoed in comments."""
+    """Write one row per grid point under the config that made them.
+
+    The ``# key = value`` header lists every config key; with the ``# ``
+    stripped it is a config file from which ``build_config`` (and so
+    ``fpmimo sweep --config``) builds this config again.
+    """
     cfg = result.config
-    pol = cfg.policy
-    lines = [
-        f"# scenario = {cfg.scenario}",
-        f"# M_grid = {','.join(str(m) for m in cfg.M_grid)}",
-        f"# K = {cfg.K}",
-        f"# rho_grid_db = {','.join(repr(float(r)) for r in cfg.rho_grid_db)}",
-        f"# format_low = {pol.low.name}",
-        f"# format_high = {pol.high.name}",
-        f"# mode = {pol.mode.value}",
-        f"# block_size = {pol.block_size}",
-        f"# rounding = {pol.rounding.value}",
-        f"# range_mode = {pol.range_mode.value}",
-        f"# lambda = {repr(float(cfg.lam))}",
-        f"# trials = {cfg.trials}",
-        f"# seed = {cfg.seed}",
-        f"# csi = {cfg.csi}",
-        f"# csi_T = {cfg.csi_T}",
-        f"# csi_tau = {cfg.tau}",
-        ",".join(CSV_COLUMNS),
-    ]
-    for row in result.rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in CSV_COLUMNS))
+    lines = [f"# {key} = {text}" for key, text in _shown(cfg, cfg.policy).items()]
+    lines.append(",".join(CSV_COLUMNS))
+    lines += [",".join(_show(row[c]) for c in CSV_COLUMNS) for row in result.rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> list:
     """Parse a sweep CSV back into a list of row dicts (inverse of emit_csv)."""
-    rows = []
-    header = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            cells = line.split(",")
-            row = {}
-            for name, cell in zip(header, cells):
-                if name in ("scenario", "format", "mode"):
-                    row[name] = cell
-                elif name in ("M", "K", "block_size", "trials", "seed"):
-                    row[name] = int(cell)
-                else:
-                    row[name] = float(cell)
-            rows.append(row)
-    return rows
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    return [{n: _COLUMNS[n](c) for n, c in zip(header, line.split(","))} for line in lines[1:]]

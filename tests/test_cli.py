@@ -93,6 +93,10 @@ class TestVerifyCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["n"] == 100
         assert set(rep["violation_rates"]) == {"0.5", "1.0", "3.0"}
+        assert {k: rep[k] for k in ("format", "mode", "block_size", "rounding")} == {
+            "format": "fp16", "mode": "uniform-low", "block_size": "32",
+            "rounding": "nearest-even",
+        }
 
     @staticmethod
     def _capture_study(monkeypatch):

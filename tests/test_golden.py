@@ -12,6 +12,9 @@ channel estimates and fp16 stochastic rounding; ``bounds.txt`` holds the stdout 
 files pin the settings path of the command line: a ``sweep --config`` with
 every config key set, one with only the scenario set (its header echoes every
 default), ``verify`` on a small MU-SIMO grid, ``verify --inner-n`` and ``cost``.
+
+The ``#`` header of every CSV golden is the config that made it: with ``# ``
+stripped and passed to ``sweep --config``, it writes the golden again.
 """
 
 import contextlib
@@ -21,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from fpmimo.cli import main
+from fpmimo.cli import build_config, main, parse_config_file
 from fpmimo.formats import FP16, FP32, RoundingMode
-from fpmimo.harness import ExperimentConfig, emit_csv, run_sweep
+from fpmimo.harness import ExperimentConfig, SweepResult, emit_csv, run_sweep
 from fpmimo.kernels import PrecisionPolicy
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,12 +118,22 @@ def _bounds_stdout(name: str) -> str:
     return _stdout(["bounds", name, "--samples", "2000"])
 
 
-def _cli_sweep(name: str, workdir: Path) -> bytes:
+def _write_config(text: str, workdir: Path) -> Path:
     cfg = workdir / "experiment.cfg"
-    cfg.write_text(CLI_SWEEPS[name])
-    out = workdir / name
-    _stdout(["sweep", "--config", str(cfg), "-o", str(out)])
+    cfg.write_text(text)
+    return cfg
+
+
+def _sweep_config(text: str, workdir: Path) -> bytes:
+    """The CSV that ``sweep --config`` writes for the config file ``text``."""
+    out = workdir / "out.csv"
+    _stdout(["sweep", "--config", str(_write_config(text, workdir)), "-o", str(out)])
     return out.read_bytes()
+
+
+def _header(csv_text: str) -> str:
+    """The ``#`` lines of a sweep CSV with ``# `` stripped: a config file."""
+    return "".join(line[2:] + "\n" for line in csv_text.splitlines() if line.startswith("# "))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -140,7 +153,21 @@ def test_bounds_stdout(name):
 
 @pytest.mark.parametrize("name", sorted(CLI_SWEEPS))
 def test_cli_sweep_csv(name, tmp_path):
-    assert _cli_sweep(name, tmp_path) == (GOLDEN / name).read_bytes()
+    assert _sweep_config(CLI_SWEEPS[name], tmp_path) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.csv")))
+def test_csv_reruns_from_its_header(name, tmp_path):
+    golden = (GOLDEN / name).read_bytes()
+    assert _sweep_config(_header(golden.decode()), tmp_path) == golden
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_header_builds_its_config(name, tmp_path):
+    path = tmp_path / name
+    emit_csv(SweepResult(SWEEPS[name]), path)
+    values = parse_config_file(_write_config(_header(path.read_text()), tmp_path))
+    assert build_config(values) == SWEEPS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_STDOUT))
@@ -154,8 +181,8 @@ def _write_all() -> None:
         emit_csv(run_sweep(config), GOLDEN / name)
     (GOLDEN / "bounds.txt").write_text("".join(_bounds_stdout(n) for n in EVALUATORS))
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CLI_SWEEPS:
-            (GOLDEN / name).write_bytes(_cli_sweep(name, Path(tmp)))
+        for name, text in CLI_SWEEPS.items():
+            (GOLDEN / name).write_bytes(_sweep_config(text, Path(tmp)))
     for name, argv in CLI_STDOUT.items():
         (GOLDEN / name).write_text(_stdout(argv))
 

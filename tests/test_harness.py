@@ -129,10 +129,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="too small"):
             run_sweep(ExperimentConfig("MU-SIMO", (4,), POL16, K=4, trials=5))
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_lambda(self, lam):
         with pytest.raises(ValueError, match="lam"):
             ExperimentConfig("SIMO", (8,), POL16, lam=lam)
+
+    @pytest.mark.parametrize("rho_db", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_snr(self, rho_db):
+        with pytest.raises(ValueError, match="rho_grid_db"):
+            ExperimentConfig("SIMO", (8,), POL16, rho_grid_db=(10.0, rho_db))
 
     def test_rejects_pilots_filling_the_coherence_block(self):
         ExperimentConfig("MU-SIMO", (8,), POL16, K=4, csi="mmse", csi_tau=195)
