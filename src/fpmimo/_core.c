@@ -1,0 +1,210 @@
+/* fpmimo's rounding primitive: round binary64 carrier values to a t-bit
+ * significand, elementwise (fp_round) or fused into a complex dot product
+ * (fp_dot).  fpmimo/_core.py compiles this file on first use and loads it
+ * with ctypes; it must be built with -ffp-contract=off, so that no product
+ * and sum fuse into one rounding.
+ *
+ * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
+ * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
+ * instead, and stochastic rounding always does: with a uniform u in [0, 1)
+ * it rounds the scaled significand s up when u < s - floor(s).  The strict
+ * IEEE range mode then clamps magnitudes above x_max to +-x_max and flushes
+ * nonzero magnitudes below x_min to +0.0.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef struct {
+    int t;        /* significand bits, implicit bit included; 53 is the carrier */
+    int strict;   /* nonzero: clamp and flush to [x_min, x_max] */
+    double x_min; /* smallest positive normal number */
+    double x_max; /* largest finite number */
+} fmt_t;
+
+static double frexp_round(double x, int t, const double *u)
+{
+    int e;
+    double s = ldexp(frexp(x, &e), t);
+    if (u) {
+        double lo = floor(s);
+        s = lo + (double)(*u < s - lo);
+    } else {
+        s = rint(s);
+    }
+    return ldexp(s, e - t);
+}
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* A format with the masks of its nearest-even bit rounding worked out. */
+typedef struct {
+    fmt_t f;
+    uint64_t half; /* half an ulp of the target, less one carrier ulp */
+    uint64_t lsb;  /* the target's last significand bit */
+    uint64_t keep; /* the target's significand bits */
+} rounder_t;
+
+static rounder_t rounder(const fmt_t *f)
+{
+    rounder_t r = {*f, 0, 0, ~(uint64_t)0};
+    if (f->t < 53) {
+        int drop = 53 - f->t;
+        r.half = ((uint64_t)1 << (drop - 1)) - 1;
+        r.lsb = (uint64_t)1 << drop;
+        r.keep = ~(r.lsb - 1);
+    }
+    return r;
+}
+
+ALWAYS_INLINE double round_to(double x, const rounder_t *r, const double *u)
+{
+    if (u) {
+        x = frexp_round(x, r->f.t, u);
+    } else if (r->f.t < 53) {
+        uint64_t b;
+        memcpy(&b, &x, sizeof b);
+        unsigned ex = (unsigned)(b >> 52) & 0x7ff;
+        if (ex == 0 || ex == 0x7ff) {
+            x = frexp_round(x, r->f.t, NULL);
+        } else {
+            b = (b + r->half + ((b & r->lsb) != 0)) & r->keep;
+            memcpy(&x, &b, sizeof x);
+        }
+    }
+    if (r->f.strict) {
+        double a = fabs(x);
+        if (a > r->f.x_max)
+            return x > 0 ? r->f.x_max : -r->f.x_max;
+        if (a < r->f.x_min && x != 0.0)
+            return 0.0;
+    }
+    return x;
+}
+
+/* out[i] = fl(x[i * sx]) for i < n; sx is a stride in bytes.  u is NULL for
+ * nearest-even, else it holds n uniforms, one per element. */
+void fp_round(int64_t n, const char *x, int64_t sx, double *out,
+              const fmt_t *f, const double *u)
+{
+    const rounder_t r = rounder(f);
+    for (int64_t i = 0; i < n; i++) {
+        double v;
+        memcpy(&v, x + i * sx, sizeof v);
+        out[i] = round_to(v, &r, u ? u + i : NULL);
+    }
+}
+
+typedef struct {
+    rounder_t lo, hi;
+    int64_t b, g, lanes;
+} plan_t;
+
+/* The running sums of one real expansion: of the current block, and of the
+ * blocks so far.  p is the position in the block, blk the block's index. */
+typedef struct {
+    double blk, sum;
+} acc_t;
+
+ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t l,
+                            const plan_t *pl, const double *u)
+{
+    if (p == 0)
+        s->blk = t;
+    else
+        s->blk = round_to(s->blk + t, &pl->lo,
+                          u ? u + ((p - 1) * pl->lanes + l) * pl->g + blk : NULL);
+    if (p == pl->b - 1) {
+        if (blk == 0)
+            s->sum = s->blk;
+        else
+            s->sum = round_to(s->sum + s->blk, &pl->hi,
+                              u ? u + ((pl->b - 1) * pl->g + blk - 1) * pl->lanes + l : NULL);
+    }
+}
+
+#define LOAD(p, k) (*(const double *)((p) + (k)))
+
+ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
+                             const char *a, const char *d, const plan_t *pl,
+                             const double *u, double *re, double *im)
+{
+    const int64_t *shape = geom, *sa = geom + ndim, *sd = geom + 2 * ndim + 1;
+    int64_t idx[64] = {0}, prod = pl->lanes * n;
+    int64_t steps = ((pl->b - 1) * pl->g + pl->g - 1) * pl->lanes;
+    const double *ue = u ? u + 4 * prod : NULL, *uf = u ? ue + steps : NULL;
+
+    for (int64_t l = 0; l < pl->lanes; l++) {
+        const char *pa = a, *pd = d;
+        for (int64_t k = 0; k < ndim; k++) {
+            pa += idx[k] * sa[k];
+            pd += idx[k] * sd[k];
+        }
+        acc_t e = {0.0, 0.0}, f = {0.0, 0.0};
+        int64_t p = 0, blk = 0;
+        for (int64_t i = 0; i < n; i++) {
+            const char *ai = pa + i * sa[ndim], *di = pd + i * sd[ndim];
+            double ar = LOAD(ai, 0), aim = LOAD(ai, 8), dr = LOAD(di, 0), dim = LOAD(di, 8);
+            const double *up = u ? u + l * n + i : NULL;
+            double e0 = round_to(ar * dr, &pl->lo, up);
+            double e1 = -round_to(aim * dim, &pl->lo, up ? up + prod : NULL);
+            double f0 = round_to(ar * dim, &pl->lo, up ? up + 2 * prod : NULL);
+            double f1 = round_to(aim * dr, &pl->lo, up ? up + 3 * prod : NULL);
+            add_term(&e, e0, p, blk, l, pl, ue);
+            add_term(&f, f0, p, blk, l, pl, uf);
+            if (++p == pl->b) {
+                p = 0;
+                blk++;
+            }
+            add_term(&e, e1, p, blk, l, pl, ue);
+            add_term(&f, f1, p, blk, l, pl, uf);
+            if (++p == pl->b) {
+                p = 0;
+                blk++;
+            }
+        }
+        for (; blk < pl->g; p = 0, blk++)
+            for (; p < pl->b; p++) {
+                add_term(&e, 0.0, p, blk, l, pl, ue);
+                add_term(&f, 0.0, p, blk, l, pl, uf);
+            }
+        re[l] = e.sum;
+        im[l] = f.sum;
+        for (int64_t k = ndim - 1; k >= 0 && ++idx[k] == shape[k]; k--)
+            idx[k] = 0;
+    }
+}
+
+/* re + i im = sum_i a_i d_i over the last axis of two complex128 arrays
+ * broadcast to one shape (lanes..., n), every product and partial sum rounded.
+ *
+ * geom holds the lane shape (ndim entries), then a's byte strides and then
+ * d's (ndim + 1 entries each, the term axis last).  Each lane expands its sum
+ * into the real terms e = (Re a Re d, -Im a Im d, ...) and f = (Re a Im d,
+ * Im a Re d, ...), whose products round in lo; the negation follows the
+ * rounding.  The 2n terms of e, padded with +0.0 to whole blocks of b, are
+ * summed in order within each block, rounding in lo, and the block sums are
+ * added in order, rounding in hi; f likewise.  A sequential sum in one format
+ * is b = 1 with hi = lo.
+ *
+ * u is NULL for nearest-even.  Else it holds the uniforms of the whole call,
+ * laid out in the order of an elementwise evaluation over all lanes (L of
+ * them, g = ceil(2n / b) blocks each): the products e0, e1, f0, f1 (L * n
+ * each, lane-major), then the steps of e (the b - 1 in-block steps, each over
+ * L * g lane-major block sums, then the g - 1 block steps, each over L
+ * lanes), then those of f. */
+void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
+            const char *a, const char *d,
+            const fmt_t *lo, const fmt_t *hi, int64_t b,
+            const double *u, double *re, double *im)
+{
+    plan_t pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1};
+    for (int64_t k = 0; k < ndim; k++)
+        pl.lanes *= geom[k];
+    /* two copies, so that the nearest-even one has no stochastic branches */
+    if (u)
+        dot_lanes(ndim, geom, n, a, d, &pl, u, re, im);
+    else
+        dot_lanes(ndim, geom, n, a, d, &pl, NULL, re, im);
+}

@@ -1,0 +1,83 @@
+"""Build and load the rounding primitive in ``_core.c``.
+
+The C source is compiled on first use, not at import, with the C compiler
+Python was built with.  The shared library goes into the ``__pycache__``
+directory beside the source, named by the sha256 of the source and the
+compile command, so an edited source or command builds afresh and an
+unchanged one loads the cached build.  A failed build raises
+:class:`RuntimeError` with the command and the compiler's output; there is no
+pure-Python fallback.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import shlex
+import sysconfig
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_core.c")
+# -ffp-contract=off keeps every product and sum a separately rounded operation
+COMMAND = (
+    *shlex.split(sysconfig.get_config_var("CC") or "cc"),
+    "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+)
+
+
+class Format(ctypes.Structure):
+    """A target format as ``_core.c`` reads it (its ``fmt_t``)."""
+
+    _fields_ = [
+        ("t", ctypes.c_int),
+        ("strict", ctypes.c_int),
+        ("x_min", ctypes.c_double),
+        ("x_max", ctypes.c_double),
+    ]
+
+
+def build() -> Path:
+    """Compile ``SOURCE`` with ``COMMAND`` unless a build of both is cached."""
+    # imported here, so that importing fpmimo does not pay for them
+    import hashlib
+    import subprocess
+    import tempfile
+
+    source = SOURCE.read_bytes()
+    digest = hashlib.sha256(source + b"\0" + "\0".join(COMMAND).encode()).hexdigest()
+    cache = SOURCE.parent / "__pycache__"
+    target = cache / f"{SOURCE.stem}-{digest}.so"
+    if target.exists():
+        return target
+    cache.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f"{SOURCE.stem}-", suffix=".tmp", dir=cache)
+    os.close(fd)
+    command = [*COMMAND, "-o", tmp, str(SOURCE), "-lm"]
+    try:
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot run {shlex.join(command)}: {exc}") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"compiling {SOURCE.name} failed (exit {proc.returncode}): "
+                f"{shlex.join(command)}\n{proc.stderr}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return target
+
+
+@functools.cache
+def lib() -> ctypes.CDLL:
+    """The loaded library, built on the first call of the process."""
+    so = ctypes.CDLL(str(build()))
+    i64, ptr, fmt = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format)
+    so.fp_round.argtypes = [i64, ptr, i64, ptr, fmt, ptr]
+    so.fp_round.restype = None
+    so.fp_dot.argtypes = [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, ptr, ptr]
+    so.fp_dot.restype = None
+    return so

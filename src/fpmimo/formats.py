@@ -3,19 +3,22 @@
 A target format is described by its significand width ``t`` (bits, implicit
 leading bit included), and its exponent range.  Every emulated operation is
 computed exactly in 64-bit arithmetic and the result's significand is then
-rounded to ``t`` bits.  Double rounding is exact for all supported presets
-because ``t <= 24`` for the low-precision formats and ``t = 53`` is a
-pass-through.
+rounded to ``t`` bits by the C core of :mod:`fpmimo._core`.  Double rounding
+is exact for all supported presets because ``t <= 24`` for the low-precision
+formats and ``t = 53`` is a pass-through.
 
 All rounding entry points accept scalars or numpy arrays and broadcast.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from . import _core
 
 __all__ = [
     "FloatFormat",
@@ -116,49 +119,47 @@ def get_format(name: str) -> FloatFormat:
         ) from None
 
 
-def _round_significand(x, fmt: FloatFormat, mode: RoundingMode, rng):
-    """Round finite carrier values to t significand bits (unbounded range).
+@functools.cache
+def _c_format(fmt: FloatFormat, range_mode: RangeMode) -> _core.Format:
+    """``fmt`` and ``range_mode`` as the C core reads them."""
+    strict = range_mode is RangeMode.STRICT_IEEE
+    return _core.Format(fmt.significand_bits, strict, fmt.x_min, fmt.x_max)
 
-    It never writes into ``x``: every step after ``frexp`` works in the
-    significand buffer ``frexp`` returned, so the result is a fresh array
-    (a scalar for a 0-d input).  Stochastic rounding takes one draw per
-    element per call, so the rng stream follows the order of the calls and
-    callers must not reorder them.
-    """
-    t = fmt.significand_bits
-    m, e = np.frexp(x)  # x = m * 2**e, |m| in [0.5, 1)
-    m = np.asarray(m)  # frexp gives scalars for 0-d input; `out=` needs an array
-    np.ldexp(m, t, out=m)  # exact: |m| in [2**(t-1), 2**t)
+
+def _uniforms(mode: RoundingMode, rng, size: int):
+    """The ``size`` uniforms stochastic rounding consumes, or None for nearest-even."""
     if mode is RoundingMode.NEAREST_EVEN:
-        np.rint(m, out=m)
-    elif mode is RoundingMode.STOCHASTIC:
-        if rng is None:
-            raise ValueError("stochastic rounding requires an rng")
-        lo = np.floor(m)
-        m -= lo  # the fraction in [0, 1)
-        np.add(lo, rng.random(m.shape) < m, out=m)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown rounding mode {mode}")
-    e -= t
-    return np.ldexp(m, e, out=m)[()]  # [()] turns a 0-d result back into a scalar
+        return None
+    if rng is None:
+        raise ValueError("stochastic rounding requires an rng")
+    return rng.random(size)
 
 
 def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
-    """The rounding core behind :func:`round_to_format` and every kernel.
+    """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
     It does no finiteness check, so a non-finite value propagates, and it
-    returns arrays as arrays.  It never writes into ``x``.  The result is a
-    fresh array, except on the fp64 nearest-even unbounded passthrough,
-    which returns ``x`` itself.  Stochastic draws are taken in call order,
-    so callers must keep the order of their calls to reproduce a stream.
+    never writes into ``x``.  The result is a fresh array (a scalar for a
+    0-d input when the range is unbounded), except on the fp64 nearest-even
+    unbounded passthrough, which returns ``x`` itself.  Stochastic rounding
+    takes one draw per element per call, so callers must keep the order of
+    their calls to reproduce a stream.
     """
-    if not (fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN):
-        x = _round_significand(x, fmt, mode, rng)
+    if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN and range_mode is RangeMode.UNBOUNDED:
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)  # a view when one stride walks x, as for .real of a complex array
+    if not flat.flags.aligned:
+        flat = flat.copy()
+    out = np.empty(x.shape)
+    u = _uniforms(mode, rng, flat.size)
+    _core.lib().fp_round(
+        flat.size, flat.ctypes.data, flat.strides[0], out.ctypes.data,
+        _c_format(fmt, range_mode), None if u is None else u.ctypes.data,
+    )
     if range_mode is RangeMode.STRICT_IEEE:
-        a = np.abs(x)
-        x = np.where(a > fmt.x_max, np.sign(x) * fmt.x_max, x)
-        x = np.where((a < fmt.x_min) & (x != 0.0), 0.0, x)
-    return x
+        return out
+    return out[()]  # [()] turns a 0-d result into a scalar
 
 
 def round_to_format(

@@ -63,6 +63,9 @@ class ExperimentConfig:
     csi_tau: int | None = None
 
     def __post_init__(self) -> None:
+        # floats, so that a CSV shows them as its header is parsed back
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "rho_grid_db", tuple(map(float, self.rho_grid_db)))
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
         if self.trials < 1 or not self.M_grid or not len(self.rho_grid_db):

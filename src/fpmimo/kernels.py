@@ -1,7 +1,8 @@
 """Complex linear-algebra kernels with per-operation rounding.
 
 Every scalar multiply, add, subtract, divide, and square root inside these
-kernels goes through the format emulation in :mod:`fpmimo.formats`.  Complex
+kernels is rounded by the C core of :mod:`fpmimo._core`: elementwise through
+``formats._round``, and fused into the loop of each reduction.  Complex
 reductions are computed on their 2n-term real expansion (two parallel real
 reductions for the real and imaginary parts), summed strictly in index order.
 
@@ -12,12 +13,14 @@ Each kernel raises ValueError on non-finite input before it rounds anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .formats import FP64, FloatFormat, RangeMode, RoundingMode, _round
+from . import _core
+from .formats import FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _round, _uniforms
 
 __all__ = [
     "PolicyMode",
@@ -116,65 +119,40 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     return rnd(np.asarray(x, dtype=np.float64))
 
 
-def _expand_terms(a, d, policy: PrecisionPolicy, rng):
-    """Rounded 2n-term real expansions of sum_i a_i d_i (no conjugation).
-
-    Returns (e, f) with shape (..., 2n): e holds the real-part terms
-    (Re a Re d, -Im a Im d) interleaved, f the imaginary-part terms
-    (Re a Im d, Im a Re d).  Each product is individually rounded; the
-    negation is exact.
-    """
-    rnd = policy._rounder(policy.working, rng)
-    ar, ai = a.real, a.imag
-    dr, di = d.real, d.imag
-    e0 = rnd(ar * dr)
-    e1 = -rnd(ai * di)
-    f0 = rnd(ar * di)
-    f1 = rnd(ai * dr)
-    e = np.stack([e0, e1], axis=-1).reshape(*e0.shape[:-1], -1)
-    f = np.stack([f0, f1], axis=-1).reshape(*f0.shape[:-1], -1)
-    return e, f
-
-
-def _seq_sum(terms, rnd):
-    """Recursive summation over the last axis, each partial sum rounded by ``rnd``."""
-    s = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        s = rnd(s + terms[..., j])
-    return s
-
-
-def _blocked_sum(terms, policy: PrecisionPolicy, rng):
-    """Intra-block sums in low precision, inter-block combine in high.
-
-    The last block may be ragged; it is padded with exact zeros, which leaves
-    every rounded partial sum unchanged.
-    """
-    b = policy.block_size
-    n = terms.shape[-1]
-    g = -(-n // b)
-    pad = g * b - n
-    if pad:
-        terms = np.concatenate(
-            [terms, np.zeros(terms.shape[:-1] + (pad,))], axis=-1
-        )
-    blocks = terms.reshape(*terms.shape[:-1], g, b)
-    s = _seq_sum(blocks, policy._rounder(policy.low, rng))
-    # s: (..., g) partial sums; combine sequentially in high precision
-    return _seq_sum(s, policy._rounder(policy.high, rng))
-
-
 def _dot(a, d, policy: PrecisionPolicy, rng):
-    """Rounded sum_i a_i d_i over the last axis (no conjugation).
+    """Rounded sum_i a_i d_i over the last axis (no conjugation), in the C core.
 
-    A uniform policy sums each real expansion sequentially in the working
-    format; a mixed policy uses the blocked summation of :func:`_blocked_sum`.
+    Each product of the 2n-term real expansions is rounded in the working
+    format.  A uniform policy sums each expansion sequentially in the
+    working format.  A mixed policy sums blocks of ``block_size`` terms in
+    the low format, the ragged last block padded with +0.0, and adds the
+    block sums sequentially in the high format.  Stochastic draws follow the
+    order of the elementwise evaluation: the products, then the real-part
+    sums, then the imaginary-part sums, in-block steps before block steps.
     """
-    e, f = _expand_terms(a, d, policy, rng)
-    if policy.mode is PolicyMode.MIXED:
-        return _join(_blocked_sum(e, policy, rng), _blocked_sum(f, policy, rng))
-    rnd = policy._rounder(policy.working, rng)
-    return _join(_seq_sum(e, rnd), _seq_sum(f, rnd))
+    shape = np.broadcast_shapes(a.shape, d.shape)
+    lanes, n = shape[:-1], shape[-1]
+    if n == 0:
+        raise ValueError("a reduction needs at least one term")
+    a = np.broadcast_to(np.asarray(a, dtype=np.complex128), shape)
+    d = np.broadcast_to(np.asarray(d, dtype=np.complex128), shape)
+    if not (a.flags.aligned and d.flags.aligned):
+        a, d = a.copy(), d.copy()
+    mixed = policy.mode is PolicyMode.MIXED
+    b = policy.block_size if mixed else 1
+    high = policy.high if mixed else policy.low
+    count = math.prod(lanes)
+    g = -(-2 * n // b)
+    u = _uniforms(policy.rounding, rng, count * (4 * n + 2 * ((b - 1) * g + g - 1)))
+    re = np.empty(lanes)
+    im = np.empty(lanes)
+    geom = np.array([*lanes, *a.strides, *d.strides], dtype=np.int64)
+    _core.lib().fp_dot(
+        len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
+        _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
+        b, None if u is None else u.ctypes.data, re.ctypes.data, im.ctypes.data,
+    )
+    return _join(re, im)
 
 
 def _as_cvec(x, name: str):

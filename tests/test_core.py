@@ -1,0 +1,53 @@
+"""The build-on-first-use loader of the C rounding core (``fpmimo._core``)."""
+
+import ctypes
+import re
+import shutil
+import sys
+
+import pytest
+
+from fpmimo import _core
+
+
+@pytest.fixture
+def source(tmp_path, monkeypatch):
+    """A copy of ``_core.c`` that the loader builds in place of the package's."""
+    copy = tmp_path / "_core.c"
+    shutil.copy(_core.SOURCE, copy)
+    monkeypatch.setattr(_core, "SOURCE", copy)
+    return copy
+
+
+def test_build_is_cached_by_source_hash(source):
+    first = _core.build()
+    assert first.parent == source.parent / "__pycache__"
+    assert re.fullmatch(r"_core-[0-9a-f]{64}\.so", first.name)
+    assert _core.build() == first
+    mtime = first.stat().st_mtime_ns
+
+    source.write_text(source.read_text() + "/* edited */\n")
+    second = _core.build()
+    assert second != first and second.parent == first.parent
+    assert first.stat().st_mtime_ns == mtime  # the old build is left as it was
+    assert ctypes.CDLL(str(second)).fp_round  # the new build loads
+    assert sorted(p.name for p in first.parent.iterdir()) == sorted([first.name, second.name])
+
+
+def test_failing_compiler_names_command_and_quotes_stderr(source, monkeypatch):
+    fail = "import sys; sys.stderr.write('cc: fatal error: no input\\n'); sys.exit(3)"
+    monkeypatch.setattr(_core, "COMMAND", (sys.executable, "-c", fail))
+    with pytest.raises(RuntimeError) as info:
+        _core.build()
+    message = str(info.value)
+    assert "exit 3" in message
+    assert f"{sys.executable} -c" in message and str(source) in message
+    assert "cc: fatal error: no input" in message
+    assert list((source.parent / "__pycache__").iterdir()) == []  # no partial build
+
+
+def test_missing_compiler_names_command(source, monkeypatch):
+    missing = str(source.parent / "no-such-cc")
+    monkeypatch.setattr(_core, "COMMAND", (missing, "-O2"))
+    with pytest.raises(RuntimeError, match=f"cannot run {re.escape(missing)} -O2"):
+        _core.build()

@@ -162,6 +162,17 @@ def test_csv_reruns_from_its_header(name, tmp_path):
     assert _sweep_config(_header(golden.decode()), tmp_path) == golden
 
 
+def test_int_built_config_reruns_from_its_header(tmp_path):
+    cfg = ExperimentConfig(
+        "SIMO", (16,), PrecisionPolicy.uniform(FP16), rho_grid_db=(10,), lam=3, trials=8
+    )
+    path = tmp_path / "int-built.csv"
+    emit_csv(run_sweep(cfg), path)
+    first = path.read_bytes()
+    assert b"# lambda = 3.0\n" in first and b"# rho_grid_db = 10.0\n" in first
+    assert _sweep_config(_header(first.decode()), tmp_path) == first
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_header_builds_its_config(name, tmp_path):
     path = tmp_path / name

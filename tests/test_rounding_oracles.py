@@ -7,9 +7,11 @@ range, because ``RangeMode.UNBOUNDED`` (the default) keeps a full t-bit
 significand where IEEE arithmetic goes subnormal, so below the smallest
 normal number the two are meant to differ.  Hypothesis then checks the
 properties nearest-even rounding must have in every preset low format.
-Last, the in-place core ``formats._round`` is compared with the allocating
-``frexp``/``ldexp`` formula it replaced, on every setting and on inputs the
-public API rejects (non-finite values, subnormal carriers).
+Last, the C core is compared with the numpy ``frexp``/``ldexp`` formula it
+replaced: elementwise through ``formats._round``, on every setting, on inputs
+the public API rejects (non-finite values, subnormal carriers) and on 10^6 bit
+patterns; and fused, through ``inner_product_fp``, ``matvec_fp`` and
+``matmul_fp``, against the numpy reduction it replaced.
 """
 
 import numpy as np
@@ -21,12 +23,14 @@ from fpmimo.formats import (
     BFLOAT16,
     FP16,
     FP32,
+    FP64,
     PRESETS,
     RangeMode,
     RoundingMode,
     _round,
     round_to_format,
 )
+from fpmimo.kernels import PolicyMode, PrecisionPolicy, inner_product_fp, matmul_fp, matvec_fp
 
 
 def _assert_bits_equal(got, want):
@@ -129,7 +133,7 @@ def test_exact_on_representable(fmt, x):
     assert round_to_format(y, fmt) == y
 
 
-# -- the in-place core against the allocating formula it replaced -------------
+# -- the C core against the numpy formula it replaced --------------------------
 
 def _oracle_round_significand(x, fmt, mode, rng):
     t = fmt.significand_bits
@@ -193,3 +197,160 @@ def test_core_matches_allocating_formula(name, fmt, mode, range_mode):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(x))  # NaN stays NaN
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     _assert_bits_equal(x, before)  # the argument is never written
+
+
+def _bit_patterns(count):
+    """Random float64 bit patterns over every exponent field, both signs, plus
+    zeros, subnormals, infinities, NaNs, DBL_MAX and, for each preset width,
+    ties and their neighbours, some carrying into the exponent."""
+    rng = np.random.default_rng(53)
+    bits = rng.integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
+    mant = [0, 1, (1 << 52) - 1, 1 << 51]
+    for t in (8, 11, 24):
+        tie = 1 << (52 - t)
+        mant += [tie, tie - 1, tie + 1, tie | (tie << 1), ((1 << 52) - 1) ^ (tie - 1)]
+    fields = np.arange(0x800, dtype=np.uint64)[:, None] << np.uint64(52)
+    special = (fields | np.array(mant, dtype=np.uint64)).ravel()
+    special = np.concatenate([special, special | np.uint64(1 << 63)])
+    bits[: special.size] = special
+    return bits.view(np.float64)
+
+
+PATTERNS = _bit_patterns(10**6)
+
+
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_core_matches_formula_on_bit_patterns(fmt, mode, range_mode):
+    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _round(PATTERNS, fmt, mode, range_mode, rng_got)
+        want = _oracle_round(PATTERNS, fmt, mode, range_mode, rng_want)
+    _assert_bits_equal(got, want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+# -- the fused reduction against the numpy reduction it replaced ---------------
+
+def _oracle_join(re, im):
+    out = 1j * im
+    out += re
+    return out
+
+
+def _oracle_rounder(policy, fmt, rng):
+    return lambda x: _oracle_round(x, fmt, policy.rounding, policy.range_mode, rng)
+
+
+def _oracle_input(x, policy, rng):
+    rnd = _oracle_rounder(policy, policy.working, rng)
+    re = rnd(x.real)
+    return _oracle_join(re, rnd(x.imag))
+
+
+def _oracle_seq_sum(terms, rnd):
+    s = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        s = rnd(s + terms[..., j])
+    return s
+
+
+def _oracle_blocked_sum(terms, policy, rng):
+    b = policy.block_size
+    n = terms.shape[-1]
+    g = -(-n // b)
+    pad = g * b - n
+    if pad:
+        terms = np.concatenate([terms, np.zeros(terms.shape[:-1] + (pad,))], axis=-1)
+    blocks = terms.reshape(*terms.shape[:-1], g, b)
+    s = _oracle_seq_sum(blocks, _oracle_rounder(policy, policy.low, rng))
+    return _oracle_seq_sum(s, _oracle_rounder(policy, policy.high, rng))
+
+
+def _oracle_dot(a, d, policy, rng):
+    """The numpy reduction the C kernel replaced, term arrays and all."""
+    rnd = _oracle_rounder(policy, policy.working, rng)
+    e0 = rnd(a.real * d.real)
+    e1 = -rnd(a.imag * d.imag)
+    f0 = rnd(a.real * d.imag)
+    f1 = rnd(a.imag * d.real)
+    e = np.stack([e0, e1], axis=-1).reshape(*e0.shape[:-1], -1)
+    f = np.stack([f0, f1], axis=-1).reshape(*f0.shape[:-1], -1)
+    if policy.mode is PolicyMode.MIXED:
+        return _oracle_join(
+            _oracle_blocked_sum(e, policy, rng), _oracle_blocked_sum(f, policy, rng)
+        )
+    return _oracle_join(_oracle_seq_sum(e, rnd), _oracle_seq_sum(f, rnd))
+
+
+def _oracle_inner(a, b, policy, rng):
+    a = _oracle_input(a, policy, rng)
+    b = _oracle_input(b, policy, rng)
+    return _oracle_dot(np.conj(a), b, policy, rng)
+
+
+def _oracle_matvec(A, x, policy, rng):
+    A = _oracle_input(A, policy, rng)
+    x = _oracle_input(x, policy, rng)
+    return _oracle_dot(A, x[..., None, :], policy, rng)
+
+
+def _oracle_matmul(A, B, policy, rng):
+    A = _oracle_input(A, policy, rng)
+    B = _oracle_input(B, policy, rng)
+    Bt = np.swapaxes(B, -1, -2)
+    return _oracle_dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
+
+
+WIDER = {"bfloat16": FP32, "fp16": FP32, "fp32": FP64, "fp64": FP64}
+
+
+def _policies(fmt, mode, range_mode, n):
+    """Uniform, and mixed with b = 1, b not dividing 2n, and b >= 2n."""
+    kw = dict(rounding=mode, range_mode=range_mode)
+    yield PrecisionPolicy.uniform(fmt, **kw)
+    for b in sorted({1, 3, 2 * n, 2 * n + 5}):
+        yield PrecisionPolicy.mixed(fmt, WIDER[fmt.name], b, **kw)
+
+
+def _complex(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _fused_cases(scale):
+    """(name, public call, oracle, args, n) over n = 1, batched and broadcast shapes."""
+    rng = np.random.default_rng(11)
+    c = lambda *shape: _complex(rng, shape, scale)
+    yield "inner-n1", inner_product_fp, _oracle_inner, (c(1), c(1)), 1
+    yield "inner-batched", inner_product_fp, _oracle_inner, (c(3, 2, 7), c(3, 2, 7)), 7
+    yield "inner-broadcast", inner_product_fp, _oracle_inner, (c(4, 1, 5), c(3, 5)), 5
+    yield "matvec-batched", matvec_fp, _oracle_matvec, (c(2, 3, 6), c(2, 6)), 6
+    yield "matvec-broadcast", matvec_fp, _oracle_matvec, (c(3, 4), c(2, 1, 4)), 4
+    A = c(2, 5, 3)
+    yield "matmul-gram", matmul_fp, _oracle_matmul, (np.conj(np.swapaxes(A, -1, -2)), A), 5
+    yield "matmul-broadcast", matmul_fp, _oracle_matmul, (c(2, 1, 3, 2), c(4, 2, 3)), 2
+
+
+SCALES = {"normal": 1.0, "near-1e300": 1e300, "subnormal": 1e-310}
+
+
+@pytest.mark.parametrize("scale", list(SCALES), ids=str)
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_fused_kernel_matches_numpy_reduction(fmt, mode, range_mode, scale):
+    for name, call, oracle, args, n in _fused_cases(SCALES[scale]):
+        for policy in _policies(fmt, mode, range_mode, n):
+            rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+            with np.errstate(all="ignore"):
+                got = call(*args, policy, rng_got)
+                want = oracle(*args, policy, rng_want)
+            where = f"{name}, {policy.mode.value}, b={policy.block_size}"
+            assert np.shape(got) == np.shape(want), where
+            got = np.asarray(got, dtype=np.complex128).reshape(-1)
+            want = np.asarray(want, dtype=np.complex128).reshape(-1)
+            np.testing.assert_array_equal(
+                got.view(np.uint64), want.view(np.uint64), err_msg=where
+            )
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state, where
