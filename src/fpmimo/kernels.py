@@ -14,7 +14,7 @@ Each kernel raises ValueError on non-finite input before it rounds anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -213,21 +213,17 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
 
 # -- the rounded complex multiply -------------------------------------------
 
-def _cmul(ar, ai, br, bi, rnd):
-    """(ar + i ai)(br + i bi) as 4 rounded real multiplies and 2 rounded adds.
+def _cmul(a, b, policy: PrecisionPolicy, rng):
+    """a * b elementwise as 4 rounded real multiplies and 2 rounded adds.
 
     The naive scheme, with no 3-multiply trick, whose error expands into the
-    2-term real inner-product model.  ``rnd`` rounds into the working format.
+    2-term real inner-product model: the one-term reduction of :func:`_dot`,
+    in the working format even under a mixed policy.  Stochastic draws go to
+    the four products, then the real sum, then the imaginary sum.
     """
-    # rnd returns a fresh array or, on the fp64 passthrough, the product it
-    # was given: a buffer of this function either way, so it may be updated
-    # in place.  The rnd calls keep their order for the stochastic stream.
-    re = rnd(ar * br)
-    re -= rnd(ai * bi)
-    re = rnd(re)
-    im = rnd(ar * bi)
-    im += rnd(ai * br)
-    return re, rnd(im)
+    if policy.mode is PolicyMode.MIXED:
+        policy = replace(policy, mode=PolicyMode.UNIFORM_LOW)
+    return _dot(a[..., None], b[..., None], policy, rng)
 
 
 def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
@@ -239,8 +235,9 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
 
     ``error="raise"`` raises :class:`CholeskyBreakdownError` on a
     non-positive pivot; ``error="mask"`` returns ``(R, breakdown)`` where
-    ``breakdown`` is a boolean array over the batch and broken lanes hold
-    garbage.
+    ``breakdown`` is a boolean array over the batch.  A broken lane takes the
+    pivot 1.0 in place of each non-positive one, so its R is finite with a
+    nonzero diagonal and stays solvable; its values mean nothing.
     """
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
@@ -253,13 +250,12 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     rnd = policy._rounder(policy.working, rng)
 
     batch = C.shape[:-2]
-    Rr = np.zeros(batch + (K, K))
-    Ri = np.zeros(batch + (K, K))
+    R = np.zeros(batch + (K, K), dtype=np.complex128)
     breakdown = np.zeros(batch, dtype=bool)
     for j in range(K):
         acc = np.ascontiguousarray(C[..., j, j].real)
         for k in range(j):
-            m2 = rnd(rnd(Rr[..., k, j] ** 2) + rnd(Ri[..., k, j] ** 2))
+            m2 = rnd(rnd(R[..., k, j].real ** 2) + rnd(R[..., k, j].imag ** 2))
             acc = rnd(acc - m2)
         bad = acc <= 0
         if np.any(bad):
@@ -268,20 +264,15 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
             breakdown |= bad
             acc = np.where(bad, 1.0, acc)
         rjj = rnd(np.sqrt(acc))
-        Rr[..., j, j] = rjj
+        R[..., j, j] = rjj
         for i in range(j + 1, K):
             tr = np.ascontiguousarray(C[..., j, i].real)
             ti = np.ascontiguousarray(C[..., j, i].imag)
             for k in range(j):
-                # conj(R[k, j]) * R[k, i]
-                pr, pi = _cmul(
-                    Rr[..., k, j], -Ri[..., k, j], Rr[..., k, i], Ri[..., k, i], rnd
-                )
-                tr = rnd(tr - pr)
-                ti = rnd(ti - pi)
-            Rr[..., j, i] = rnd(tr / rjj)
-            Ri[..., j, i] = rnd(ti / rjj)
-    R = _join(Rr, Ri)
+                p = _cmul(np.conj(R[..., k, j]), R[..., k, i], policy, rng)
+                tr = rnd(tr - p.real)
+                ti = rnd(ti - p.imag)
+            R[..., j, i] = _join(rnd(tr / rjj), rnd(ti / rjj))
     if error == "mask":
         return R, breakdown
     return R
@@ -312,18 +303,16 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     T = np.conj(np.swapaxes(R, -1, -2)) if side == "lower-conjugate" else R
 
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
-    xr = np.zeros(batch + (K,))
-    xi = np.zeros(batch + (K,))
+    x = np.zeros(batch + (K,), dtype=np.complex128)
     order = range(K) if side == "lower-conjugate" else range(K - 1, -1, -1)
     for i in order:
         tr = np.zeros(batch) + rhs[..., i].real
         ti = np.zeros(batch) + rhs[..., i].imag
         ks = range(i) if side == "lower-conjugate" else range(i + 1, K)
         for k in ks:
-            pr, pi = _cmul(T[..., i, k].real, T[..., i, k].imag, xr[..., k], xi[..., k], rnd)
-            tr = rnd(tr - pr)
-            ti = rnd(ti - pi)
+            p = _cmul(T[..., i, k], x[..., k], policy, rng)
+            tr = rnd(tr - p.real)
+            ti = rnd(ti - p.imag)
         d = R[..., i, i].real
-        xr[..., i] = rnd(tr / d)
-        xi[..., i] = rnd(ti / d)
-    return _join(xr, xi)
+        x[..., i] = _join(rnd(tr / d), rnd(ti / d))
+    return x

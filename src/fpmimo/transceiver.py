@@ -18,7 +18,6 @@ import numpy as np
 from .kernels import (
     PrecisionPolicy,
     _cmul,
-    _join,
     _require_finite,
     cholesky_fp,
     inner_product_fp,
@@ -62,8 +61,7 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
             raise ValueError("mrt_precode requires a nonzero channel")
         hn = round_input(h / nrm, policy, rng)
     x = round_input(x_d[..., None], policy, rng)
-    rnd = policy._rounder(policy.working, rng)
-    return _join(*_cmul(hn.real, hn.imag, x.real, x.imag, rnd))
+    return _cmul(hn, x, policy, rng)
 
 
 def _gram_solve(H, rhs, policy: PrecisionPolicy, rng, error: str):

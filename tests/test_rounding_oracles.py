@@ -11,7 +11,10 @@ Last, the C core is compared with the numpy ``frexp``/``ldexp`` formula it
 replaced: elementwise through ``formats._round``, on every setting, on inputs
 the public API rejects (non-finite values, subnormal carriers) and on 10^6 bit
 patterns; and fused, through ``inner_product_fp``, ``matvec_fp`` and
-``matmul_fp``, against the numpy reduction it replaced.
+``matmul_fp``, against the numpy reduction it replaced.  The rounded complex
+multiply of ``cholesky_fp``, ``trisolve_fp`` and ``mrt_precode``, the fused
+kernel's one-term reduction, is compared with the Python scheme of six
+elementwise roundings it replaced.
 """
 
 import numpy as np
@@ -30,7 +33,17 @@ from fpmimo.formats import (
     _round,
     round_to_format,
 )
-from fpmimo.kernels import PolicyMode, PrecisionPolicy, inner_product_fp, matmul_fp, matvec_fp
+from fpmimo.kernels import (
+    CholeskyBreakdownError,
+    PolicyMode,
+    PrecisionPolicy,
+    cholesky_fp,
+    inner_product_fp,
+    matmul_fp,
+    matvec_fp,
+    trisolve_fp,
+)
+from fpmimo.transceiver import mrt_precode
 
 
 def _assert_bits_equal(got, want):
@@ -354,3 +367,179 @@ def test_fused_kernel_matches_numpy_reduction(fmt, mode, range_mode, scale):
                 got.view(np.uint64), want.view(np.uint64), err_msg=where
             )
             assert rng_got.bit_generator.state == rng_want.bit_generator.state, where
+
+
+# -- the one-term complex multiply against the Python scheme it replaced -------
+
+def _oracle_require_finite(name, *arrays):
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} requires finite input")
+
+
+def _oracle_cmul(ar, ai, br, bi, rnd):
+    """(ar + i ai)(br + i bi) as 4 rounded real multiplies and 2 rounded adds."""
+    re = rnd(ar * br)
+    re -= rnd(ai * bi)
+    re = rnd(re)
+    im = rnd(ar * bi)
+    im += rnd(ai * br)
+    return re, rnd(im)
+
+
+def _oracle_cholesky(C, policy, rng=None, error="raise"):
+    C = np.asarray(C, dtype=np.complex128)
+    K = C.shape[-1]
+    _oracle_require_finite("cholesky_fp", C)
+    C = _oracle_input(C, policy, rng)
+    rnd = _oracle_rounder(policy, policy.working, rng)
+
+    batch = C.shape[:-2]
+    Rr = np.zeros(batch + (K, K))
+    Ri = np.zeros(batch + (K, K))
+    breakdown = np.zeros(batch, dtype=bool)
+    for j in range(K):
+        acc = np.ascontiguousarray(C[..., j, j].real)
+        for k in range(j):
+            m2 = rnd(rnd(Rr[..., k, j] ** 2) + rnd(Ri[..., k, j] ** 2))
+            acc = rnd(acc - m2)
+        bad = acc <= 0
+        if np.any(bad):
+            if error == "raise":
+                raise CholeskyBreakdownError(j)
+            breakdown |= bad
+            acc = np.where(bad, 1.0, acc)
+        rjj = rnd(np.sqrt(acc))
+        Rr[..., j, j] = rjj
+        for i in range(j + 1, K):
+            tr = np.ascontiguousarray(C[..., j, i].real)
+            ti = np.ascontiguousarray(C[..., j, i].imag)
+            for k in range(j):
+                pr, pi = _oracle_cmul(
+                    Rr[..., k, j], -Ri[..., k, j], Rr[..., k, i], Ri[..., k, i], rnd
+                )
+                tr = rnd(tr - pr)
+                ti = rnd(ti - pi)
+            Rr[..., j, i] = rnd(tr / rjj)
+            Ri[..., j, i] = rnd(ti / rjj)
+    R = _oracle_join(Rr, Ri)
+    if error == "mask":
+        return R, breakdown
+    return R
+
+
+def _oracle_trisolve(R, rhs, side, policy, rng=None):
+    R = np.asarray(R, dtype=np.complex128)
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    K = R.shape[-1]
+    _oracle_require_finite("trisolve_fp", R, rhs)
+    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
+        raise ZeroDivisionError("zero diagonal entry in triangular solve")
+    R = _oracle_input(R, policy, rng)
+    rhs = _oracle_input(rhs, policy, rng)
+    rnd = _oracle_rounder(policy, policy.working, rng)
+    T = np.conj(np.swapaxes(R, -1, -2)) if side == "lower-conjugate" else R
+
+    batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
+    xr = np.zeros(batch + (K,))
+    xi = np.zeros(batch + (K,))
+    order = range(K) if side == "lower-conjugate" else range(K - 1, -1, -1)
+    for i in order:
+        tr = np.zeros(batch) + rhs[..., i].real
+        ti = np.zeros(batch) + rhs[..., i].imag
+        ks = range(i) if side == "lower-conjugate" else range(i + 1, K)
+        for k in ks:
+            pr, pi = _oracle_cmul(T[..., i, k].real, T[..., i, k].imag, xr[..., k], xi[..., k], rnd)
+            tr = rnd(tr - pr)
+            ti = rnd(ti - pi)
+        d = R[..., i, i].real
+        xr[..., i] = rnd(tr / d)
+        xi[..., i] = rnd(ti / d)
+    return _oracle_join(xr, xi)
+
+
+def _oracle_mrt(h, x_d, policy, rng=None, prenormalized=False):
+    h = np.asarray(h, dtype=np.complex128)
+    x_d = np.asarray(x_d, dtype=np.complex128)
+    _oracle_require_finite("mrt_precode", h, x_d)
+    if prenormalized:
+        hn = _oracle_input(h, policy, rng)
+    else:
+        nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        if np.any(nrm == 0):
+            raise ValueError("mrt_precode requires a nonzero channel")
+        hn = _oracle_input(h / nrm, policy, rng)
+    x = _oracle_input(x_d[..., None], policy, rng)
+    rnd = _oracle_rounder(policy, policy.working, rng)
+    return _oracle_join(*_oracle_cmul(hn.real, hn.imag, x.real, x.imag, rnd))
+
+
+def _upper(rng, shape, scale):
+    """Upper-triangular factors with a real diagonal in [1, 2), times scale."""
+    R = np.triu(_complex(rng, shape, 1.0))
+    K = shape[-1]
+    R[..., range(K), range(K)] = 1.0 + rng.random(shape[:-1])
+    return scale * R
+
+
+def _cmul_cases(scale):
+    """(name, public call, oracle, args) over batched and broadcast shapes.
+
+    The Gram cases form H^H H of a channel at ``scale`` in fp64, so at 1e300 it
+    overflows and at 1e-310 it underflows to zero; the "loaded" ones scale a
+    well-conditioned Gram matrix instead, so every entry stays at ``scale``.
+    """
+    rng = np.random.default_rng(17)
+    c = lambda *shape: _complex(rng, shape, scale)
+    H = c(2, 3, 6, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.conj(np.swapaxes(H, -1, -2)) @ H
+    H1 = _complex(rng, (2, 3, 6, 4), 1.0)
+    loaded = scale * (np.conj(np.swapaxes(H1, -1, -2)) @ H1 + np.eye(4))
+    for error in ("raise", "mask"):
+        yield f"cholesky-gram-{error}", cholesky_fp, _oracle_cholesky, (gram,), dict(error=error)
+        yield f"cholesky-loaded-{error}", cholesky_fp, _oracle_cholesky, (loaded,), dict(error=error)
+    for side in ("lower-conjugate", "upper"):
+        yield f"trisolve-batched-{side}", trisolve_fp, _oracle_trisolve, (_upper(rng, (2, 3, 4, 4), scale), c(2, 3, 4)), dict(side=side)
+        yield f"trisolve-broadcast-{side}", trisolve_fp, _oracle_trisolve, (_upper(rng, (2, 1, 3, 3), scale), c(4, 3)), dict(side=side)
+        yield f"trisolve-shared-{side}", trisolve_fp, _oracle_trisolve, (_upper(rng, (4, 4), scale), c(2, 3, 4)), dict(side=side)
+    for pre in (False, True):
+        yield f"mrt-batched-pre={pre}", mrt_precode, _oracle_mrt, (c(3, 2, 5), c(3, 2)), dict(prenormalized=pre)
+        yield f"mrt-broadcast-pre={pre}", mrt_precode, _oracle_mrt, (c(1, 7), c(4)), dict(prenormalized=pre)
+
+
+def _outcome(call, args, kw, policy, rng):
+    """The result of a call, or the type and text of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            if "side" in kw:  # trisolve_fp takes the side before the policy
+                return call(*args, kw["side"], policy, rng), None
+            return call(*args, policy, rng, **kw), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("scale", list(SCALES), ids=str)
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_complex_multiply_matches_python_scheme(fmt, mode, range_mode, scale):
+    kw = dict(rounding=mode, range_mode=range_mode)
+    policies = [PrecisionPolicy.uniform(fmt, **kw)]
+    policies += [PrecisionPolicy.mixed(fmt, WIDER[fmt.name], b, **kw) for b in (1, 3)]
+    for name, call, oracle, args, opts in _cmul_cases(SCALES[scale]):
+        for policy in policies:
+            where = f"{name}, {policy.mode.value}, b={policy.block_size}"
+            rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+            got, got_err = _outcome(call, args, opts, policy, rng_got)
+            want, want_err = _outcome(oracle, args, opts, policy, rng_want)
+            assert got_err == want_err, where
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state, where
+            if got_err is not None:
+                continue
+            got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+            for g, w in zip(got, want):
+                g, w = np.ascontiguousarray(g), np.ascontiguousarray(w)
+                assert (g.shape, g.dtype) == (w.shape, w.dtype), where
+                if mode is RoundingMode.NEAREST_EVEN:  # the bytes, so signed zeros count
+                    np.testing.assert_array_equal(g.view(np.uint8), w.view(np.uint8), err_msg=where)
