@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .formats import RoundingMode
 from .kernels import (
     PrecisionPolicy,
     _cmul,
@@ -64,17 +65,30 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     return _cmul(hn, x, policy, rng)
 
 
-def _gram_solve(H, rhs, policy: PrecisionPolicy, rng, error: str):
-    """Solve (H^H H) y = rhs through Cholesky + two triangular solves."""
-    Hh = np.conj(np.swapaxes(H, -1, -2))
+def _channel(name: str, H, policy: PrecisionPolicy, rng):
+    """H and H^H, rounded once under stochastic rounding.
+
+    The kernels round their inputs on entry.  Under nearest-even a second
+    rounding is the identity, so ``H`` passes as it is; a stochastic one
+    would draw afresh, so ``H`` is rounded here and every kernel of the call
+    then sees that one rounding of the channel.
+    """
+    if policy.rounding is RoundingMode.STOCHASTIC:
+        _require_finite(name, H)
+        H = round_input(H, policy, rng)
+    return H, np.conj(np.swapaxes(H, -1, -2))
+
+
+def _gram_solve(H, Hh, rhs, policy: PrecisionPolicy, rng, error: str):
+    """Solve (H^H H) y = rhs through Cholesky + two triangular solves.
+
+    A lane whose factorization breaks down (``error="mask"``) is solved with
+    the unit pivots :func:`cholesky_fp` gives it; its result is discarded
+    upstream.
+    """
     C = matmul_fp(Hh, H, policy, rng)
     out = cholesky_fp(C, policy, rng, error=error)
     R, breakdown = out if error == "mask" else (out, None)
-    if breakdown is not None and np.any(breakdown):
-        # keep the broken lanes solvable; their results are discarded upstream
-        K = R.shape[-1]
-        eye = np.eye(K)
-        R = np.where(breakdown[..., None, None], eye, R)
     q = trisolve_fp(R, rhs, "lower-conjugate", policy, rng)
     y = trisolve_fp(R, q, "upper", policy, rng)
     return y, breakdown
@@ -93,9 +107,9 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     z = np.asarray(z, dtype=np.complex128)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
-    Hh = np.conj(np.swapaxes(H, -1, -2))
+    H, Hh = _channel("zf_detect_ne", H, policy, rng)
     c = matvec_fp(Hh, z, policy, rng)
-    r, breakdown = _gram_solve(H, c, policy, rng, error)
+    r, breakdown = _gram_solve(H, Hh, c, policy, rng, error)
     if error == "mask":
         return r, breakdown
     return r
@@ -122,7 +136,8 @@ def zf_precode_ne(
     M, K = H.shape[-2], H.shape[-1]
     if x_d.shape[-1] != K:
         raise ValueError("x_d and H disagree on the user count")
-    e, breakdown = _gram_solve(H, x_d, policy, rng, error)
+    H, Hh = _channel("zf_precode_ne", H, policy, rng)
+    e, breakdown = _gram_solve(H, Hh, x_d, policy, rng, error)
     s = matvec_fp(H, e, policy, rng)
     if normalize:
         if M <= K:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fpmimo.bounds import c_u, delta_miso, delta_simo
-from fpmimo.formats import BFLOAT16, FP16, FP32, FP64
+from fpmimo import kernels
+from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode
 from fpmimo.kernels import PrecisionPolicy, round_input
 from fpmimo.transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
@@ -188,3 +189,50 @@ class TestZfPrecode:
         x = _channel(rng, 4, 3)
         s, bd = zf_precode_ne(H, x, POL16, error="mask")
         assert s.shape == (4, 16) and bd.shape == (4,)
+
+
+class TestZfChannelRounding:
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_stochastic_rounds_the_channel_once(self, monkeypatch, zf):
+        """The right-hand side, both Gram factors and the precoder's final
+        product all see one rounding of H."""
+        M, K = 32, 4
+        seen = []
+
+        def spy(x, policy, rng=None):
+            out = round_input(x, policy, rng)
+            if np.shape(x) == (M, K):
+                seen.append(out)
+            elif np.shape(x) == (K, M):  # H^H
+                seen.append(np.conj(out.T))
+            return out
+
+        monkeypatch.setattr(kernels, "round_input", spy)
+        rng = np.random.default_rng(16)
+        H = _channel(rng, M, K)
+        y = _channel(rng, M if zf is zf_detect_ne else K)
+        policy = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
+        zf(H, y, policy, np.random.default_rng(1))
+        assert len(seen) == 3
+        for Hq in seen[1:]:
+            np.testing.assert_array_equal(Hq, seen[0])
+
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("fmt", [FP16, BFLOAT16], ids=str)
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_masked_breakdown(self, zf, fmt, rounding):
+        rng = np.random.default_rng(17)
+        lanes, M, K = 6, 16, 3
+        H = _channel(rng, lanes, M, K)
+        y = _channel(rng, lanes, M if zf is zf_detect_ne else K)
+        singular = [1, 4]
+        H[singular, :, 2] = 0.0  # a zero column: the Gram matrix is singular
+        policy = PrecisionPolicy.uniform(fmt, rounding=rounding)
+        out, bd = zf(H, y, policy, np.random.default_rng(2), error="mask")
+        assert bd.tolist() == [lane in singular for lane in range(lanes)]
+        assert np.isfinite(out).all()
+        if rounding is RoundingMode.NEAREST_EVEN:
+            keep = [lane for lane in range(lanes) if lane not in singular]
+            ref, bd_ref = zf(H[keep], y[keep], policy, error="mask")
+            assert not bd_ref.any()
+            np.testing.assert_array_equal(out[keep].view(np.uint64), ref.view(np.uint64))
