@@ -22,6 +22,7 @@ from . import bounds
 from .formats import get_format
 from .harness import (
     _KEYS,
+    ExperimentConfig,
     _optional_int,
     _parsed,
     _shown,

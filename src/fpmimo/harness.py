@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds
-from .formats import FP16, FP64, FloatFormat, RangeMode, RoundingMode, get_format
+from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
 from .kernels import PolicyMode, PrecisionPolicy, _join, inner_product_fp, round_input
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
@@ -84,6 +84,10 @@ class ExperimentConfig:
             raise ValueError("rho_grid_db must be finite")
         if self.scenario.startswith("MU") and min(self.M_grid) < self.K + 1:
             raise ValueError(f"M={min(self.M_grid)} too small for K={self.K}")
+        for fmt in (self.policy.low, self.policy.high):
+            # a CSV header names the format, and only a preset's name reads back
+            if fmt not in PRESETS.values():
+                raise ValueError(f"format {fmt} is not a preset; known: {sorted(PRESETS)}")
 
     @property
     def tau(self) -> int:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fpmimo.formats import FP16, FP32, FP64, RoundingMode
+from fpmimo.formats import FP16, FP32, FP64, FloatFormat, RoundingMode
 from fpmimo.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -157,6 +157,20 @@ class TestRunSweep:
     def test_rejects_nonpositive_user_count(self):
         with pytest.raises(ValueError, match="K must be >= 1"):
             ExperimentConfig("SIMO", (16,), POL16, K=0)
+
+    def test_rejects_non_preset_formats(self):
+        # its CSV header would name a format that build_config cannot read back
+        e4m3 = FloatFormat("e4m3", 4, -6, 8)
+        for policy in (
+            PrecisionPolicy.uniform(e4m3),
+            PrecisionPolicy(low=e4m3),
+            PrecisionPolicy.mixed(FP16, e4m3, 8),
+            PrecisionPolicy(low=FP16, high=FloatFormat("fp64", 53, -1022, 1000)),
+        ):
+            with pytest.raises(ValueError, match="not a preset.*bfloat16.*fp16.*fp32.*fp64"):
+                ExperimentConfig("SIMO", (16,), policy)
+        rebuilt = PrecisionPolicy.uniform(FloatFormat("fp16", 11, -14, 15))
+        assert ExperimentConfig("SIMO", (16,), rebuilt).policy == POL16
 
 
 class TestVerifyBounds:
