@@ -84,10 +84,9 @@ class ExperimentConfig:
             raise ValueError("rho_grid_db must be finite")
         if self.scenario.startswith("MU") and min(self.M_grid) < self.K + 1:
             raise ValueError(f"M={min(self.M_grid)} too small for K={self.K}")
-        for fmt in (self.policy.low, self.policy.high):
-            # a CSV header names the format, and only a preset's name reads back
-            if fmt not in PRESETS.values():
-                raise ValueError(f"format {fmt} is not a preset; known: {sorted(PRESETS)}")
+        if not {self.policy.low, self.policy.high} <= set(PRESETS.values()):
+            # a CSV header names its formats, and only a preset's name reads back
+            raise ValueError(f"formats must be presets; known: {sorted(PRESETS)}")
 
     @property
     def tau(self) -> int:

@@ -5,6 +5,8 @@ kernels is rounded by the C core of :mod:`fpmimo._core`: elementwise through
 ``formats._round``, and fused into the loop of each reduction.  Complex
 reductions are computed on their 2n-term real expansion (two parallel real
 reductions for the real and imaginary parts), summed strictly in index order.
+The one rounded complex multiply, ``_cmul`` (in the Cholesky factorization,
+the triangular solves and MRT precoding), is the one-term reduction.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -214,12 +216,10 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
 # -- the rounded complex multiply -------------------------------------------
 
 def _cmul(a, b, policy: PrecisionPolicy, rng):
-    """a * b elementwise as 4 rounded real multiplies and 2 rounded adds.
+    """a * b as 4 rounded real multiplies and 2 rounded adds in the working format.
 
-    The naive scheme, with no 3-multiply trick, whose error expands into the
-    2-term real inner-product model: the one-term reduction of :func:`_dot`,
-    in the working format even under a mixed policy.  Stochastic draws go to
-    the four products, then the real sum, then the imaginary sum.
+    The naive scheme (no 3-multiply trick) is the one-term reduction of
+    :func:`_dot`: its error expands into the 2-term real inner-product model.
     """
     if policy.mode is PolicyMode.MIXED:
         policy = replace(policy, mode=PolicyMode.UNIFORM_LOW)
@@ -235,9 +235,8 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
 
     ``error="raise"`` raises :class:`CholeskyBreakdownError` on a
     non-positive pivot; ``error="mask"`` returns ``(R, breakdown)`` where
-    ``breakdown`` is a boolean array over the batch.  A broken lane takes the
-    pivot 1.0 in place of each non-positive one, so its R is finite with a
-    nonzero diagonal and stays solvable; its values mean nothing.
+    ``breakdown`` is a boolean array over the batch.  A broken lane's
+    non-positive pivots become 1.0, so its (meaningless) R stays solvable.
     """
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")

@@ -66,13 +66,9 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
 
 
 def _channel(name: str, H, policy: PrecisionPolicy, rng):
-    """H and H^H, rounded once under stochastic rounding.
-
-    The kernels round their inputs on entry.  Under nearest-even a second
-    rounding is the identity, so ``H`` passes as it is; a stochastic one
-    would draw afresh, so ``H`` is rounded here and every kernel of the call
-    then sees that one rounding of the channel.
-    """
+    """H and H^H.  Under stochastic rounding H is rounded here, once, so that
+    every kernel of the call sees the same rounding; under nearest-even the
+    kernels' own roundings of H already agree."""
     if policy.rounding is RoundingMode.STOCHASTIC:
         _require_finite(name, H)
         H = round_input(H, policy, rng)
@@ -82,10 +78,8 @@ def _channel(name: str, H, policy: PrecisionPolicy, rng):
 def _gram_solve(H, Hh, rhs, policy: PrecisionPolicy, rng, error: str):
     """Solve (H^H H) y = rhs through Cholesky + two triangular solves.
 
-    A lane whose factorization breaks down (``error="mask"``) is solved with
-    the unit pivots :func:`cholesky_fp` gives it; its result is discarded
-    upstream.
-    """
+    A broken lane solves with the unit pivots ``cholesky_fp`` gave it; its
+    result is discarded upstream."""
     C = matmul_fp(Hh, H, policy, rng)
     out = cholesky_fp(C, policy, rng, error=error)
     R, breakdown = out if error == "mask" else (out, None)

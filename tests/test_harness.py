@@ -167,7 +167,7 @@ class TestRunSweep:
             PrecisionPolicy.mixed(FP16, e4m3, 8),
             PrecisionPolicy(low=FP16, high=FloatFormat("fp64", 53, -1022, 1000)),
         ):
-            with pytest.raises(ValueError, match="not a preset.*bfloat16.*fp16.*fp32.*fp64"):
+            with pytest.raises(ValueError, match="presets; known.*bfloat16.*fp16.*fp32.*fp64"):
                 ExperimentConfig("SIMO", (16,), policy)
         rebuilt = PrecisionPolicy.uniform(FloatFormat("fp16", 11, -14, 15))
         assert ExperimentConfig("SIMO", (16,), rebuilt).policy == POL16
