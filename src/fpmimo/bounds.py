@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 __all__ = [
     "RateBoundResult",
@@ -249,6 +247,8 @@ def c_d(M: int, K: int, u: float, lam: float = 1.0, kappa2=1.0):
 
 def _kappa2_samples(M: int, K: int, samples: int, seed) -> np.ndarray:
     """Spectral condition numbers of H^H H for iid CN(0,1) draws of H."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     out = np.empty(samples)
     chunk = max(1, min(samples, (1 << 22) // (M * K)))
@@ -280,6 +280,10 @@ def _upsilon_quad_k2(M: int) -> float:
     on [1, inf) with Z = Gamma(2M)/(Gamma(M)Gamma(M-1)); the integrand is
     evaluated in log space to stay finite at large M.
     """
+    # imported here, so that importing fpmimo does not pay for scipy
+    from scipy.integrate import quad
+    from scipy.special import gammaln
+
     logz = gammaln(2 * M) - gammaln(M) - gammaln(M - 1)
 
     # substitute c = exp(t): log(c - 1) = t + log1p(-e^-t),
@@ -318,14 +322,14 @@ def upsilon(
     """
     if M < K + 1:
         raise ValueError("requires M >= K + 1")
+    if method not in ("monte-carlo", "quadrature"):
+        raise ValueError("method must be 'monte-carlo' or 'quadrature'")
     if K == 1:
         return 1.0  # scalar Gram matrix
     if method == "quadrature":
         if K != 2:
             raise ValueError("quadrature method is available only for K = 2")
         return _upsilon_quad_k2(M)
-    if method != "monte-carlo":
-        raise ValueError("method must be 'monte-carlo' or 'quadrature'")
     kappa = _kappa2_samples(M, K, samples, seed)
     return float(np.mean(kappa**2))
 
@@ -352,8 +356,8 @@ def lb_sumrate_mu_simo(
     """
     if M < K + 1:
         raise ValueError("requires M >= K + 1")
-    if rho <= 0 or upsilon_value < 1.0:
-        raise ValueError("rho must be positive and upsilon >= 1")
+    if rho <= 0 or not 1.0 <= upsilon_value < math.inf:
+        raise ValueError("rho must be positive and upsilon finite and >= 1")
     cu = c_u(M, K, u, lam)
     g = rho * (M - K)
     value = K * math.log2(1.0 + g / (1.0 + cu * cu * (g + 1.0) * upsilon_value))
@@ -371,8 +375,8 @@ def lb_sumrate_mu_miso(
     """
     if M < K + 1:
         raise ValueError("requires M >= K + 1")
-    if rho <= 0 or expected_cd_sq < 0:
-        raise ValueError("rho must be positive and E{c_d^2} >= 0")
+    if rho <= 0 or not 0.0 <= expected_cd_sq < math.inf:
+        raise ValueError("rho must be positive and E{c_d^2} finite and >= 0")
     g = rho * (M - K)
     value = K * math.log2(1.0 + g / (1.0 + expected_cd_sq * rho * M * K))
     return RateBoundResult(

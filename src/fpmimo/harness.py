@@ -9,6 +9,7 @@ isolates arithmetic rounding error from input-representation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -272,6 +273,23 @@ def _pilot_factor(config: ExperimentConfig) -> float:
     return 1.0
 
 
+def _paired(transceiver, inputs, policy: PrecisionPolicy, rng_round, **kw):
+    """Round ``inputs`` once, in order, and run ``transceiver`` on them twice.
+
+    The first run is under ``policy`` with the keywords ``kw``, the second
+    under ``_reference_policy(policy)``.  Returns the rounded inputs and the
+    two outputs.
+    """
+    q = [round_input(x, policy, rng_round) for x in inputs]
+    return q, transceiver(*q, policy, rng_round, **kw), transceiver(*q, _reference_policy(policy))
+
+
+def _trials(batch, trials: int, chunk: int) -> dict:
+    """Run ``batch(c)`` on chunks of at most ``chunk`` trials; join its per-trial arrays."""
+    parts = [batch(min(chunk, trials - done)) for done in range(0, trials, chunk)]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
 # -- per-scenario trial batches ---------------------------------------------
 # Each returns a dict of per-trial arrays:
 #   rate        per-trial achievable rate (sum over users), bits/s/Hz
@@ -283,16 +301,11 @@ def _pilot_factor(config: ExperimentConfig) -> float:
 
 
 def _batch_simo(c, M, rho, config, rng, rng_round):
-    policy = config.policy
-    ref = _reference_policy(policy)
     h = draw_channel(M, 1, rng, (c,))[..., 0]
     x = _unit_symbols(rng, (c,))
     z = math.sqrt(rho) * h * x[:, None] + _noise(rng, (c, M))
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
-    hq = round_input(comb, policy, rng_round)
-    zq = round_input(z, policy, rng_round)
-    r_fp = mrc_combine(hq, zq, policy, rng_round)
-    r_ref = mrc_combine(hq, zq, ref)
+    (hq, zq), r_fp, r_ref = _paired(mrc_combine, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
     if config.csi == "perfect":
         hn2 = np.linalg.norm(hq, axis=-1) ** 2
@@ -312,16 +325,12 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
 
 
 def _batch_miso(c, M, rho, config, rng, rng_round):
-    policy = config.policy
-    ref = _reference_policy(policy)
     h = draw_channel(M, 1, rng, (c,))[..., 0]
     x = _unit_symbols(rng, (c,))
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
     hn = comb / np.linalg.norm(comb, axis=-1, keepdims=True)
-    hq = round_input(hn, policy, rng_round)
-    xq = round_input(x, policy, rng_round)
-    s_fp = mrt_precode(hq, xq, policy, rng_round, prenormalized=True)
-    s_ref = mrt_precode(hq, xq, ref, prenormalized=True)
+    precode = functools.partial(mrt_precode, prenormalized=True)
+    _, s_fp, s_ref = _paired(precode, (hn, x), config.policy, rng_round)
     ds = s_fp - s_ref
     err = np.linalg.norm(ds, axis=-1)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise
@@ -337,85 +346,67 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
     }
 
 
-def _gram_diag_inv(G):
-    """Diagonal of (G)^-1 for a batch of Hermitian K x K matrices."""
-    Ginv = np.linalg.inv(G)
-    return np.ascontiguousarray(np.diagonal(Ginv, axis1=-2, axis2=-1).real)
+def _gain_powers(Geff):
+    """Own and cross gain powers of each user: |diagonal|^2 and the rest of its row."""
+    diag = np.abs(np.diagonal(Geff, axis1=-2, axis2=-1)) ** 2
+    return diag, np.sum(np.abs(Geff) ** 2, axis=-1) - diag
 
 
-def _batch_mu_simo(c, M, rho, config, rng, rng_round):
-    policy = config.policy
-    ref = _reference_policy(policy)
-    K = config.K
-    H = draw_channel(M, K, rng, (c,))
-    x = _unit_symbols(rng, (c, K))
-    z = math.sqrt(rho) * np.einsum("cmk,ck->cm", H, x) + _noise(rng, (c, M))
-    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
-    Hq = round_input(Hc, policy, rng_round)
-    zq = round_input(z, policy, rng_round)
-    r_fp, breakdown = zf_detect_ne(Hq, zq, policy, rng_round, error="mask")
-    r_ref = zf_detect_ne(Hq, zq, ref)
-    dr = r_fp - r_ref
-    G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
-    dinv = _gram_diag_inv(G)
-    if config.csi == "perfect":
-        sinr = rho / (dinv + np.abs(dr) ** 2)
-    else:
-        Geff = np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H))
-        diag = np.abs(np.diagonal(Geff, axis1=-2, axis2=-1)) ** 2
-        cross = np.sum(np.abs(Geff) ** 2, axis=-1) - diag
-        sinr = rho * diag / (rho * cross + dinv + np.abs(dr) ** 2)
-    err = np.linalg.norm(dr, axis=-1)
-    ref_norm = np.linalg.norm(r_ref, axis=-1)
-    kappa = np.linalg.cond(G, 2)
+def _zf_result(sinr, d, out_ref, G, breakdown) -> dict:
+    """Per-trial dict of a zero-forcing batch, with the reference norm as ``scale``."""
+    err = np.linalg.norm(d, axis=-1)
+    ref_norm = np.linalg.norm(out_ref, axis=-1)
     return {
         "rate": np.sum(np.log2(1.0 + sinr), axis=-1),
         "rel_err": err / ref_norm,
         "err_abs": err,
-        "scale": kappa * ref_norm,
-        "kappa": kappa,
+        "scale": ref_norm,
+        "kappa": np.linalg.cond(G, 2),
         "ref_norm": ref_norm,
         "breakdown": breakdown,
     }
 
 
-def _batch_mu_miso(c, M, rho, config, rng, rng_round):
-    policy = config.policy
-    ref = _reference_policy(policy)
-    K = config.K
-    H = draw_channel(M, K, rng, (c,))
-    x = _unit_symbols(rng, (c, K))
+def _batch_mu_simo(c, M, rho, config, rng, rng_round):
+    H = draw_channel(M, config.K, rng, (c,))
+    x = _unit_symbols(rng, (c, config.K))
+    z = math.sqrt(rho) * np.einsum("cmk,ck->cm", H, x) + _noise(rng, (c, M))
     Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
-    Hq = round_input(Hc, policy, rng_round)
-    xq = round_input(x, policy, rng_round)
-    s_fp, breakdown = zf_precode_ne(Hq, xq, policy, rng_round, error="mask")
-    s_ref = zf_precode_ne(Hq, xq, ref)
+    (Hq, _), (r_fp, breakdown), r_ref = _paired(
+        zf_detect_ne, (Hc, z), config.policy, rng_round, error="mask"
+    )
+    dr = r_fp - r_ref
+    G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
+    dinv = np.diagonal(np.linalg.inv(G), axis1=-2, axis2=-1).real
+    if config.csi == "perfect":
+        sinr = rho / (dinv + np.abs(dr) ** 2)
+    else:
+        diag, cross = _gain_powers(np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H)))
+        sinr = rho * diag / (rho * cross + dinv + np.abs(dr) ** 2)
+    out = _zf_result(sinr, dr, r_ref, G, breakdown)
+    out["scale"] = out["kappa"] * out["ref_norm"]  # the bound constant c_u carries no kappa
+    return out
+
+
+def _batch_mu_miso(c, M, rho, config, rng, rng_round):
+    H = draw_channel(M, config.K, rng, (c,))
+    x = _unit_symbols(rng, (c, config.K))
+    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
+    (Hq, _), (s_fp, breakdown), s_ref = _paired(
+        zf_precode_ne, (Hc, x), config.policy, rng_round, error="mask"
+    )
     ds = s_fp - s_ref
-    beta = M - K
+    beta = M - config.K
     leak = rho * np.abs(np.einsum("cmk,cm->ck", H.conj(), ds)) ** 2
     G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
     if config.csi == "perfect":
         sinr = rho * beta / (leak + 1.0)
     else:
         # effective gain of user k from the precoder built on the estimate
-        Geff = np.swapaxes(
-            np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H)), -1, -2
-        ).conj()
-        diag = np.abs(np.diagonal(Geff, axis1=-2, axis2=-1)) ** 2
-        cross = np.sum(np.abs(Geff) ** 2, axis=-1) - diag
+        S = np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H))
+        diag, cross = _gain_powers(np.swapaxes(S, -1, -2).conj())
         sinr = rho * beta * diag / (rho * beta * cross + leak + 1.0)
-    err = np.linalg.norm(ds, axis=-1)
-    ref_norm = np.linalg.norm(s_ref, axis=-1)
-    kappa = np.linalg.cond(G, 2)
-    return {
-        "rate": np.sum(np.log2(1.0 + sinr), axis=-1),
-        "rel_err": err / ref_norm,
-        "err_abs": err,
-        "scale": ref_norm,  # the bound constant c_d already carries kappa
-        "kappa": kappa,
-        "ref_norm": ref_norm,
-        "breakdown": breakdown,
-    }
+    return _zf_result(sinr, ds, s_ref, G, breakdown)  # the bound constant c_d carries kappa
 
 
 _BATCHES = {
@@ -433,14 +424,8 @@ def _collect_point(config: ExperimentConfig, M: int, rho: float, grid_index: int
     rng = np.random.default_rng(ss_draw)
     rng_round = _round_rng(config.policy, ss_round)
     chunk = _CHUNK_MU if config.scenario.startswith("MU") else _CHUNK_SINGLE
-    batch_fn = _BATCHES[config.scenario]
-    parts = []
-    done = 0
-    while done < config.trials:
-        c = min(chunk, config.trials - done)
-        parts.append(batch_fn(c, M, rho, config, rng, rng_round))
-        done += c
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    batch = _BATCHES[config.scenario]
+    return _trials(lambda c: batch(c, M, rho, config, rng, rng_round), config.trials, chunk)
 
 
 def _grid(config: ExperimentConfig):
@@ -565,24 +550,18 @@ def inner_product_violation_study(
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     rng_round = _round_rng(policy, ss.spawn(1)[0])
-    ref = _reference_policy(policy)
     u = policy.working.unit_roundoff
-    errs = []
-    done = 0
-    while done < trials:
-        c = min(_CHUNK_SINGLE, trials - done)
+
+    def batch(c):
         a = draw_channel(n, 1, rng, (c,))[..., 0]
         b = draw_channel(n, 1, rng, (c,))[..., 0]
         a /= np.linalg.norm(a, axis=-1, keepdims=True)
         b /= np.linalg.norm(b, axis=-1, keepdims=True)
-        aq = round_input(a, policy, rng_round)
-        bq = round_input(b, policy, rng_round)
-        s_fp = inner_product_fp(aq, bq, policy, rng_round)
-        s_ref = inner_product_fp(aq, bq, ref)
+        (aq, bq), s_fp, s_ref = _paired(inner_product_fp, (a, b), policy, rng_round)
         norms = np.linalg.norm(aq, axis=-1) * np.linalg.norm(bq, axis=-1)
-        errs.append(np.abs(s_fp - s_ref) / norms)
-        done += c
-    err = np.concatenate(errs)
+        return {"err": np.abs(s_fp - s_ref) / norms}
+
+    err = _trials(batch, trials, _CHUNK_SINGLE)["err"]
     rates = {
         lam: float(np.mean(err > bounds.delta_simo(n, u, lam)))
         for lam in lambdas

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpmimo
 from fpmimo import bounds
 from fpmimo.bounds import (
     RateBoundResult,
@@ -231,6 +236,17 @@ class TestUpsilon:
         v = upsilon(16, 4, samples=20_000, seed=1)
         assert v > 1.0
 
+    def test_rejects_unknown_method_at_k1(self):
+        with pytest.raises(ValueError, match="method"):
+            upsilon(8, 1, method="bogus")
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_sample_count_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            upsilon(8, 2, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            expected_cd_sq(8, 2, U16, samples=samples)
+
 
 class TestSumRates:
     def test_mu_simo_degeneration(self):
@@ -264,6 +280,16 @@ class TestSumRates:
     def test_requires_m_gt_k(self):
         with pytest.raises(ValueError):
             lb_sumrate_mu_simo(4, 4, 10.0, U16)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_mu_simo_rejects_non_finite_upsilon(self, value):
+        with pytest.raises(ValueError, match="upsilon"):
+            lb_sumrate_mu_simo(128, 4, 10.0, U16, upsilon_value=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_mu_miso_rejects_non_finite_expected_cd_sq(self, value):
+        with pytest.raises(ValueError, match="c_d"):
+            lb_sumrate_mu_miso(128, 4, 10.0, U16, expected_cd_sq=value)
 
 
 class TestCostModel:
@@ -303,3 +329,17 @@ class TestUpsilonQuadratureInternals:
         # only converges for M >= 4 at K = 2: the integrand tail is c^(2-M))
         for M in (4, 10, 100, 1000):
             assert bounds._upsilon_quad_k2(M) > 1.0
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the K = 2 quadrature, so a plain import must not pay for it
+    code = (
+        "import sys, numpy as np, fpmimo as f; "
+        "f.inner_product_fp(np.ones(4), np.ones(4), f.PrecisionPolicy.uniform(f.FP16)); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(fpmimo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import fpmimo.harness as harness
 from fpmimo.formats import FP16, FP32, FP64, FloatFormat, RoundingMode
 from fpmimo.harness import (
     CSV_COLUMNS,
@@ -230,3 +232,42 @@ class TestCsv:
         emit_csv(run_sweep(cfg), p1)
         emit_csv(run_sweep(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC])
+@pytest.mark.parametrize(
+    "scenario, name",
+    [
+        ("SIMO", "mrc_combine"),
+        ("MISO", "mrt_precode"),
+        ("MU-SIMO", "zf_detect_ne"),
+        ("MU-MISO", "zf_precode_ne"),
+        ("study", "inner_product_fp"),
+    ],
+)
+def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding):
+    """Each policy run is followed by an fp64 run on byte-identical inputs."""
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    inner = getattr(harness, name)
+    signature = inspect.signature(inner)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        arrays = {k: v.copy() for k, v in bound.items() if isinstance(v, np.ndarray)}
+        calls.append((arrays, bound["policy"]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, spy)
+    if scenario == "study":
+        inner_product_violation_study(16, policy, trials=8)
+    else:
+        run_sweep(ExperimentConfig(scenario, (16,), policy, K=2, trials=8))
+    assert calls and len(calls) % 2 == 0
+    for (arrays, pol), (ref_arrays, ref_pol) in zip(calls[::2], calls[1::2]):
+        assert pol == policy
+        assert ref_pol == harness._reference_policy(policy)
+        assert arrays and arrays.keys() == ref_arrays.keys()
+        for key, a in arrays.items():
+            b = ref_arrays[key]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
