@@ -1,8 +1,10 @@
 /* fpmimo's rounding primitive: round binary64 carrier values to a t-bit
- * significand, elementwise (fp_round) or fused into a complex dot product
- * (fp_dot).  fpmimo/_core.py compiles this file on first use and loads it
- * with ctypes; it must be built with -ffp-contract=off, so that no product
- * and sum fuse into one rounding.
+ * significand, elementwise on real (fp_round) or complex128 (fp_round_complex)
+ * arrays, or fused into a complex dot product (fp_dot).  Complex results are
+ * written as complex128 by join_to, which fp_join exposes on its own.
+ * fpmimo/_core.py compiles this file on first use and loads it with ctypes; it
+ * must be built with -ffp-contract=off, so that no product and sum fuse into
+ * one rounding.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -83,6 +85,15 @@ ALWAYS_INLINE double round_to(double x, const rounder_t *r, const double *u)
     return x;
 }
 
+/* out[0] + i out[1] = re + i im with the bits of numpy's 1j*im + re, signed
+ * zeros and NaNs included: (0 + 1i)(im + 0i), then + (re + 0i), every
+ * operation rounded as written. */
+ALWAYS_INLINE void join_to(double re, double im, double *out)
+{
+    out[0] = (0.0 * im - 1.0 * 0.0) + re;
+    out[1] = (0.0 * 0.0 + 1.0 * im) + 0.0;
+}
+
 /* out[i] = fl(x[i * sx]) for i < n; sx is a stride in bytes.  u is NULL for
  * nearest-even, else it holds n uniforms, one per element. */
 void fp_round(int64_t n, const char *x, int64_t sx, double *out,
@@ -93,6 +104,35 @@ void fp_round(int64_t n, const char *x, int64_t sx, double *out,
         double v;
         memcpy(&v, x + i * sx, sizeof v);
         out[i] = round_to(v, &r, u ? u + i : NULL);
+    }
+}
+
+/* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, where
+ * x_i is the complex128 at x + i * sx.  u is NULL for nearest-even, else it
+ * holds 2n uniforms: the real parts take the first n, the imaginary parts the
+ * last n. */
+void fp_round_complex(int64_t n, const char *x, int64_t sx, double *out,
+                      const fmt_t *f, const double *u)
+{
+    const rounder_t r = rounder(f);
+    for (int64_t i = 0; i < n; i++) {
+        double v[2];
+        memcpy(v, x + i * sx, sizeof v);
+        join_to(round_to(v[0], &r, u ? u + i : NULL),
+                round_to(v[1], &r, u ? u + n + i : NULL), out + 2 * i);
+    }
+}
+
+/* The complex128 out[i] = re[i * sr] + i im[i * si], joined by join_to; the
+ * strides are in bytes. */
+void fp_join(int64_t n, const char *re, int64_t sr, const char *im, int64_t si,
+             double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double a, b;
+        memcpy(&a, re + i * sr, sizeof a);
+        memcpy(&b, im + i * si, sizeof b);
+        join_to(a, b, out + 2 * i);
     }
 }
 
@@ -128,7 +168,7 @@ ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t 
 
 ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
                              const char *a, const char *d, const plan_t *pl,
-                             const double *u, double *re, double *im)
+                             const double *u, double *out)
 {
     const int64_t *shape = geom, *sa = geom + ndim, *sd = geom + 2 * ndim + 1;
     int64_t idx[64] = {0}, prod = pl->lanes * n;
@@ -169,14 +209,13 @@ ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
                 add_term(&e, 0.0, p, blk, l, pl, ue);
                 add_term(&f, 0.0, p, blk, l, pl, uf);
             }
-        re[l] = e.sum;
-        im[l] = f.sum;
+        join_to(e.sum, f.sum, out + 2 * l);
         for (int64_t k = ndim - 1; k >= 0 && ++idx[k] == shape[k]; k--)
             idx[k] = 0;
     }
 }
 
-/* re + i im = sum_i a_i d_i over the last axis of two complex128 arrays
+/* out = sum_i a_i d_i over the last axis of two complex128 arrays
  * broadcast to one shape (lanes..., n), every product and partial sum rounded.
  *
  * geom holds the lane shape (ndim entries), then a's byte strides and then
@@ -186,7 +225,8 @@ ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
  * rounding.  The 2n terms of e, padded with +0.0 to whole blocks of b, are
  * summed in order within each block, rounding in lo, and the block sums are
  * added in order, rounding in hi; f likewise.  A sequential sum in one format
- * is b = 1 with hi = lo.
+ * is b = 1 with hi = lo.  Lane l's sums e + i f go to the complex128 out[l],
+ * joined by join_to.
  *
  * u is NULL for nearest-even.  Else it holds the uniforms of the whole call,
  * laid out in the order of an elementwise evaluation over all lanes (L of
@@ -197,14 +237,14 @@ ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
 void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
             const char *a, const char *d,
             const fmt_t *lo, const fmt_t *hi, int64_t b,
-            const double *u, double *re, double *im)
+            const double *u, double *out)
 {
     plan_t pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1};
     for (int64_t k = 0; k < ndim; k++)
         pl.lanes *= geom[k];
     /* two copies, so that the nearest-even one has no stochastic branches */
     if (u)
-        dot_lanes(ndim, geom, n, a, d, &pl, u, re, im);
+        dot_lanes(ndim, geom, n, a, d, &pl, u, out);
     else
-        dot_lanes(ndim, geom, n, a, d, &pl, NULL, re, im);
+        dot_lanes(ndim, geom, n, a, d, &pl, NULL, out);
 }

@@ -78,6 +78,10 @@ def lib() -> ctypes.CDLL:
     i64, ptr, fmt = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format)
     so.fp_round.argtypes = [i64, ptr, i64, ptr, fmt, ptr]
     so.fp_round.restype = None
-    so.fp_dot.argtypes = [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, ptr, ptr]
+    so.fp_round_complex.argtypes = [i64, ptr, i64, ptr, fmt, ptr]
+    so.fp_round_complex.restype = None
+    so.fp_join.argtypes = [i64, ptr, i64, ptr, i64, ptr]
+    so.fp_join.restype = None
+    so.fp_dot.argtypes = [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, ptr]
     so.fp_dot.restype = None
     return so

@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import _join
+
 __all__ = [
     "RateBoundResult",
     "gamma_n",
@@ -55,7 +57,7 @@ class RateBoundResult:
     components: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.value_bits < 0:
+        if not self.value_bits >= 0:
             raise ValueError("rate bound must be nonnegative")
 
     def __float__(self) -> float:
@@ -151,8 +153,8 @@ def lb_rate_simo(M: int, rho: float, u: float, lam: float = 1.0) -> RateBoundRes
 
     log2(1 + rho*M / (1 + delta_simo^2 * M * (rho+1))).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive (linear SNR)")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite (linear SNR)")
     d = delta_simo(M, u, lam)
     value = math.log2(1.0 + rho * M / (1.0 + d * d * M * (rho + 1.0)))
     return RateBoundResult(value, components={"delta_simo": d, "M": M, "rho": rho})
@@ -160,8 +162,8 @@ def lb_rate_simo(M: int, rho: float, u: float, lam: float = 1.0) -> RateBoundRes
 
 def lb_rate_miso(M: int, rho: float, u: float, lam: float = 1.0) -> RateBoundResult:
     """MISO (MRT) ergodic-rate lower bound: log2(1 + rho*M/(1 + delta_miso^2*rho*M))."""
-    if rho <= 0:
-        raise ValueError("rho must be positive (linear SNR)")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite (linear SNR)")
     if M < 1:
         raise ValueError("M must be positive")
     d = delta_miso(u, lam)
@@ -199,8 +201,8 @@ def m_max_simo(rho: float, u: float, lam: float = 1.0):
 
     Returns math.inf for u = 0 (no finite optimum).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     _check_u(u)
     if u == 0.0:
         return math.inf
@@ -257,7 +259,7 @@ def _kappa2_samples(M: int, K: int, samples: int, seed) -> np.ndarray:
         c = min(chunk, samples - done)
         Hr = rng.standard_normal((c, M, K))
         Hi = rng.standard_normal((c, M, K))
-        H = (Hr + 1j * Hi) / math.sqrt(2.0)
+        H = _join(Hr, Hi) / math.sqrt(2.0)
         G = np.einsum("smk,sml->skl", H.conj(), H)
         if K == 2:
             # closed-form eigenvalues of the 2x2 Hermitian Gram matrix
@@ -356,8 +358,8 @@ def lb_sumrate_mu_simo(
     """
     if M < K + 1:
         raise ValueError("requires M >= K + 1")
-    if rho <= 0 or not 1.0 <= upsilon_value < math.inf:
-        raise ValueError("rho must be positive and upsilon finite and >= 1")
+    if not 0 < rho < math.inf or not 1.0 <= upsilon_value < math.inf:
+        raise ValueError("rho must be positive and finite and upsilon finite and >= 1")
     cu = c_u(M, K, u, lam)
     g = rho * (M - K)
     value = K * math.log2(1.0 + g / (1.0 + cu * cu * (g + 1.0) * upsilon_value))
@@ -375,8 +377,8 @@ def lb_sumrate_mu_miso(
     """
     if M < K + 1:
         raise ValueError("requires M >= K + 1")
-    if rho <= 0 or not 0.0 <= expected_cd_sq < math.inf:
-        raise ValueError("rho must be positive and E{c_d^2} finite and >= 0")
+    if not 0 < rho < math.inf or not 0.0 <= expected_cd_sq < math.inf:
+        raise ValueError("rho must be positive and finite and E{c_d^2} finite and >= 0")
     g = rho * (M - K)
     value = K * math.log2(1.0 + g / (1.0 + expected_cd_sq * rho * M * K))
     return RateBoundResult(

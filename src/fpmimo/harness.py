@@ -235,7 +235,7 @@ def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
         raise ValueError("tau >= 1 and rho > 0 required")
     H = np.asarray(H, dtype=np.complex128)
     p = tau * rho
-    w = (rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)) / math.sqrt(2.0 * p)
+    w = _join(rng.standard_normal(H.shape), rng.standard_normal(H.shape)) / math.sqrt(2.0 * p)
     return (p / (p + 1.0)) * (H + w)
 
 
@@ -334,8 +334,9 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
     ds = s_fp - s_ref
     err = np.linalg.norm(ds, axis=-1)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise
-    sig = rho * np.abs(np.einsum("cm,cm->c", h.conj(), s_ref)) ** 2
-    interference = rho * np.abs(np.einsum("cm,cm->c", h.conj(), ds)) ** 2
+    hc = h.conj()
+    sig = rho * np.abs(np.einsum("cm,cm->c", hc, s_ref)) ** 2
+    interference = rho * np.abs(np.einsum("cm,cm->c", hc, ds)) ** 2
     sinr = sig / (interference + 1.0)
     return {
         "rate": np.log2(1.0 + sinr),

@@ -1,12 +1,15 @@
 """Complex linear-algebra kernels with per-operation rounding.
 
 Every scalar multiply, add, subtract, divide, and square root inside these
-kernels is rounded by the C core of :mod:`fpmimo._core`: elementwise through
-``formats._round``, and fused into the loop of each reduction.  Complex
-reductions are computed on their 2n-term real expansion (two parallel real
-reductions for the real and imaginary parts), summed strictly in index order.
-The one rounded complex multiply, ``_cmul`` (in the Cholesky factorization,
-the triangular solves and MRT precoding), is the one-term reduction.
+kernels is rounded by the C core of :mod:`fpmimo._core`, which reads and
+writes complex128 directly: elementwise through ``formats._round`` on real
+arrays and ``round_input`` on complex ones, and fused into the loop of each
+reduction.  Complex reductions are computed on their 2n-term real expansion
+(two parallel real reductions for the real and imaginary parts), summed
+strictly in index order.  The one rounded complex multiply, ``_cmul`` (in the
+Cholesky factorization, the triangular solves and MRT precoding), is the
+one-term reduction.  Every complex result is joined from its two parts by
+``join_to`` in ``_core.c`` (``_join`` here), with numpy's ``1j*im + re`` bits.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -93,14 +96,19 @@ def _require_finite(name: str, *arrays) -> None:
 
 
 def _join(re, im):
-    """``re + 1j*im`` built in the buffer of ``1j*im``.
+    """``re + 1j*im``, broadcast, as a fresh complex128 array (a scalar for 0-d).
 
-    IEEE addition is commutative, so the bits are those of ``re + 1j*im``,
-    signed zeros included; assigning ``.real`` and ``.imag`` would not be.
+    The C core's ``join_to`` forms it with the bits of numpy's ``1j*im + re``,
+    signed zeros and NaNs included; assigning ``.real`` and ``.imag`` would
+    not give them.
     """
-    out = 1j * im
-    out += re
-    return out
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64))
+    out = np.empty(re.shape, dtype=np.complex128)
+    re, im = re.reshape(-1), im.reshape(-1)
+    _core.lib().fp_join(
+        out.size, re.ctypes.data, re.strides[0], im.ctypes.data, im.strides[0], out.ctypes.data
+    )
+    return out if out.ndim else out[()]
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):
@@ -111,14 +119,21 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     representation error from arithmetic error.  It does no finiteness
     check (the kernels check their arguments first), and it never writes
     into ``x``; under an fp64 nearest-even unbounded policy a real float64
-    ``x`` comes back as itself.
+    ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass
+    into a fresh complex128 array (a scalar for 0-d); under stochastic
+    rounding it draws all real-part uniforms before the imaginary ones.
     """
-    rnd = policy._rounder(policy.working, rng)
     x = np.asarray(x)
-    if np.iscomplexobj(x):
-        re = rnd(x.real)  # the real part first: stochastic draws follow call order
-        return _join(re, rnd(x.imag))
-    return rnd(np.asarray(x, dtype=np.float64))
+    if not np.iscomplexobj(x):
+        return policy._rounder(policy.working, rng)(np.asarray(x, dtype=np.float64))
+    flat = np.asarray(x, dtype=np.complex128).reshape(-1)
+    out = np.empty(x.shape, dtype=np.complex128)
+    u = _uniforms(policy.rounding, rng, 2 * flat.size)
+    _core.lib().fp_round_complex(
+        flat.size, flat.ctypes.data, flat.strides[0], out.ctypes.data,
+        _c_format(policy.working, policy.range_mode), None if u is None else u.ctypes.data,
+    )
+    return out if out.ndim else out[()]
 
 
 def _dot(a, d, policy: PrecisionPolicy, rng):
@@ -146,15 +161,14 @@ def _dot(a, d, policy: PrecisionPolicy, rng):
     count = math.prod(lanes)
     g = -(-2 * n // b)
     u = _uniforms(policy.rounding, rng, count * (4 * n + 2 * ((b - 1) * g + g - 1)))
-    re = np.empty(lanes)
-    im = np.empty(lanes)
+    out = np.empty(lanes, dtype=np.complex128)
     geom = np.array([*lanes, *a.strides, *d.strides], dtype=np.int64)
     _core.lib().fp_dot(
         len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
         _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
-        b, None if u is None else u.ctypes.data, re.ctypes.data, im.ctypes.data,
+        b, None if u is None else u.ctypes.data, out.ctypes.data,
     )
-    return _join(re, im)
+    return out if out.ndim else out[()]
 
 
 def _as_cvec(x, name: str):

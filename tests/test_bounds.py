@@ -158,6 +158,28 @@ class TestRateBounds:
         with pytest.raises(ValueError):
             RateBoundResult(-1.0)
 
+    def test_result_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateBoundResult(math.nan)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda rho: lb_rate_simo(8, rho, U16),
+            lambda rho: lb_rate_miso(8, rho, U16),
+            lambda rho: lb_sumrate_mu_simo(8, 2, rho, U16),
+            lambda rho: lb_sumrate_mu_miso(8, 2, rho, U16),
+            lambda rho: m_max_simo(rho, U16),
+        ],
+        ids=[
+            "lb_rate_simo", "lb_rate_miso", "lb_sumrate_mu_simo", "lb_sumrate_mu_miso", "m_max_simo"
+        ],
+    )
+    def test_rejects_snr_outside_positive_finite(self, bound, rho):
+        with pytest.raises(ValueError, match="rho"):
+            bound(rho)
+
 
 class TestMMax:
     def test_zero_roundoff_unbounded(self):

@@ -3,6 +3,7 @@
 import ctypes
 import re
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -51,3 +52,13 @@ def test_missing_compiler_names_command(source, monkeypatch):
     monkeypatch.setattr(_core, "COMMAND", (missing, "-O2"))
     with pytest.raises(RuntimeError, match=f"cannot run {re.escape(missing)} -O2"):
         _core.build()
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    """New entry points must not land with unused arguments or other -Wall -Wextra warnings."""
+    copy = tmp_path / "_core.c"
+    shutil.copy(_core.SOURCE, copy)
+    command = [*_core.COMMAND, "-Wall", "-Wextra", "-Werror"]
+    command += ["-o", str(tmp_path / "core.so"), str(copy), "-lm"]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

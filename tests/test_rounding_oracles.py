@@ -37,10 +37,12 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
+    _join,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
     matvec_fp,
+    round_input,
     trisolve_fp,
 )
 from fpmimo.transceiver import mrt_precode
@@ -260,6 +262,45 @@ def _oracle_input(x, policy, rng):
     rnd = _oracle_rounder(policy, policy.working, rng)
     re = rnd(x.real)
     return _oracle_join(re, rnd(x.imag))
+
+
+# Signed zeros, the smallest subnormals, ones, infinities and NaN: every sign
+# rule of the join shows on some (re, im) pair of these.
+JOIN_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+def _pairs(values):
+    re, im = np.meshgrid(values, values, indexing="ij")
+    return re.ravel(), im.ravel()
+
+
+def test_join_matches_numpy_on_signed_zeros_and_specials():
+    re, im = _pairs(JOIN_VALUES)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        got, want = _join(re, im), _oracle_join(re, im)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.flags.owndata  # not a view, so numpy can reuse it as a temporary
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_complex_input_matches_oracle_on_signed_zeros(fmt, mode, range_mode):
+    re, im = _pairs(JOIN_VALUES[np.isfinite(JOIN_VALUES)])
+    x = np.empty(re.shape, dtype=np.complex128)
+    x.real, x.imag = re, im  # every sign pair, which no join would give
+    policy = PrecisionPolicy.uniform(fmt, rounding=mode, range_mode=range_mode)
+    inputs = {"pairs": x, "strided": x.reshape(6, 6).T, "0-d": np.array(x[6])}
+    for name, z in inputs.items():
+        rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
+        got = round_input(z, policy, rng_got)
+        want = _oracle_input(z, policy, rng_want)
+        assert np.shape(got) == np.shape(want), name
+        assert isinstance(got, complex) if z.ndim == 0 else got.flags.owndata, name
+        got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state, name
 
 
 def _oracle_seq_sum(terms, rnd):
