@@ -1,7 +1,10 @@
 /* fpmimo's rounding primitive: round binary64 carrier values to a t-bit
  * significand, elementwise on real (fp_round) or complex128 (fp_round_complex)
- * arrays, or fused into a complex dot product (fp_dot).  Complex results are
- * written as complex128 by join_to, which fp_join exposes on its own.
+ * arrays, or fused into a complex dot product (fp_dot, also on the upper lanes
+ * of a Gram matrix alone), a Cholesky factorization (fp_chol) and the
+ * triangular solves of its factor (fp_trisolve).  Complex results are written
+ * as complex128 by join_to, which fp_join exposes on its own.  Each entry's
+ * comment gives the layout of its stochastic uniforms.
  * fpmimo/_core.py compiles this file on first use and loads it with ctypes; it
  * must be built with -ffp-contract=off, so that no product and sum fuse into
  * one rounding.
@@ -166,16 +169,27 @@ ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t 
 
 #define LOAD(p, k) (*(const double *)((p) + (k)))
 
+/* the next index of an ndim-dimensional array of the given shape, in C order */
+static void next_index(int64_t *idx, const int64_t *shape, int64_t ndim)
+{
+    for (int64_t k = ndim - 1; k >= 0 && ++idx[k] == shape[k]; k--)
+        idx[k] = 0;
+}
+
 ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
                              const char *a, const char *d, const plan_t *pl,
-                             const double *u, double *out)
+                             const double *u, int upper, double *out)
 {
     const int64_t *shape = geom, *sa = geom + ndim, *sd = geom + 2 * ndim + 1;
     int64_t idx[64] = {0}, prod = pl->lanes * n;
     int64_t steps = ((pl->b - 1) * pl->g + pl->g - 1) * pl->lanes;
     const double *ue = u ? u + 4 * prod : NULL, *uf = u ? ue + steps : NULL;
 
-    for (int64_t l = 0; l < pl->lanes; l++) {
+    for (int64_t l = 0; l < pl->lanes; l++, next_index(idx, shape, ndim)) {
+        if (upper && idx[ndim - 2] > idx[ndim - 1]) {
+            out[2 * l] = out[2 * l + 1] = 0.0;
+            continue;
+        }
         const char *pa = a, *pd = d;
         for (int64_t k = 0; k < ndim; k++) {
             pa += idx[k] * sa[k];
@@ -210,8 +224,6 @@ ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
                 add_term(&f, 0.0, p, blk, l, pl, uf);
             }
         join_to(e.sum, f.sum, out + 2 * l);
-        for (int64_t k = ndim - 1; k >= 0 && ++idx[k] == shape[k]; k--)
-            idx[k] = 0;
     }
 }
 
@@ -233,18 +245,190 @@ ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
  * them, g = ceil(2n / b) blocks each): the products e0, e1, f0, f1 (L * n
  * each, lane-major), then the steps of e (the b - 1 in-block steps, each over
  * L * g lane-major block sums, then the g - 1 block steps, each over L
- * lanes), then those of f. */
+ * lanes), then those of f.
+ *
+ * With upper nonzero the lanes below the diagonal of the last two lane axes
+ * (index i > j there) are not reduced and come out 0; their uniforms keep
+ * their place in u, unread. */
 void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
             const char *a, const char *d,
             const fmt_t *lo, const fmt_t *hi, int64_t b,
-            const double *u, double *out)
+            const double *u, int upper, double *out)
 {
     plan_t pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1};
     for (int64_t k = 0; k < ndim; k++)
         pl.lanes *= geom[k];
     /* two copies, so that the nearest-even one has no stochastic branches */
     if (u)
-        dot_lanes(ndim, geom, n, a, d, &pl, u, out);
+        dot_lanes(ndim, geom, n, a, d, &pl, u, upper, out);
     else
-        dot_lanes(ndim, geom, n, a, d, &pl, NULL, out);
+        dot_lanes(ndim, geom, n, a, d, &pl, NULL, upper, out);
+}
+
+/* The uniforms of a factorization or a solve over L lanes: one block of L per
+ * rounding step, the blocks in the order of the steps, lane l reading entry l
+ * of each.  u points at the lane's entry of the next block, or is NULL for
+ * nearest-even; steps counts the steps taken. */
+typedef struct {
+    const double *u;
+    int64_t L, steps;
+} draws_t;
+
+/* fl(x), one step */
+ALWAYS_INLINE double fl(double x, const rounder_t *r, draws_t *s)
+{
+    const double *u = s->u;
+    if (u)
+        s->u += s->L;
+    s->steps++;
+    return round_to(x, r, u);
+}
+
+/* out = (ar + i ai)(dr + i di) as fp_dot's one-term reduction with b = 1: the
+ * products e0 = fl(ar dr), e1 = -fl(ai di), f0 = fl(ar di), f1 = fl(ai dr),
+ * then fl(e0 + e1) and fl(f0 + f1), joined by join_to; six steps in that
+ * order. */
+ALWAYS_INLINE void cmul_to(double ar, double ai, double dr, double di,
+                           const rounder_t *r, draws_t *s, double *out)
+{
+    double e0 = fl(ar * dr, r, s);
+    double e1 = -fl(ai * di, r, s);
+    double f0 = fl(ar * di, r, s);
+    double f1 = fl(ai * dr, r, s);
+    double e = fl(e0 + e1, r, s);
+    join_to(e, fl(f0 + f1, r, s), out);
+}
+
+/* (tr, ti) = (fl(tr - Re p), fl(ti - Im p)) for the complex128 p: two steps,
+ * the real part first */
+ALWAYS_INLINE void sub_to(double *tr, double *ti, const double *p,
+                          const rounder_t *r, draws_t *s)
+{
+    *tr = fl(*tr - p[0], r, s);
+    *ti = fl(*ti - p[1], r, s);
+}
+
+/* out = fl(tr / d) + i fl(ti / d), joined by join_to: two steps, the real
+ * part first */
+ALWAYS_INLINE void div_to(double tr, double ti, double d, const rounder_t *r,
+                          draws_t *s, double *out)
+{
+    double re = fl(tr / d, r, s);
+    join_to(re, fl(ti / d, r, s), out);
+}
+
+/* the parts of entry (i, k) of a K x K complex128 matrix m */
+#define RE(m, i, k) ((m)[2 * ((i) * K + (k))])
+#define IM(m, i, k) ((m)[2 * ((i) * K + (k)) + 1])
+
+ALWAYS_INLINE void chol_lanes(int64_t L, int64_t K, const double *c, const rounder_t *r,
+                              const double *u, double *rr, uint8_t *bad, int64_t *stop)
+{
+    stop[0] = K;
+    stop[1] = 0;
+    for (int64_t l = 0; l < L; l++) {
+        const double *C = c + 2 * K * K * l;
+        double *R = rr + 2 * K * K * l, p[2];
+        draws_t s = {u ? u + l : NULL, L, 0};
+        memset(R, 0, 2 * K * K * sizeof *R);
+        bad[l] = 0;
+        for (int64_t j = 0; j < K; j++) {
+            double acc = RE(C, j, j);
+            for (int64_t k = 0; k < j; k++) {
+                double re2 = fl(RE(R, k, j) * RE(R, k, j), r, &s);
+                double im2 = fl(IM(R, k, j) * IM(R, k, j), r, &s);
+                acc = fl(acc - fl(re2 + im2, r, &s), r, &s);
+            }
+            if (acc <= 0) {
+                bad[l] = 1;
+                if (j < stop[0]) {
+                    stop[0] = j;
+                    stop[1] = s.steps;
+                }
+                acc = 1.0;
+            }
+            double rjj = fl(sqrt(acc), r, &s);
+            RE(R, j, j) = rjj;
+            for (int64_t i = j + 1; i < K; i++) {
+                double tr = RE(C, j, i), ti = IM(C, j, i);
+                for (int64_t k = 0; k < j; k++) {
+                    cmul_to(RE(R, k, j), -IM(R, k, j), RE(R, k, i), IM(R, k, i), r, &s, p);
+                    sub_to(&tr, &ti, p, r, &s);
+                }
+                div_to(tr, ti, rjj, r, &s, &RE(R, j, i));
+            }
+        }
+    }
+}
+
+/* The Cholesky factors C = R^H R of L Hermitian K x K complex128 matrices c
+ * (lane-major), computed row by row with every operation rounded in f, into
+ * the complex128 r: upper triangular with a real diagonal, zero below it.
+ * Only the upper triangle of c and the real part of its diagonal are read.
+ *
+ * Row j's pivot starts from acc = Re C_jj; for k < j in order, with
+ * (a, b) = R_kj, acc = fl(acc - fl(fl(a a) + fl(b b))); R_jj = fl(sqrt(acc)).
+ * A lane whose acc is not positive gets bad[l] = 1 and the pivot
+ * fl(sqrt(1.0)), else bad[l] = 0.  Then for i > j, t = C_ji, less
+ * conj(R_kj) R_ki for k < j in order (cmul_to, then sub_to), and
+ * R_ji = fl(t / R_jj) by parts (div_to).  stop[0] is the first column whose
+ * pivot check fails in some lane (K if none), and stop[1] the steps each lane
+ * took before that check.
+ *
+ * u is NULL for nearest-even.  Else it holds a block of L uniforms for each
+ * step, in the order just given: for row j, the four steps of each k of
+ * acc, then the pivot's one, then for each i > j the eight of each k (six
+ * for the product, two for the difference) and the two of the quotient. */
+void fp_chol(int64_t L, int64_t K, const double *c, const fmt_t *f,
+             const double *u, double *r, uint8_t *bad, int64_t *stop)
+{
+    const rounder_t rd = rounder(f);
+    if (u)
+        chol_lanes(L, K, c, &rd, u, r, bad, stop);
+    else
+        chol_lanes(L, K, c, &rd, NULL, r, bad, stop);
+}
+
+ALWAYS_INLINE void trisolve_lanes(int64_t L, int64_t K, int upper, const double *rr,
+                                  const double *b, const rounder_t *r, const double *u,
+                                  double *x)
+{
+    for (int64_t l = 0; l < L; l++) {
+        const double *R = rr + 2 * K * K * l, *B = b + 2 * K * l;
+        double *X = x + 2 * K * l, p[2];
+        draws_t s = {u ? u + l : NULL, L, 0};
+        for (int64_t n = 0; n < K; n++) {
+            int64_t i = upper ? K - 1 - n : n;
+            double tr = 0.0 + B[2 * i], ti = 0.0 + B[2 * i + 1];
+            for (int64_t k = upper ? i + 1 : 0; k < (upper ? K : i); k++) {
+                if (upper)
+                    cmul_to(RE(R, i, k), IM(R, i, k), X[2 * k], X[2 * k + 1], r, &s, p);
+                else
+                    cmul_to(RE(R, k, i), -IM(R, k, i), X[2 * k], X[2 * k + 1], r, &s, p);
+                sub_to(&tr, &ti, p, r, &s);
+            }
+            div_to(tr, ti, RE(R, i, i), r, &s, X + 2 * i);
+        }
+    }
+}
+
+/* Solve T x = b for each of L lanes (lane-major) of a K x K upper triangular
+ * complex128 factor r with a real diagonal and a complex128 right side b,
+ * every operation rounded in f, into the complex128 x.  T is r itself (back
+ * substitution, rows K-1 down to 0) when upper is nonzero, else r^H (forward
+ * substitution, rows 0 up to K-1).  Row i starts from t = 0.0 + b_i, less
+ * T_ik x_k for the solved k in ascending order (cmul_to, then sub_to), and
+ * x_i = fl(t / Re r_ii) by parts (div_to).
+ *
+ * u is NULL for nearest-even.  Else it holds a block of L uniforms for each
+ * step, in the order just given: for each row, the eight of each k and the
+ * two of the quotient. */
+void fp_trisolve(int64_t L, int64_t K, int upper, const double *r, const double *b,
+                 const fmt_t *f, const double *u, double *x)
+{
+    const rounder_t rd = rounder(f);
+    if (u)
+        trisolve_lanes(L, K, upper, r, b, &rd, u, x);
+    else
+        trisolve_lanes(L, K, upper, r, b, &rd, NULL, x);
 }

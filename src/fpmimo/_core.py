@@ -75,13 +75,14 @@ def build() -> Path:
 def lib() -> ctypes.CDLL:
     """The loaded library, built on the first call of the process."""
     so = ctypes.CDLL(str(build()))
-    i64, ptr, fmt = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format)
-    so.fp_round.argtypes = [i64, ptr, i64, ptr, fmt, ptr]
-    so.fp_round.restype = None
-    so.fp_round_complex.argtypes = [i64, ptr, i64, ptr, fmt, ptr]
-    so.fp_round_complex.restype = None
-    so.fp_join.argtypes = [i64, ptr, i64, ptr, i64, ptr]
-    so.fp_join.restype = None
-    so.fp_dot.argtypes = [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, ptr]
-    so.fp_dot.restype = None
+    i64, ptr, fmt, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format), ctypes.c_int
+    for fn, argtypes in (
+        (so.fp_round, [i64, ptr, i64, ptr, fmt, ptr]),
+        (so.fp_round_complex, [i64, ptr, i64, ptr, fmt, ptr]),
+        (so.fp_join, [i64, ptr, i64, ptr, i64, ptr]),
+        (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, ptr]),
+        (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),
+        (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
+    ):
+        fn.argtypes, fn.restype = argtypes, None
     return so

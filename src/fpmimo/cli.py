@@ -10,6 +10,8 @@ Config files are flat ``key = value`` text; every key corresponds to an
 ExperimentConfig or PrecisionPolicy field (the key table in
 ``fpmimo.harness``), and command-line flags override file values.  The
 ``#`` header of a sweep CSV is such a file with ``# `` before each line.
+Rejected input (a ValueError) prints ``error: <message>`` on stderr and
+returns status 2, as argparse's own usage errors exit.
 """
 
 from __future__ import annotations
@@ -177,7 +179,11 @@ def main(argv=None) -> int:
     p_cost.set_defaults(func=_cmd_cost)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # rejected input: a message and argparse's status
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

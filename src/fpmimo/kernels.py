@@ -3,13 +3,16 @@
 Every scalar multiply, add, subtract, divide, and square root inside these
 kernels is rounded by the C core of :mod:`fpmimo._core`, which reads and
 writes complex128 directly: elementwise through ``formats._round`` on real
-arrays and ``round_input`` on complex ones, and fused into the loop of each
-reduction.  Complex reductions are computed on their 2n-term real expansion
-(two parallel real reductions for the real and imaginary parts), summed
-strictly in index order.  The one rounded complex multiply, ``_cmul`` (in the
-Cholesky factorization, the triangular solves and MRT precoding), is the
-one-term reduction.  Every complex result is joined from its two parts by
-``join_to`` in ``_core.c`` (``_join`` here), with numpy's ``1j*im + re`` bits.
+arrays and ``round_input`` on complex ones, and fused into the loops of the
+reductions (the zero-forcing Gram on its upper triangle alone), the Cholesky
+factorization and the triangular solves.  Complex reductions are computed on
+their 2n-term real expansion, summed strictly in index order.  The one
+rounded complex multiply is the one-term reduction: ``_cmul`` in MRT
+precoding, its six steps in C inside the factor and the solves.  Under
+stochastic rounding each kernel draws one block of uniforms after rounding
+its inputs, laid out as the comment of its entry in ``_core.c`` says.  Every
+complex result is joined from its two parts by ``join_to`` in ``_core.c``
+(``_join`` here), with numpy's ``1j*im + re`` bits.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -73,10 +76,6 @@ class PrecisionPolicy:
         """Format of products and (for mixed mode) intra-block arithmetic."""
         return self.low
 
-    def _rounder(self, fmt: FloatFormat, rng):
-        """``x -> fl(x)`` in ``fmt`` under this policy's rounding and range mode."""
-        return lambda x: _round(x, fmt, self.rounding, self.range_mode, rng)
-
 
 class CholeskyBreakdownError(ArithmeticError):
     """A pivot became non-positive at the working precision."""
@@ -125,7 +124,8 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     """
     x = np.asarray(x)
     if not np.iscomplexobj(x):
-        return policy._rounder(policy.working, rng)(np.asarray(x, dtype=np.float64))
+        return _round(np.asarray(x, dtype=np.float64), policy.working, policy.rounding,
+                      policy.range_mode, rng)
     flat = np.asarray(x, dtype=np.complex128).reshape(-1)
     out = np.empty(x.shape, dtype=np.complex128)
     u = _uniforms(policy.rounding, rng, 2 * flat.size)
@@ -136,7 +136,7 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     return out if out.ndim else out[()]
 
 
-def _dot(a, d, policy: PrecisionPolicy, rng):
+def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False):
     """Rounded sum_i a_i d_i over the last axis (no conjugation), in the C core.
 
     Each product of the 2n-term real expansions is rounded in the working
@@ -146,6 +146,8 @@ def _dot(a, d, policy: PrecisionPolicy, rng):
     block sums sequentially in the high format.  Stochastic draws follow the
     order of the elementwise evaluation: the products, then the real-part
     sums, then the imaginary-part sums, in-block steps before block steps.
+    ``upper=True`` reduces only the lanes on and above the diagonal of the
+    last two lane axes, leaving 0 below it, with the draws of the full call.
     """
     shape = np.broadcast_shapes(a.shape, d.shape)
     lanes, n = shape[:-1], shape[-1]
@@ -166,7 +168,7 @@ def _dot(a, d, policy: PrecisionPolicy, rng):
     _core.lib().fp_dot(
         len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
         _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
-        b, None if u is None else u.ctypes.data, out.ctypes.data,
+        b, None if u is None else u.ctypes.data, upper, out.ctypes.data,
     )
     return out if out.ndim else out[()]
 
@@ -214,17 +216,21 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
 
 def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     """C = A B, entrywise finite-precision inner products (mixed-aware)."""
+    return _matmul(A, B, policy, rng)
+
+
+def _matmul(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
+    """:func:`matmul_fp`; ``upper=True`` gives only the entries on and above
+    the diagonal, bit for bit, and 0 below it (see :func:`_dot`)."""
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
-        raise ValueError(
-            f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x..."
-        )
+        raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
     _require_finite("matmul_fp", A, B)
     A = round_input(A, policy, rng)
     B = round_input(B, policy, rng)
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
-    return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
+    return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng, upper)
 
 
 # -- the rounded complex multiply -------------------------------------------
@@ -244,13 +250,17 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """Cholesky factorization C = R^H R with every operation rounded.
 
     ``C`` is Hermitian with shape (..., K, K); ``R`` comes back upper
-    triangular with real positive diagonal.  Column-oriented order; the
-    reduction over previously computed rows is sequential.
+    triangular with real positive diagonal.  Row-oriented order, in the C
+    core (``fp_chol``); the reduction over previously computed rows is
+    sequential.  Only the upper triangle of ``C`` and the real part of its
+    diagonal are read, though all of ``C`` is checked and rounded on entry.
 
     ``error="raise"`` raises :class:`CholeskyBreakdownError` on a
     non-positive pivot; ``error="mask"`` returns ``(R, breakdown)`` where
     ``breakdown`` is a boolean array over the batch.  A broken lane's
     non-positive pivots become 1.0, so its (meaningless) R stays solvable.
+    A stochastic raise leaves the rng where the draws up to the broken
+    pivot's check leave it.
     """
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
@@ -260,34 +270,23 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
         raise ValueError("C must be square")
     _require_finite("cholesky_fp", C)
     C = round_input(C, policy, rng)
-    rnd = policy._rounder(policy.working, rng)
-
-    batch = C.shape[:-2]
-    R = np.zeros(batch + (K, K), dtype=np.complex128)
-    breakdown = np.zeros(batch, dtype=bool)
-    for j in range(K):
-        acc = np.ascontiguousarray(C[..., j, j].real)
-        for k in range(j):
-            m2 = rnd(rnd(R[..., k, j].real ** 2) + rnd(R[..., k, j].imag ** 2))
-            acc = rnd(acc - m2)
-        bad = acc <= 0
-        if np.any(bad):
-            if error == "raise":
-                raise CholeskyBreakdownError(j)
-            breakdown |= bad
-            acc = np.where(bad, 1.0, acc)
-        rjj = rnd(np.sqrt(acc))
-        R[..., j, j] = rjj
-        for i in range(j + 1, K):
-            tr = np.ascontiguousarray(C[..., j, i].real)
-            ti = np.ascontiguousarray(C[..., j, i].imag)
-            for k in range(j):
-                p = _cmul(np.conj(R[..., k, j]), R[..., k, i], policy, rng)
-                tr = rnd(tr - p.real)
-                ti = rnd(ti - p.imag)
-            R[..., j, i] = _join(rnd(tr / rjj), rnd(ti / rjj))
+    batch, lanes = C.shape[:-2], math.prod(C.shape[:-2])
+    R, breakdown = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=bool)
+    stop = np.empty(2, dtype=np.int64)
+    stochastic = policy.rounding is RoundingMode.STOCHASTIC
+    state = rng.bit_generator.state if stochastic and error == "raise" else None
+    steps = K + 3 * K * (K - 1) + 4 * K * (K - 1) * (K - 2) // 3  # fp_chol's, per lane
+    u = _uniforms(policy.rounding, rng, lanes * steps)
+    _core.lib().fp_chol(lanes, K, C.ctypes.data, _c_format(policy.working, policy.range_mode),
+                        None if u is None else u.ctypes.data, R.ctypes.data,
+                        breakdown.ctypes.data, stop.ctypes.data)
     if error == "mask":
         return R, breakdown
+    if stop[0] < K:
+        if state is not None:  # take back the draws of the steps after the check
+            rng.bit_generator.state = state
+            rng.random(int(stop[1]) * lanes)
+        raise CholeskyBreakdownError(int(stop[0]))
     return R
 
 
@@ -296,7 +295,8 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
 
     side="lower-conjugate" solves R^H q = rhs (forward substitution);
     side="upper" solves R x = rhs (back substitution).  Assumes the real
-    diagonal produced by :func:`cholesky_fp`.
+    diagonal produced by :func:`cholesky_fp`.  The substitution runs in the
+    C core (``fp_trisolve``).
     """
     if side not in ("lower-conjugate", "upper"):
         raise ValueError("side must be 'lower-conjugate' or 'upper'")
@@ -306,26 +306,17 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
     _require_finite("trisolve_fp", R, rhs)
-    diag = np.diagonal(R, axis1=-2, axis2=-1).real
-    if np.any(diag == 0):
+    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
     R = round_input(R, policy, rng)
     rhs = round_input(rhs, policy, rng)
-    rnd = policy._rounder(policy.working, rng)
-    # T is the triangular matrix the solve works on: R^H or R
-    T = np.conj(np.swapaxes(R, -1, -2)) if side == "lower-conjugate" else R
-
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
-    x = np.zeros(batch + (K,), dtype=np.complex128)
-    order = range(K) if side == "lower-conjugate" else range(K - 1, -1, -1)
-    for i in order:
-        tr = np.zeros(batch) + rhs[..., i].real
-        ti = np.zeros(batch) + rhs[..., i].imag
-        ks = range(i) if side == "lower-conjugate" else range(i + 1, K)
-        for k in ks:
-            p = _cmul(T[..., i, k], x[..., k], policy, rng)
-            tr = rnd(tr - p.real)
-            ti = rnd(ti - p.imag)
-        d = R[..., i, i].real
-        x[..., i] = _join(rnd(tr / d), rnd(ti / d))
+    lanes = math.prod(batch)
+    R = np.ascontiguousarray(np.broadcast_to(R, batch + (K, K)))
+    rhs = np.ascontiguousarray(np.broadcast_to(rhs, batch + (K,)))
+    x = np.empty(batch + (K,), dtype=np.complex128)
+    u = _uniforms(policy.rounding, rng, lanes * 2 * K * (2 * K - 1))  # fp_trisolve's, per lane
+    _core.lib().fp_trisolve(lanes, K, side == "upper", R.ctypes.data, rhs.ctypes.data,
+                            _c_format(policy.working, policy.range_mode),
+                            None if u is None else u.ctypes.data, x.ctypes.data)
     return x

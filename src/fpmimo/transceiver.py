@@ -19,10 +19,10 @@ from .formats import RoundingMode
 from .kernels import (
     PrecisionPolicy,
     _cmul,
+    _matmul,
     _require_finite,
     cholesky_fp,
     inner_product_fp,
-    matmul_fp,
     matvec_fp,
     round_input,
     trisolve_fp,
@@ -80,7 +80,7 @@ def _gram_solve(H, Hh, rhs, policy: PrecisionPolicy, rng, error: str):
 
     A broken lane solves with the unit pivots ``cholesky_fp`` gave it; its
     result is discarded upstream."""
-    C = matmul_fp(Hh, H, policy, rng)
+    C = _matmul(Hh, H, policy, rng, upper=True)  # the factor reads only the upper triangle
     out = cholesky_fp(C, policy, rng, error=error)
     R, breakdown = out if error == "mask" else (out, None)
     q = trisolve_fp(R, rhs, "lower-conjugate", policy, rng)

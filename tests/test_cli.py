@@ -131,9 +131,10 @@ class TestVerifyCommand:
         ["--inner-n", "0"],
         ["--inner-n", "8", "--trials", "0"],
     ])
-    def test_inner_study_rejects_empty_study(self, argv):
-        with pytest.raises(ValueError, match=">= 1"):
-            main(["verify", *argv])
+    def test_inner_study_rejects_empty_study(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ">= 1" in err
 
     def test_scenario_verify(self, capsys):
         main(["verify", "--scenario", "SIMO", "--M-grid", "32", "--trials", "50",

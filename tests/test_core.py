@@ -62,3 +62,14 @@ def test_source_compiles_without_warnings(tmp_path):
     command += ["-o", str(tmp_path / "core.so"), str(copy), "-lm"]
     proc = subprocess.run(command, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_entry_point_is_declared():
+    """ctypes would pass an undeclared entry's arguments as C ints, truncating 64-bit ones."""
+    entries = re.findall(r"^void (fp_\w+)\(([^)]*)\)", _core.SOURCE.read_text(), re.M)
+    assert {"fp_round", "fp_dot", "fp_chol", "fp_trisolve"} <= {name for name, _ in entries}
+    so = _core.lib()
+    for name, params in entries:
+        fn = getattr(so, name)
+        assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
+        assert fn.restype is None, name

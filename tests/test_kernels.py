@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpmimo.bounds import gamma_n, xi_bn
-from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode, round_to_format
+from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RangeMode, RoundingMode, round_to_format
 from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
@@ -279,6 +279,32 @@ class TestCholesky:
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             cholesky_fp(np.ones((2, 3)), POL16)
+
+    @pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    def test_ignores_lower_triangle(self, rounding, range_mode):
+        """The zero-forcing Gram leaves the lower triangle unreduced; the factor must not read it."""
+        rng = np.random.default_rng(24)
+        H = rng.standard_normal((3, 2, 6, 4)) + 1j * rng.standard_normal((3, 2, 6, 4))
+        C = np.conj(np.swapaxes(H, -1, -2)) @ H
+        C[0, 1, 2, 2] = -5.0  # a breakdown in the middle of the factorization
+        lower = np.tril(np.ones((4, 4), dtype=bool), -1)
+        kw = dict(rounding=rounding, range_mode=range_mode)
+        for policy in (PrecisionPolicy.uniform(FP16, **kw), PrecisionPolicy.mixed(FP16, FP32, 3, **kw)):
+            for error, Cs in (("raise", C[1:]), ("raise", C), ("mask", C)):
+                outcomes = []
+                for fill in (None, 7.0, 1e300):
+                    Cf = Cs.copy()
+                    if fill is not None:
+                        Cf[..., lower] = fill
+                    g = np.random.default_rng(6)
+                    try:
+                        out = cholesky_fp(Cf, policy, g, error=error)
+                        got = [a.tobytes() for a in (out if error == "mask" else (out,))]
+                    except CholeskyBreakdownError as exc:
+                        got = exc.pivot_index
+                    outcomes.append((got, g.bit_generator.state))
+                assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], (error, policy)
 
 
 class TestTrisolve:

@@ -17,6 +17,8 @@ kernel's one-term reduction, is compared with the Python scheme of six
 elementwise roundings it replaced.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -584,3 +586,36 @@ def test_complex_multiply_matches_python_scheme(fmt, mode, range_mode, scale):
                 assert (g.shape, g.dtype) == (w.shape, w.dtype), where
                 if mode is RoundingMode.NEAREST_EVEN:  # the bytes, so signed zeros count
                     np.testing.assert_array_equal(g.view(np.uint8), w.view(np.uint8), err_msg=where)
+
+
+def _state(rng):
+    """The bit generator's state as text, so that == works for every generator."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("fmt", [BFLOAT16, FP16, FP32], ids=str)
+def test_cholesky_raise_leaves_any_bit_generator_where_python_did(fmt, bit_generator):
+    """A stochastic breakdown in the middle of a factorization leaves the rng
+    where the Python loop left it, also for generators that cannot ``advance``.
+
+    Under the strict IEEE range at scale 1e300 the "loaded" Gram matrices clamp
+    on entry and break down at pivot 1 in these formats."""
+    kw = dict(rounding=RoundingMode.STOCHASTIC, range_mode=RangeMode.STRICT_IEEE)
+    policies = [PrecisionPolicy.uniform(fmt, **kw)]
+    policies += [PrecisionPolicy.mixed(fmt, WIDER[fmt.name], b, **kw) for b in (1, 3)]
+    mid = 0
+    for name, call, oracle, args, opts in _cmul_cases(SCALES["near-1e300"]):
+        if call is not cholesky_fp or opts["error"] != "raise":
+            continue
+        for policy in policies:
+            where = f"{name}, {policy.mode.value}, b={policy.block_size}"
+            rng_got, rng_want = (np.random.Generator(bit_generator(8)) for _ in range(2))
+            _, got_err = _outcome(call, args, opts, policy, rng_got)
+            _, want_err = _outcome(oracle, args, opts, policy, rng_want)
+            assert got_err == want_err, where
+            assert _state(rng_got) == _state(rng_want), where
+            mid += want_err is not None and want_err[0] is CholeskyBreakdownError \
+                and "pivot 0" not in want_err[1]
+    assert mid == len(policies)
