@@ -7,7 +7,8 @@
  * comment gives the layout of its stochastic uniforms.
  * fpmimo/_core.py compiles this file on first use and loads it with ctypes; it
  * must be built with -ffp-contract=off, so that no product and sum fuse into
- * one rounding.
+ * one rounding, and with -pthread, as the elementwise entries and fp_dot split
+ * their lanes across threads (split_lanes) with the bits of one thread.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -17,7 +18,10 @@
  * nonzero magnitudes below x_min to +0.0.
  */
 
+#define _GNU_SOURCE /* sched_getaffinity */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -97,33 +101,211 @@ ALWAYS_INLINE void join_to(double re, double im, double *out)
     out[1] = (0.0 * 0.0 + 1.0 * im) + 0.0;
 }
 
+/* the double at byte offset k of p */
+ALWAYS_INLINE double load(const char *p, int64_t k)
+{
+    double v;
+    memcpy(&v, p + k, sizeof v);
+    return v;
+}
+
+/* Lanes across threads.  split_lanes cuts the lanes [0, L) of a call into
+ * at most `threads` contiguous ranges and runs each on its own thread, the
+ * caller taking the first.  A lane reads its inputs and uniforms and writes
+ * its output at offsets fixed by its index alone, so every split gives the
+ * bits of one thread.  `threads` is the number of CPUs the process may run on
+ * when the library loads, at most MAX_THREADS.  A call runs on one thread for
+ * each whole MIN_WORK of its work (lanes times terms), at least one, so that
+ * small calls start no thread.  fp_chol and fp_trisolve do not split. */
+#define MAX_THREADS 8
+#define MIN_WORK ((int64_t)1 << 15)
+
+static int64_t threads = 1;
+
+__attribute__((constructor)) static void count_threads(void)
+{
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0) {
+        int n = CPU_COUNT(&cpus);
+        threads = n < 1 ? 1 : n > MAX_THREADS ? MAX_THREADS : n;
+    }
+}
+
+/* *out = the most threads one call runs on */
+void fp_threads(int64_t *out)
+{
+    *out = threads;
+}
+
+/* runs a call's lanes [lo, hi); job holds the call's arguments */
+typedef void (*range_fn)(const void *job, int64_t lo, int64_t hi);
+
+typedef struct {
+    range_fn fn;
+    const void *job;
+    int64_t lo, hi;
+} range_t;
+
+static void *run_range(void *arg)
+{
+    const range_t *r = arg;
+    r->fn(r->job, r->lo, r->hi);
+    return NULL;
+}
+
+/* fn over the lanes [0, L) in contiguous ranges, one per thread.  A range
+ * whose thread does not start runs on the caller. */
+static void split_lanes(int64_t L, int64_t work, range_fn fn, const void *job)
+{
+    int64_t T = work / MIN_WORK;
+    T = T < threads ? T : threads;
+    T = T < L ? T : L;
+    if (T < 2) {
+        if (L > 0)
+            fn(job, 0, L);
+        return;
+    }
+    range_t r[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS] = {0};
+    for (int64_t t = 0; t < T; t++)
+        r[t] = (range_t){fn, job, L * t / T, L * (t + 1) / T};
+    for (int64_t t = 1; t < T; t++)
+        started[t] = pthread_create(&tid[t], NULL, run_range, &r[t]) == 0;
+    fn(job, r[0].lo, r[0].hi);
+    for (int64_t t = 1; t < T; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            fn(job, r[t].lo, r[t].hi);
+    }
+}
+
+/* A walk over the lanes of an ndim-dimensional shape in C order, with the
+ * byte offsets oa and od of the current lane in two arrays of lane strides
+ * sa and sd.  walk_to starts it at lane l, which must exist. */
+typedef struct {
+    int64_t ndim;
+    const int64_t *shape, *sa, *sd;
+    int64_t idx[64], oa, od;
+} walk_t;
+
+ALWAYS_INLINE void walk_to(walk_t *w, int64_t l)
+{
+    w->oa = w->od = 0;
+    for (int64_t k = w->ndim - 1; k >= 0; k--) {
+        w->idx[k] = l % w->shape[k];
+        l /= w->shape[k];
+        w->oa += w->idx[k] * w->sa[k];
+        w->od += w->idx[k] * w->sd[k];
+    }
+}
+
+/* the walk moved on by r lanes, r no more than the lanes left in the row */
+ALWAYS_INLINE void walk_by(walk_t *w, int64_t r)
+{
+    int64_t k = w->ndim - 1;
+    if (k < 0)
+        return;
+    w->idx[k] += r;
+    w->oa += r * w->sa[k];
+    w->od += r * w->sd[k];
+    for (; k > 0 && w->idx[k] == w->shape[k]; k--) {
+        w->idx[k] = 0;
+        w->oa -= w->shape[k] * w->sa[k];
+        w->od -= w->shape[k] * w->sd[k];
+        w->idx[k - 1]++;
+        w->oa += w->sa[k - 1];
+        w->od += w->sd[k - 1];
+    }
+}
+
+/* The arguments of an elementwise call: its lanes walk the inputs x and y. */
+typedef struct {
+    walk_t w;
+    const char *x, *y;
+    int64_t n;
+    rounder_t r;
+    const double *u;
+    double *out;
+} map_t;
+
+static void round_range(const void *job, int64_t lo, int64_t hi)
+{
+    const map_t *m = job;
+    const rounder_t r = m->r;
+    const char *x = m->x;
+    const int64_t sx = m->w.sa[0];
+    const double *u = m->u;
+    double *out = m->out;
+    for (int64_t i = lo; i < hi; i++)
+        out[i] = round_to(load(x, i * sx), &r, u ? u + i : NULL);
+}
+
 /* out[i] = fl(x[i * sx]) for i < n; sx is a stride in bytes.  u is NULL for
  * nearest-even, else it holds n uniforms, one per element. */
 void fp_round(int64_t n, const char *x, int64_t sx, double *out,
               const fmt_t *f, const double *u)
 {
-    const rounder_t r = rounder(f);
-    for (int64_t i = 0; i < n; i++) {
-        double v;
-        memcpy(&v, x + i * sx, sizeof v);
-        out[i] = round_to(v, &r, u ? u + i : NULL);
+    const map_t m = {.w = {.ndim = 1, .shape = &n, .sa = &sx, .sd = &sx}, .x = x, .n = n,
+                     .r = rounder(f), .u = u, .out = out};
+    split_lanes(n, n, round_range, &m);
+}
+
+ALWAYS_INLINE void round_complex_lanes(const map_t *m, const double *u, int64_t lo, int64_t hi)
+{
+    const rounder_t r = m->r;
+    const char *x = m->x;
+    const int64_t n = m->n, k = m->w.ndim - 1, step = k < 0 ? 0 : m->w.sa[k];
+    double *out = m->out;
+    walk_t w = m->w;
+    walk_to(&w, lo);
+    /* in runs along the last axis */
+    for (int64_t i = lo, run; i < hi; walk_by(&w, run)) {
+        run = k < 0 ? 1 : w.shape[k] - w.idx[k];
+        if (run > hi - i)
+            run = hi - i;
+        const char *p = x + w.oa;
+        for (int64_t end = i + run; i < end; i++, p += step)
+            join_to(round_to(load(p, 0), &r, u ? u + i : NULL),
+                    round_to(load(p, 8), &r, u ? u + n + i : NULL), out + 2 * i);
     }
 }
 
-/* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, where
- * x_i is the complex128 at x + i * sx.  u is NULL for nearest-even, else it
- * holds 2n uniforms: the real parts take the first n, the imaginary parts the
- * last n. */
-void fp_round_complex(int64_t n, const char *x, int64_t sx, double *out,
+/* two copies, so that the nearest-even one has no stochastic branches */
+static void round_complex_nearest(const void *job, int64_t lo, int64_t hi)
+{
+    round_complex_lanes(job, NULL, lo, hi);
+}
+
+static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
+{
+    round_complex_lanes(job, ((const map_t *)job)->u, lo, hi);
+}
+
+/* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, for
+ * the n entries x_i of an ndim-dimensional complex128 array x in C order.
+ * geom holds its shape (ndim entries), then its byte strides.  u is NULL for
+ * nearest-even, else it holds 2n uniforms: the real parts take the first n,
+ * the imaginary parts the last n. */
+void fp_round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
                       const fmt_t *f, const double *u)
 {
-    const rounder_t r = rounder(f);
-    for (int64_t i = 0; i < n; i++) {
-        double v[2];
-        memcpy(v, x + i * sx, sizeof v);
-        join_to(round_to(v[0], &r, u ? u + i : NULL),
-                round_to(v[1], &r, u ? u + n + i : NULL), out + 2 * i);
-    }
+    map_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
+               .n = 1, .r = rounder(f), .u = u, .out = out};
+    for (int64_t k = 0; k < ndim; k++)
+        m.n *= geom[k];
+    split_lanes(m.n, m.n, u ? round_complex_stochastic : round_complex_nearest, &m);
+}
+
+static void join_range(const void *job, int64_t lo, int64_t hi)
+{
+    const map_t *m = job;
+    const char *re = m->x, *im = m->y;
+    const int64_t sr = m->w.sa[0], si = m->w.sd[0];
+    double *out = m->out;
+    for (int64_t i = lo; i < hi; i++)
+        join_to(load(re, i * sr), load(im, i * si), out + 2 * i);
 }
 
 /* The complex128 out[i] = re[i * sr] + i im[i * si], joined by join_to; the
@@ -131,12 +313,9 @@ void fp_round_complex(int64_t n, const char *x, int64_t sx, double *out,
 void fp_join(int64_t n, const char *re, int64_t sr, const char *im, int64_t si,
              double *out)
 {
-    for (int64_t i = 0; i < n; i++) {
-        double a, b;
-        memcpy(&a, re + i * sr, sizeof a);
-        memcpy(&b, im + i * si, sizeof b);
-        join_to(a, b, out + 2 * i);
-    }
+    const map_t m = {.w = {.ndim = 1, .shape = &n, .sa = &sr, .sd = &si}, .x = re, .y = im,
+                     .n = n, .out = out};
+    split_lanes(n, n, join_range, &m);
 }
 
 typedef struct {
@@ -167,64 +346,75 @@ ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t 
     }
 }
 
-#define LOAD(p, k) (*(const double *)((p) + (k)))
+/* The arguments of an fp_dot call: its lanes walk a and d. */
+typedef struct {
+    walk_t w;
+    int64_t n;
+    const char *a, *d;
+    plan_t pl;
+    const double *u;
+    int upper;
+    double *out;
+} dot_t;
 
-/* the next index of an ndim-dimensional array of the given shape, in C order */
-static void next_index(int64_t *idx, const int64_t *shape, int64_t ndim)
+ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int64_t lo, int64_t hi)
 {
-    for (int64_t k = ndim - 1; k >= 0 && ++idx[k] == shape[k]; k--)
-        idx[k] = 0;
-}
-
-ALWAYS_INLINE void dot_lanes(int64_t ndim, const int64_t *geom, int64_t n,
-                             const char *a, const char *d, const plan_t *pl,
-                             const double *u, int upper, double *out)
-{
-    const int64_t *shape = geom, *sa = geom + ndim, *sd = geom + 2 * ndim + 1;
-    int64_t idx[64] = {0}, prod = pl->lanes * n;
-    int64_t steps = ((pl->b - 1) * pl->g + pl->g - 1) * pl->lanes;
+    const plan_t pl = job->pl;
+    const int64_t n = job->n, ndim = job->w.ndim, ta = job->w.sa[ndim], td = job->w.sd[ndim];
+    int64_t prod = pl.lanes * n;
+    int64_t steps = ((pl.b - 1) * pl.g + pl.g - 1) * pl.lanes;
     const double *ue = u ? u + 4 * prod : NULL, *uf = u ? ue + steps : NULL;
+    double *out = job->out;
+    walk_t w = job->w;
 
-    for (int64_t l = 0; l < pl->lanes; l++, next_index(idx, shape, ndim)) {
-        if (upper && idx[ndim - 2] > idx[ndim - 1]) {
+    walk_to(&w, lo);
+    for (int64_t l = lo; l < hi; l++, walk_by(&w, 1)) {
+        if (job->upper && w.idx[ndim - 2] > w.idx[ndim - 1]) {
             out[2 * l] = out[2 * l + 1] = 0.0;
             continue;
         }
-        const char *pa = a, *pd = d;
-        for (int64_t k = 0; k < ndim; k++) {
-            pa += idx[k] * sa[k];
-            pd += idx[k] * sd[k];
-        }
+        const char *pa = job->a + w.oa, *pd = job->d + w.od;
         acc_t e = {0.0, 0.0}, f = {0.0, 0.0};
         int64_t p = 0, blk = 0;
         for (int64_t i = 0; i < n; i++) {
-            const char *ai = pa + i * sa[ndim], *di = pd + i * sd[ndim];
-            double ar = LOAD(ai, 0), aim = LOAD(ai, 8), dr = LOAD(di, 0), dim = LOAD(di, 8);
+            const char *ai = pa + i * ta, *di = pd + i * td;
+            double ar = load(ai, 0), aim = load(ai, 8), dr = load(di, 0), dim = load(di, 8);
             const double *up = u ? u + l * n + i : NULL;
-            double e0 = round_to(ar * dr, &pl->lo, up);
-            double e1 = -round_to(aim * dim, &pl->lo, up ? up + prod : NULL);
-            double f0 = round_to(ar * dim, &pl->lo, up ? up + 2 * prod : NULL);
-            double f1 = round_to(aim * dr, &pl->lo, up ? up + 3 * prod : NULL);
-            add_term(&e, e0, p, blk, l, pl, ue);
-            add_term(&f, f0, p, blk, l, pl, uf);
-            if (++p == pl->b) {
+            double e0 = round_to(ar * dr, &pl.lo, up);
+            double e1 = -round_to(aim * dim, &pl.lo, up ? up + prod : NULL);
+            double f0 = round_to(ar * dim, &pl.lo, up ? up + 2 * prod : NULL);
+            double f1 = round_to(aim * dr, &pl.lo, up ? up + 3 * prod : NULL);
+            add_term(&e, e0, p, blk, l, &pl, ue);
+            add_term(&f, f0, p, blk, l, &pl, uf);
+            if (++p == pl.b) {
                 p = 0;
                 blk++;
             }
-            add_term(&e, e1, p, blk, l, pl, ue);
-            add_term(&f, f1, p, blk, l, pl, uf);
-            if (++p == pl->b) {
+            add_term(&e, e1, p, blk, l, &pl, ue);
+            add_term(&f, f1, p, blk, l, &pl, uf);
+            if (++p == pl.b) {
                 p = 0;
                 blk++;
             }
         }
-        for (; blk < pl->g; p = 0, blk++)
-            for (; p < pl->b; p++) {
-                add_term(&e, 0.0, p, blk, l, pl, ue);
-                add_term(&f, 0.0, p, blk, l, pl, uf);
+        for (; blk < pl.g; p = 0, blk++)
+            for (; p < pl.b; p++) {
+                add_term(&e, 0.0, p, blk, l, &pl, ue);
+                add_term(&f, 0.0, p, blk, l, &pl, uf);
             }
         join_to(e.sum, f.sum, out + 2 * l);
     }
+}
+
+/* two copies, so that the nearest-even one has no stochastic branches */
+static void dot_nearest(const void *job, int64_t lo, int64_t hi)
+{
+    dot_lanes(job, NULL, lo, hi);
+}
+
+static void dot_stochastic(const void *job, int64_t lo, int64_t hi)
+{
+    dot_lanes(job, ((const dot_t *)job)->u, lo, hi);
 }
 
 /* out = sum_i a_i d_i over the last axis of two complex128 arrays
@@ -255,14 +445,12 @@ void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
             const fmt_t *lo, const fmt_t *hi, int64_t b,
             const double *u, int upper, double *out)
 {
-    plan_t pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1};
+    dot_t job = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + 2 * ndim + 1},
+                 .n = n, .a = a, .d = d, .pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1},
+                 .u = u, .upper = upper, .out = out};
     for (int64_t k = 0; k < ndim; k++)
-        pl.lanes *= geom[k];
-    /* two copies, so that the nearest-even one has no stochastic branches */
-    if (u)
-        dot_lanes(ndim, geom, n, a, d, &pl, u, upper, out);
-    else
-        dot_lanes(ndim, geom, n, a, d, &pl, NULL, upper, out);
+        job.pl.lanes *= geom[k];
+    split_lanes(job.pl.lanes, job.pl.lanes * n, u ? dot_stochastic : dot_nearest, &job);
 }
 
 /* The uniforms of a factorization or a solve over L lanes: one block of L per

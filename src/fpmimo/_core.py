@@ -6,7 +6,10 @@ directory beside the source, named by the sha256 of the source and the
 compile command, so an edited source or command builds afresh and an
 unchanged one loads the cached build.  A failed build raises
 :class:`RuntimeError` with the command and the compiler's output; there is no
-pure-Python fallback.
+pure-Python fallback.  It is built with ``-pthread``: a large call splits its
+lanes over as many threads as the process may use CPUs when the library loads
+(at most eight; ``fp_threads`` reports the count), with the bits of one
+thread.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import sysconfig
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_core.c")
-# -ffp-contract=off keeps every product and sum a separately rounded operation
+# -ffp-contract=off keeps every product and sum a separately rounded operation;
+# -pthread links the threads that the lanes of a large call are split over
 COMMAND = (
     *shlex.split(sysconfig.get_config_var("CC") or "cc"),
-    "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+    "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread",
 )
 
 
@@ -71,6 +75,11 @@ def build() -> Path:
     return target
 
 
+def int64s(*values) -> ctypes.Array:
+    """``values`` as a C array, for an ``int64_t *`` argument of the core."""
+    return (ctypes.c_int64 * len(values))(*values)
+
+
 @functools.cache
 def lib() -> ctypes.CDLL:
     """The loaded library, built on the first call of the process."""
@@ -78,11 +87,12 @@ def lib() -> ctypes.CDLL:
     i64, ptr, fmt, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format), ctypes.c_int
     for fn, argtypes in (
         (so.fp_round, [i64, ptr, i64, ptr, fmt, ptr]),
-        (so.fp_round_complex, [i64, ptr, i64, ptr, fmt, ptr]),
+        (so.fp_round_complex, [i64, ptr, ptr, ptr, fmt, ptr]),
         (so.fp_join, [i64, ptr, i64, ptr, i64, ptr]),
         (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, ptr]),
         (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
+        (so.fp_threads, [ptr]),
     ):
         fn.argtypes, fn.restype = argtypes, None
     return so

@@ -118,19 +118,20 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     representation error from arithmetic error.  It does no finiteness
     check (the kernels check their arguments first), and it never writes
     into ``x``; under an fp64 nearest-even unbounded policy a real float64
-    ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass
-    into a fresh complex128 array (a scalar for 0-d); under stochastic
-    rounding it draws all real-part uniforms before the imaginary ones.
+    ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass,
+    which reads it through its strides, into a fresh complex128 array (a
+    scalar for 0-d); under stochastic rounding it draws all real-part
+    uniforms, in C order, before the imaginary ones.
     """
     x = np.asarray(x)
     if not np.iscomplexobj(x):
         return _round(np.asarray(x, dtype=np.float64), policy.working, policy.rounding,
                       policy.range_mode, rng)
-    flat = np.asarray(x, dtype=np.complex128).reshape(-1)
+    x = np.asarray(x, dtype=np.complex128)
     out = np.empty(x.shape, dtype=np.complex128)
-    u = _uniforms(policy.rounding, rng, 2 * flat.size)
+    u = _uniforms(policy.rounding, rng, 2 * x.size)
     _core.lib().fp_round_complex(
-        flat.size, flat.ctypes.data, flat.strides[0], out.ctypes.data,
+        x.ndim, _core.int64s(*x.shape, *x.strides), x.ctypes.data, out.ctypes.data,
         _c_format(policy.working, policy.range_mode), None if u is None else u.ctypes.data,
     )
     return out if out.ndim else out[()]
@@ -164,9 +165,8 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False):
     g = -(-2 * n // b)
     u = _uniforms(policy.rounding, rng, count * (4 * n + 2 * ((b - 1) * g + g - 1)))
     out = np.empty(lanes, dtype=np.complex128)
-    geom = np.array([*lanes, *a.strides, *d.strides], dtype=np.int64)
     _core.lib().fp_dot(
-        len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
+        len(lanes), _core.int64s(*lanes, *a.strides, *d.strides), n, a.ctypes.data, d.ctypes.data,
         _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
         b, None if u is None else u.ctypes.data, upper, out.ctypes.data,
     )

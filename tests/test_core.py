@@ -1,10 +1,12 @@
 """The build-on-first-use loader of the C rounding core (``fpmimo._core``)."""
 
 import ctypes
+import os
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -73,3 +75,56 @@ def test_every_entry_point_is_declared():
         fn = getattr(so, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
         assert fn.restype is None, name
+
+
+def _threads():
+    count = ctypes.c_int64()
+    _core.lib().fp_threads(ctypes.byref(count))
+    return count.value
+
+
+def test_thread_count_stays_within_affinity():
+    assert 1 <= _threads() <= min(len(os.sched_getaffinity(0)), 8)
+
+
+# Pins itself to one CPU when asked, before the core loads, then prints the
+# core's thread count and writes a MISO point at M = 10000 and a stochastic
+# mixed-precision SIMO point as sweep CSVs.
+_CHILD = textwrap.dedent("""
+    import ctypes, os, sys
+    if sys.argv[1] == "pin":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    from fpmimo import _core
+    from fpmimo.formats import FP16, FP32, RoundingMode
+    from fpmimo.harness import ExperimentConfig, emit_csv, run_sweep
+    from fpmimo.kernels import PrecisionPolicy
+
+    mixed = PrecisionPolicy.mixed(FP16, FP32, 32, rounding=RoundingMode.STOCHASTIC)
+    configs = {
+        "miso": ExperimentConfig("MISO", (10000,), PrecisionPolicy.uniform(FP16), trials=40, seed=2),
+        "simo": ExperimentConfig("SIMO", (1024,), mixed, trials=200, seed=3),
+    }
+    for name, config in configs.items():
+        emit_csv(run_sweep(config), f"{sys.argv[2]}-{name}.csv")
+    count = ctypes.c_int64()
+    _core.lib().fp_threads(ctypes.byref(count))
+    print(count.value)
+""")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_one_cpu_gives_the_bytes_of_all(tmp_path):
+    """The lanes a call splits over threads give the bits of one thread."""
+    src = str(_core.SOURCE.parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    counts = {}
+    for how in ("pin", "all"):
+        proc = subprocess.run([sys.executable, "-c", _CHILD, how, str(tmp_path / how)],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        counts[how] = int(proc.stdout)
+    assert counts == {"pin": 1, "all": _threads()}
+    assert counts["all"] > 1
+    for name in ("miso", "simo"):
+        pinned = (tmp_path / f"pin-{name}.csv").read_bytes()
+        assert pinned == (tmp_path / f"all-{name}.csv").read_bytes(), name

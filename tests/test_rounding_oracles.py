@@ -40,6 +40,7 @@ from fpmimo.kernels import (
     PolicyMode,
     PrecisionPolicy,
     _join,
+    _matmul,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -421,13 +422,14 @@ def _oracle_require_finite(name, *arrays):
 
 
 def _oracle_cmul(ar, ai, br, bi, rnd):
-    """(ar + i ai)(br + i bi) as 4 rounded real multiplies and 2 rounded adds."""
-    re = rnd(ar * br)
-    re -= rnd(ai * bi)
-    re = rnd(re)
-    im = rnd(ar * bi)
-    im += rnd(ai * br)
-    return re, rnd(im)
+    """(ar + i ai)(br + i bi) as 4 rounded real multiplies and 2 rounded adds,
+    in the order of the C core's steps: e0, e1, f0, f1, then the two sums."""
+    e0 = rnd(ar * br)
+    e1 = rnd(ai * bi)
+    f0 = rnd(ar * bi)
+    f1 = rnd(ai * br)
+    re = rnd(e0 - e1)
+    return re, rnd(f0 + f1)
 
 
 def _oracle_cholesky(C, policy, rng=None, error="raise"):
@@ -584,8 +586,42 @@ def test_complex_multiply_matches_python_scheme(fmt, mode, range_mode, scale):
             for g, w in zip(got, want):
                 g, w = np.ascontiguousarray(g), np.ascontiguousarray(w)
                 assert (g.shape, g.dtype) == (w.shape, w.dtype), where
-                if mode is RoundingMode.NEAREST_EVEN:  # the bytes, so signed zeros count
-                    np.testing.assert_array_equal(g.view(np.uint8), w.view(np.uint8), err_msg=where)
+                # the bytes, so signed zeros count
+                np.testing.assert_array_equal(g.view(np.uint8), w.view(np.uint8), err_msg=where)
+
+
+# -- lanes split across threads against the oracles ----------------------------
+
+def _threaded_cases():
+    """(name, call, oracle, args) whose lanes times terms pass the C core's
+    threshold for several threads, with lane counts that no thread count from 2
+    to 8 divides."""
+    rng = np.random.default_rng(29)
+    c = lambda *shape: _complex(rng, shape, 1.0)
+    yield "mrt", mrt_precode, _oracle_mrt, (c(37, 40001), c(37))
+    yield "inner", inner_product_fp, _oracle_inner, (c(1009, 263), c(1009, 263))
+    A = c(33, 401, 5)
+    gram = lambda A, B, policy, rng: _matmul(A, B, policy, rng, upper=True)
+    oracle_gram = lambda A, B, policy, rng: np.triu(_oracle_matmul(A, B, policy, rng))
+    yield "gram-upper", gram, oracle_gram, (np.conj(np.swapaxes(A, -1, -2)), A)
+    strided = c(409, 603)[::-1, ::3].T  # (201, 409), negative and non-unit strides
+    yield "strided-input", round_input, _oracle_input, (strided,)
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+def test_threaded_split_matches_oracles(mode):
+    policies = [PrecisionPolicy.uniform(FP16, rounding=mode),
+                PrecisionPolicy.mixed(FP16, FP32, 3, rounding=mode)]
+    for name, call, oracle, args in _threaded_cases():
+        for policy in policies:
+            where = f"{name}, {policy.mode.value}"
+            rng_got, rng_want = np.random.default_rng(6), np.random.default_rng(6)
+            got = call(*args, policy, rng_got)
+            want = oracle(*args, policy, rng_want)
+            assert got.shape == want.shape, where
+            got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8), err_msg=where)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state, where
 
 
 def _state(rng):
