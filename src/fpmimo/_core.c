@@ -220,11 +220,11 @@ ALWAYS_INLINE void walk_by(walk_t *w, int64_t r)
     }
 }
 
-/* The arguments of an elementwise call: its lanes walk the inputs x and y. */
+/* The arguments of fp_round and fp_join: lane i reads the doubles at byte
+ * offsets i * sx of x and i * sy of y. */
 typedef struct {
-    walk_t w;
     const char *x, *y;
-    int64_t n;
+    int64_t sx, sy;
     rounder_t r;
     const double *u;
     double *out;
@@ -235,7 +235,7 @@ static void round_range(const void *job, int64_t lo, int64_t hi)
     const map_t *m = job;
     const rounder_t r = m->r;
     const char *x = m->x;
-    const int64_t sx = m->w.sa[0];
+    const int64_t sx = m->sx;
     const double *u = m->u;
     double *out = m->out;
     for (int64_t i = lo; i < hi; i++)
@@ -247,12 +247,21 @@ static void round_range(const void *job, int64_t lo, int64_t hi)
 void fp_round(int64_t n, const char *x, int64_t sx, double *out,
               const fmt_t *f, const double *u)
 {
-    const map_t m = {.w = {.ndim = 1, .shape = &n, .sa = &sx, .sd = &sx}, .x = x, .n = n,
-                     .r = rounder(f), .u = u, .out = out};
+    const map_t m = {.x = x, .sx = sx, .r = rounder(f), .u = u, .out = out};
     split_lanes(n, n, round_range, &m);
 }
 
-ALWAYS_INLINE void round_complex_lanes(const map_t *m, const double *u, int64_t lo, int64_t hi)
+/* The arguments of an fp_round_complex call: its lanes walk x. */
+typedef struct {
+    walk_t w;
+    const char *x;
+    int64_t n;
+    rounder_t r;
+    const double *u;
+    double *out;
+} cmap_t;
+
+ALWAYS_INLINE void round_complex_lanes(const cmap_t *m, const double *u, int64_t lo, int64_t hi)
 {
     const rounder_t r = m->r;
     const char *x = m->x;
@@ -280,7 +289,7 @@ static void round_complex_nearest(const void *job, int64_t lo, int64_t hi)
 
 static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, ((const map_t *)job)->u, lo, hi);
+    round_complex_lanes(job, ((const cmap_t *)job)->u, lo, hi);
 }
 
 /* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, for
@@ -291,8 +300,8 @@ static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 void fp_round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
                       const fmt_t *f, const double *u)
 {
-    map_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
-               .n = 1, .r = rounder(f), .u = u, .out = out};
+    cmap_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
+                .n = 1, .r = rounder(f), .u = u, .out = out};
     for (int64_t k = 0; k < ndim; k++)
         m.n *= geom[k];
     split_lanes(m.n, m.n, u ? round_complex_stochastic : round_complex_nearest, &m);
@@ -302,7 +311,7 @@ static void join_range(const void *job, int64_t lo, int64_t hi)
 {
     const map_t *m = job;
     const char *re = m->x, *im = m->y;
-    const int64_t sr = m->w.sa[0], si = m->w.sd[0];
+    const int64_t sr = m->sx, si = m->sy;
     double *out = m->out;
     for (int64_t i = lo; i < hi; i++)
         join_to(load(re, i * sr), load(im, i * si), out + 2 * i);
@@ -313,8 +322,7 @@ static void join_range(const void *job, int64_t lo, int64_t hi)
 void fp_join(int64_t n, const char *re, int64_t sr, const char *im, int64_t si,
              double *out)
 {
-    const map_t m = {.w = {.ndim = 1, .shape = &n, .sa = &sr, .sd = &si}, .x = re, .y = im,
-                     .n = n, .out = out};
+    const map_t m = {.x = re, .y = im, .sx = sr, .sy = si, .out = out};
     split_lanes(n, n, join_range, &m);
 }
 

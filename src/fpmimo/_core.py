@@ -75,11 +75,6 @@ def build() -> Path:
     return target
 
 
-def int64s(*values) -> ctypes.Array:
-    """``values`` as a C array, for an ``int64_t *`` argument of the core."""
-    return (ctypes.c_int64 * len(values))(*values)
-
-
 @functools.cache
 def lib() -> ctypes.CDLL:
     """The loaded library, built on the first call of the process."""

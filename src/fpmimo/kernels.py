@@ -130,8 +130,9 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     x = np.asarray(x, dtype=np.complex128)
     out = np.empty(x.shape, dtype=np.complex128)
     u = _uniforms(policy.rounding, rng, 2 * x.size)
+    geom = np.array([*x.shape, *x.strides], dtype=np.int64)
     _core.lib().fp_round_complex(
-        x.ndim, _core.int64s(*x.shape, *x.strides), x.ctypes.data, out.ctypes.data,
+        x.ndim, geom.ctypes.data, x.ctypes.data, out.ctypes.data,
         _c_format(policy.working, policy.range_mode), None if u is None else u.ctypes.data,
     )
     return out if out.ndim else out[()]
@@ -165,8 +166,9 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False):
     g = -(-2 * n // b)
     u = _uniforms(policy.rounding, rng, count * (4 * n + 2 * ((b - 1) * g + g - 1)))
     out = np.empty(lanes, dtype=np.complex128)
+    geom = np.array([*lanes, *a.strides, *d.strides], dtype=np.int64)
     _core.lib().fp_dot(
-        len(lanes), _core.int64s(*lanes, *a.strides, *d.strides), n, a.ctypes.data, d.ctypes.data,
+        len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
         _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
         b, None if u is None else u.ctypes.data, upper, out.ctypes.data,
     )
