@@ -4,11 +4,15 @@
  * of a Gram matrix alone), a Cholesky factorization (fp_chol) and the
  * triangular solves of its factor (fp_trisolve).  Complex results are written
  * as complex128 by join_to, which fp_join exposes on its own.  Each entry's
- * comment gives the layout of its stochastic uniforms.
+ * comment gives the layout of its stochastic uniforms.  One entry rounds
+ * nothing: fp_gram computes fp64 Gram products A^H B in numpy's order for the
+ * subscripts "...mk,...ml->...kl" on A.conj() and B, and so with its bits, for
+ * the rate analysis of the harness and the condition numbers of the bounds.
  * fpmimo/_core.py compiles this file on first use and loads it with ctypes; it
  * must be built with -ffp-contract=off, so that no product and sum fuse into
- * one rounding, and with -pthread, as the elementwise entries and fp_dot split
- * their lanes across threads (split_lanes) with the bits of one thread.
+ * one rounding, and with -pthread, as the elementwise entries, fp_dot and
+ * fp_gram split their lanes across threads (split_lanes) with the bits of one
+ * thread.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -627,4 +631,103 @@ void fp_trisolve(int64_t L, int64_t K, int upper, const double *r, const double 
         trisolve_lanes(L, K, upper, r, b, &rd, u, x);
     else
         trisolve_lanes(L, K, upper, r, b, &rd, NULL, x);
+}
+
+/* The arguments of an fp_gram call. */
+typedef struct {
+    int64_t M, K, N;
+    const double *a, *b;
+    double *g;
+} gram_t;
+
+/* x, quieted as an operation quiets a NaN, by its bits */
+ALWAYS_INLINE double quiet(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    b |= (uint64_t)1 << 51;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+/* r = x op y for an add, subtract or multiply, with the NaN x86-64 returns
+ * for that operand order: x's, quieted, if x is a NaN, else y's.  A NaN made
+ * from numbers (inf - inf, 0 inf) is r itself. */
+ALWAYS_INLINE double nan_first(double x, double y, double r)
+{
+    return isnan(x) ? quiet(x) : isnan(y) ? quiet(y) : r;
+}
+
+/* Entry (k, n) of the lane at A, B, for an entry with a NaN part: the sums
+ * of gram_range again, in the operand order of numpy's loops (see fp_gram).
+ * The compiler may fold the negation of Im a into the operations that use it,
+ * which moves the sign of a NaN, so ai is read back through a volatile. */
+static __attribute__((noinline)) void gram_nan(const gram_t *j, const double *A,
+                                               const double *B, int64_t k, int64_t n,
+                                               double *out)
+{
+    double re = 0.0, im = 0.0;
+    for (int64_t m = 0; m < j->M; m++) {
+        volatile double neg = -A[2 * (j->K * m + k) + 1];
+        const double ar = A[2 * (j->K * m + k)], ai = neg;
+        const double br = B[2 * (j->N * m + n)], bi = B[2 * (j->N * m + n) + 1];
+        const double rr = nan_first(br, ar, br * ar), ii = nan_first(ai, bi, ai * bi);
+        const double ri = nan_first(ar, bi, ar * bi), ir = nan_first(ai, br, ai * br);
+        const double d = nan_first(rr, ii, rr - ii), s = nan_first(ri, ir, ri + ir);
+        if (j->K * j->N == 1) {
+            re = nan_first(re, d, re + d);
+            im = nan_first(im, s, im + s);
+        } else {
+            re = nan_first(d, re, d + re);
+            im = nan_first(s, im, s + im);
+        }
+    }
+    out[0] = re;
+    out[1] = im;
+}
+
+static void gram_range(const void *job, int64_t lo, int64_t hi)
+{
+    const gram_t *j = job;
+    const int64_t M = j->M, K = j->K, N = j->N;
+    for (int64_t l = lo; l < hi; l++) {
+        const double *A = j->a + 2 * M * K * l, *B = j->b + 2 * M * N * l;
+        double *restrict G = j->g + 2 * K * N * l;
+        for (int64_t i = 0; i < 2 * K * N; i++)
+            G[i] = 0.0;
+        for (int64_t m = 0; m < M; m++) {
+            const double *am = A + 2 * K * m, *bm = B + 2 * N * m;
+            for (int64_t k = 0; k < K; k++) {
+                const double ar = am[2 * k], ai = -am[2 * k + 1];
+                double *restrict gk = G + 2 * N * k;
+                for (int64_t n = 0; n < N; n++) {
+                    const double br = bm[2 * n], bi = bm[2 * n + 1];
+                    gk[2 * n] = gk[2 * n] + (ar * br - ai * bi);
+                    gk[2 * n + 1] = gk[2 * n + 1] + (ar * bi + ai * br);
+                }
+            }
+        }
+        for (int64_t i = 0; i < K * N; i++)
+            if (isnan(G[2 * i]) || isnan(G[2 * i + 1]))
+                gram_nan(j, A, B, i / N, i % N, G + 2 * i);
+    }
+}
+
+/* g = a^H b in plain fp64, nothing rounded to a target format, for L lanes
+ * (lane-major) of C-contiguous complex128 blocks a (M x K) and b (M x N), into
+ * the complex128 K x N blocks g, with the bits of numpy's contraction
+ * "...mk,...ml->...kl" of a.conj() and b.  Entry (k, n) starts from
+ * re = im = 0.0; then for m in order, with ar = Re a_mk, ai = -Im a_mk,
+ * br = Re b_mn and bi = Im b_mn, re = re + (ar br - ai bi) and
+ * im = im + (ar bi + ai br).  Where two NaN operands meet, x86-64 returns the
+ * first one, so the sign and payload of a NaN entry follow the operand order
+ * of numpy's compiled loops: br ar, ai bi, ar bi and ai br, and sum + term
+ * when a block is 1 x 1 but term + sum otherwise.  gram_range's operand order
+ * is the compiler's, so gram_nan redoes each entry with a NaN part in numpy's.
+ * The lanes split like fp_dot's, with work L M K N. */
+void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const double *b,
+             double *g)
+{
+    const gram_t job = {M, K, N, a, b, g};
+    split_lanes(L, L * M * K * N, gram_range, &job);
 }

@@ -87,6 +87,7 @@ def lib() -> ctypes.CDLL:
         (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, ptr]),
         (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
+        (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),
     ):
         fn.argtypes, fn.restype = argtypes, None

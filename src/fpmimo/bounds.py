@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _join
+from .kernels import _gram, _join
 
 __all__ = [
     "RateBoundResult",
@@ -260,7 +260,7 @@ def _kappa2_samples(M: int, K: int, samples: int, seed) -> np.ndarray:
         Hr = rng.standard_normal((c, M, K))
         Hi = rng.standard_normal((c, M, K))
         H = _join(Hr, Hi) / math.sqrt(2.0)
-        G = np.einsum("smk,sml->skl", H.conj(), H)
+        G = _gram(H, H)
         if K == 2:
             # closed-form eigenvalues of the 2x2 Hermitian Gram matrix
             a = G[:, 0, 0].real

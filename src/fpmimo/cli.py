@@ -56,7 +56,7 @@ def _gather_values(args) -> dict:
 def _gather_config(args) -> ExperimentConfig:
     values = _gather_values(args)
     if "scenario" not in values:
-        raise SystemExit("error: a scenario is required (flag or config file)")
+        raise ValueError("a scenario is required (flag or config file)")
     return build_config(values)
 
 

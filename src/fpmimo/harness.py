@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
-from .kernels import PolicyMode, PrecisionPolicy, _join, inner_product_fp, round_input
+from .kernels import PolicyMode, PrecisionPolicy, _gram, _join, inner_product_fp, round_input
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 __all__ = [
@@ -307,19 +307,18 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
     (hq, zq), r_fp, r_ref = _paired(mrc_combine, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
+    hn = np.linalg.norm(hq, axis=-1)
+    noise_p = hn**2
     if config.csi == "perfect":
-        hn2 = np.linalg.norm(hq, axis=-1) ** 2
-        sig = rho * hn2**2
-        noise_p = hn2
+        sig = rho * noise_p**2
     else:
-        sig = rho * np.abs(np.einsum("cm,cm->c", hq.conj(), h)) ** 2
-        noise_p = np.linalg.norm(hq, axis=-1) ** 2
+        sig = rho * np.abs(_gram(hq[..., None], h[..., None])[..., 0, 0]) ** 2
     sinr = sig / (noise_p + err**2)
     return {
         "rate": np.log2(1.0 + sinr),
         "rel_err": err / np.abs(np.asarray(r_ref)),
         "err_abs": err,
-        "scale": np.linalg.norm(hq, axis=-1) * np.linalg.norm(zq, axis=-1),
+        "scale": hn * np.linalg.norm(zq, axis=-1),
         "breakdown": np.zeros(c, dtype=bool),
     }
 
@@ -334,9 +333,8 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
     ds = s_fp - s_ref
     err = np.linalg.norm(ds, axis=-1)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise
-    hc = h.conj()
-    sig = rho * np.abs(np.einsum("cm,cm->c", hc, s_ref)) ** 2
-    interference = rho * np.abs(np.einsum("cm,cm->c", hc, ds)) ** 2
+    sig = rho * np.abs(_gram(h[..., None], s_ref[..., None])[..., 0, 0]) ** 2
+    interference = rho * np.abs(_gram(h[..., None], ds[..., None])[..., 0, 0]) ** 2
     sinr = sig / (interference + 1.0)
     return {
         "rate": np.log2(1.0 + sinr),
@@ -377,12 +375,12 @@ def _batch_mu_simo(c, M, rho, config, rng, rng_round):
         zf_detect_ne, (Hc, z), config.policy, rng_round, error="mask"
     )
     dr = r_fp - r_ref
-    G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
+    G = _gram(Hq, Hq)
     dinv = np.diagonal(np.linalg.inv(G), axis1=-2, axis2=-1).real
     if config.csi == "perfect":
         sinr = rho / (dinv + np.abs(dr) ** 2)
     else:
-        diag, cross = _gain_powers(np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H)))
+        diag, cross = _gain_powers(np.linalg.solve(G, _gram(Hq, H)))
         sinr = rho * diag / (rho * cross + dinv + np.abs(dr) ** 2)
     out = _zf_result(sinr, dr, r_ref, G, breakdown)
     out["scale"] = out["kappa"] * out["ref_norm"]  # the bound constant c_u carries no kappa
@@ -398,13 +396,13 @@ def _batch_mu_miso(c, M, rho, config, rng, rng_round):
     )
     ds = s_fp - s_ref
     beta = M - config.K
-    leak = rho * np.abs(np.einsum("cmk,cm->ck", H.conj(), ds)) ** 2
-    G = np.einsum("cmk,cml->ckl", Hq.conj(), Hq)
+    leak = rho * np.abs(_gram(H, ds[..., None])[..., 0]) ** 2
+    G = _gram(Hq, Hq)
     if config.csi == "perfect":
         sinr = rho * beta / (leak + 1.0)
     else:
         # effective gain of user k from the precoder built on the estimate
-        S = np.linalg.solve(G, np.einsum("cmk,cml->ckl", Hq.conj(), H))
+        S = np.linalg.solve(G, _gram(Hq, H))
         diag, cross = _gain_powers(np.swapaxes(S, -1, -2).conj())
         sinr = rho * beta * diag / (rho * beta * cross + leak + 1.0)
     return _zf_result(sinr, ds, s_ref, G, breakdown)  # the bound constant c_d carries kappa

@@ -12,7 +12,11 @@ precoding, its six steps in C inside the factor and the solves.  Under
 stochastic rounding each kernel draws one block of uniforms after rounding
 its inputs, laid out as the comment of its entry in ``_core.c`` says.  Every
 complex result is joined from its two parts by ``join_to`` in ``_core.c``
-(``_join`` here), with numpy's ``1j*im + re`` bits.
+(``_join`` here), with numpy's ``1j*im + re`` bits.  The one unrounded
+kernel, ``_gram``, is the C core's ``fp_gram``: the fp64 Gram products A^H B
+of the harness's rate analysis and the bounds' condition-number sampler, in
+the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
+``B``, and so with its bits.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -108,6 +112,25 @@ def _join(re, im):
         out.size, re.ctypes.data, re.strides[0], im.ctypes.data, im.strides[0], out.ctypes.data
     )
     return out if out.ndim else out[()]
+
+
+def _gram(A, B):
+    """A^H B in fp64 with the bits of numpy's contraction ``"...mk,...ml->...kl"``
+    of ``A.conj()`` and ``B``, in the C core (``fp_gram``).
+
+    A has shape (..., M, K) and B (..., M, N), with the same batch shape; each
+    entry is summed over m in order.  An inner product a^H b over the last
+    axis is ``_gram(a[..., None], b[..., None])[..., 0, 0]``.
+    """
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    B = np.ascontiguousarray(B, dtype=np.complex128)
+    if A.ndim < 2 or A.shape[:-1] != B.shape[:-1]:
+        raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
+    *batch, M, K = A.shape
+    N = B.shape[-1]
+    out = np.empty((*batch, K, N), dtype=np.complex128)
+    _core.lib().fp_gram(math.prod(batch), M, K, N, A.ctypes.data, B.ctypes.data, out.ctypes.data)
+    return out
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):

@@ -63,9 +63,13 @@ class TestSweepCommand:
         main(["sweep", "--config", str(cfg), "--seed", "42", "-o", str(out)])
         assert read_csv(out)[0]["seed"] == 42
 
-    def test_requires_scenario(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "-o", str(tmp_path / "x.csv")])
+    def test_requires_scenario(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for argv in (["sweep", "-o", str(out)], ["verify"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: a scenario is required (flag or config file)\n", argv
+        assert not out.exists()
 
 
 class TestBoundsCommand:

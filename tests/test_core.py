@@ -69,7 +69,8 @@ def test_source_compiles_without_warnings(tmp_path):
 def test_every_entry_point_is_declared():
     """ctypes would pass an undeclared entry's arguments as C ints, truncating 64-bit ones."""
     entries = re.findall(r"^void (fp_\w+)\(([^)]*)\)", _core.SOURCE.read_text(), re.M)
-    assert {"fp_round", "fp_dot", "fp_chol", "fp_trisolve"} <= {name for name, _ in entries}
+    required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram"}
+    assert required <= {name for name, _ in entries}
     so = _core.lib()
     for name, params in entries:
         fn = getattr(so, name)
@@ -88,13 +89,14 @@ def test_thread_count_stays_within_affinity():
 
 
 # Pins itself to one CPU when asked, before the core loads, then prints the
-# core's thread count and writes a MISO point at M = 10000 and a stochastic
-# mixed-precision SIMO point as sweep CSVs.
+# core's thread count and writes a MISO point at M = 10000, a stochastic
+# mixed-precision SIMO point and an MMSE MU-MISO point as sweep CSVs, and the
+# repr of a Monte Carlo upsilon (fp_gram's Gram products) as a text file.
 _CHILD = textwrap.dedent("""
     import ctypes, os, sys
     if sys.argv[1] == "pin":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    from fpmimo import _core
+    from fpmimo import _core, bounds
     from fpmimo.formats import FP16, FP32, RoundingMode
     from fpmimo.harness import ExperimentConfig, emit_csv, run_sweep
     from fpmimo.kernels import PrecisionPolicy
@@ -103,9 +105,13 @@ _CHILD = textwrap.dedent("""
     configs = {
         "miso": ExperimentConfig("MISO", (10000,), PrecisionPolicy.uniform(FP16), trials=40, seed=2),
         "simo": ExperimentConfig("SIMO", (1024,), mixed, trials=200, seed=3),
+        "mu-miso": ExperimentConfig("MU-MISO", (256,), PrecisionPolicy.uniform(FP16), K=4,
+                                    csi="mmse", trials=200, seed=4),
     }
     for name, config in configs.items():
         emit_csv(run_sweep(config), f"{sys.argv[2]}-{name}.csv")
+    with open(f"{sys.argv[2]}-upsilon.txt", "w") as f:
+        f.write(repr(bounds.upsilon(64, 4, samples=20000)))
     count = ctypes.c_int64()
     _core.lib().fp_threads(ctypes.byref(count))
     print(count.value)
@@ -125,6 +131,6 @@ def test_one_cpu_gives_the_bytes_of_all(tmp_path):
         counts[how] = int(proc.stdout)
     assert counts == {"pin": 1, "all": _threads()}
     assert counts["all"] > 1
-    for name in ("miso", "simo"):
-        pinned = (tmp_path / f"pin-{name}.csv").read_bytes()
-        assert pinned == (tmp_path / f"all-{name}.csv").read_bytes(), name
+    for name in ("miso.csv", "simo.csv", "mu-miso.csv", "upsilon.txt"):
+        pinned = (tmp_path / f"pin-{name}").read_bytes()
+        assert pinned == (tmp_path / f"all-{name}").read_bytes(), name

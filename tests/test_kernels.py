@@ -9,6 +9,7 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
+    _gram,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -414,3 +415,71 @@ def test_non_finite_input_rejected(name, call, args, arg, bad):
     args[arg].flat[-1] = complex(1.0, bad)
     with pytest.raises(ValueError, match=f"{name} requires finite input"):
         call(POL16, None, *args)
+
+
+# -- the unrounded Gram products: numpy's bits ------------------------------
+
+# Each call form the harness and the bounds use, as (numpy's contraction of
+# the conjugated first operand with the second, the same through _gram); a is
+# (..., M, K) and b (..., M, N).
+GRAM_FORMS = {
+    "gram": (lambda a, b: np.einsum("...mk,...ml->...kl", a.conj(), a), lambda a, b: _gram(a, a)),
+    "cross": (lambda a, b: np.einsum("...mk,...ml->...kl", a.conj(), b), _gram),
+    "cmk,cm->ck": (lambda a, b: np.einsum("...mk,...m->...k", a.conj(), b[..., 0]),
+                   lambda a, b: _gram(a, b[..., :1])[..., 0]),
+    "cm,cm->c": (lambda a, b: np.einsum("...m,...m->...", a[..., 0].conj(), b[..., 0]),
+                 lambda a, b: _gram(a[..., :1], b[..., :1])[..., 0, 0]),
+}
+# every sign of zero and infinity, NaN, and entries whose products overflow
+SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+
+
+def _cn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _salted(rng, x):
+    """x with about a quarter of its real and imaginary parts set to SPECIALS."""
+    parts = x.view(np.float64).copy()
+    hit = rng.random(parts.shape) < 0.25
+    parts[hit] = rng.choice(SPECIALS, hit.sum())
+    return parts.view(np.complex128)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("form", GRAM_FORMS)
+@pytest.mark.parametrize("K,N", [(k, n) for k in (1, 3, 4) for n in (1, 3, 4)])
+@pytest.mark.parametrize("M", [1, 2, 7, 256])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=["rank0", "rank1", "rank2"])
+def test_gram_matches_numpy_bits(batch, M, K, N, form):
+    rng = np.random.default_rng([M, K, N, len(batch)])
+    a, b = _cn(rng, (*batch, M, K)), _cn(rng, (*batch, M, N))
+    want, got = GRAM_FORMS[form]
+    _assert_same_bits(got(a, b), want(a, b))
+    a, b = _salted(rng, a), _salted(rng, b)
+    _assert_same_bits(got(a, b), want(a, b))
+
+
+@pytest.mark.parametrize("form", GRAM_FORMS)
+@pytest.mark.parametrize("L,M,K,N", [(143, 256, 4, 4), (143, 256, 4, 1), (11, 10000, 1, 1)])
+def test_gram_split_over_threads_matches_numpy_bits(L, M, K, N, form):
+    """Calls large enough to split, into ranges of unequal length at every
+    thread count the core allows."""
+    assert L * M * K * N > 1 << 16 and all(L % t for t in range(2, 9))
+    rng = np.random.default_rng([L, M, K, N])
+    a, b = _salted(rng, _cn(rng, (L, M, K))), _salted(rng, _cn(rng, (L, M, N)))
+    want, got = GRAM_FORMS[form]
+    _assert_same_bits(got(a, b), want(a, b))
+
+
+def test_gram_rejects_mismatched_shapes():
+    for a, b in [(np.ones((2, 3, 4)), np.ones((2, 5, 4))), (np.ones((2, 3, 4)), np.ones((3, 3, 4))),
+                 (np.ones(3), np.ones(3))]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _gram(a, b)
