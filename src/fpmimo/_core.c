@@ -8,11 +8,17 @@
  * nothing: fp_gram computes fp64 Gram products A^H B in numpy's order for the
  * subscripts "...mk,...ml->...kl" on A.conj() and B, and so with its bits, for
  * the rate analysis of the harness and the condition numbers of the bounds.
- * fpmimo/_core.py compiles this file on first use and loads it with ctypes; it
- * must be built with -ffp-contract=off, so that no product and sum fuse into
- * one rounding, and with -pthread, as the elementwise entries, fp_dot and
- * fp_gram split their lanes across threads (split_lanes) with the bits of one
- * thread.
+ * Nor does fp_normal, which draws the standard normals of numpy's
+ * Generator.standard_normal on a PCG64, bit for bit and to the same end
+ * state, with numpy's own ziggurat (random_standard_normal of
+ * libnpyrandom.a), splitting the draws across threads by decoding pieces of
+ * the stream from their first word and joining them where the true chain of
+ * samples meets them.  fpmimo/_core.py compiles this file on first use, with
+ * numpy's include directory and linked to libnpyrandom.a, and loads it with
+ * ctypes; it must be built with -ffp-contract=off, so that no product and sum
+ * fuse into one rounding, and with -pthread, as the elementwise entries,
+ * fp_dot and fp_gram split their lanes across threads (split_lanes) with the
+ * bits of one thread, and fp_normal its pieces.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -28,6 +34,8 @@
 #include <sched.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
 
 typedef struct {
     int t;        /* significand bits, implicit bit included; 53 is the carrier */
@@ -730,4 +738,163 @@ void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const 
 {
     const gram_t job = {M, K, N, a, b, g};
     split_lanes(L, L * M * K * N, gram_range, &job);
+}
+
+/* Standard normals with the bits of numpy's Generator.standard_normal on a
+ * PCG64.  The ziggurat is numpy's own, random_standard_normal of its C API
+ * (libnpyrandom.a; declared here, as numpy/random/distributions.h needs
+ * Python.h).  It takes each word, a 64-bit output of the stream below, by
+ * next_uint64 or next_double, and no 32-bit ones, so the bitgen_t passed to
+ * it has no next_uint32. */
+double random_standard_normal(bitgen_t *bitgen_state);
+
+/* A PCG64 stream as numpy steps it: a 128-bit LCG, then the XSL-RR output of
+ * the new state.  pos counts the words taken since the call's entry state. */
+typedef struct {
+    unsigned __int128 s, inc;
+    int64_t pos;
+} pcg_t;
+
+#define PCG_MULT (((unsigned __int128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+static uint64_t pcg_next64(void *st)
+{
+    pcg_t *g = st;
+    g->s = g->s * PCG_MULT + g->inc;
+    g->pos++;
+    uint64_t x = (uint64_t)(g->s >> 64) ^ (uint64_t)g->s;
+    unsigned rot = (unsigned)(g->s >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+static double pcg_next_double(void *st)
+{
+    return (double)(pcg_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* the stream g moved on to word pos, by the LCG's jump-ahead (O'Neill,
+ * HMC-CS-2014-0905) from g's own word */
+static pcg_t pcg_at(pcg_t g, int64_t pos)
+{
+    unsigned __int128 mult = PCG_MULT, plus = g.inc, acc_mult = 1, acc_plus = 0;
+    for (uint64_t d = (uint64_t)(pos - g.pos); d; d >>= 1) {
+        if (d & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+    }
+    g.s = acc_mult * g.s + acc_plus;
+    g.pos = pos;
+    return g;
+}
+
+/* numpy's normal draws on *g, into out, while they start before word hi;
+ * returns how many it made.  The first SYNC samples' start words go to
+ * first, when it is not NULL. */
+#define SYNC 16
+
+static int64_t normals_to(pcg_t *g, int64_t hi, double *out, int64_t *first)
+{
+    bitgen_t b = {g, pcg_next64, NULL, pcg_next_double, pcg_next64};
+    int64_t k = 0;
+    for (; k < SYNC && g->pos < hi; k++) {
+        if (first)
+            first[k] = g->pos;
+        out[k] = random_standard_normal(&b);
+    }
+    for (; g->pos < hi; k++)
+        out[k] = random_standard_normal(&b);
+    return k;
+}
+
+/* One piece of a round: the samples that start in the words [lo, hi) of a
+ * stream decoded from word lo, as if a sample started there. */
+typedef struct {
+    int64_t lo, hi;
+    double *out;     /* where they go: hi - lo slots, as a sample takes a word or more */
+    int64_t count;   /* the samples */
+    int64_t end;     /* the word after the last */
+    int64_t first[SYNC];
+} piece_t;
+
+/* The arguments of a round: the stream at a known sample start, and its pieces. */
+typedef struct {
+    pcg_t g;
+    piece_t *p;
+} round_t;
+
+static void normal_range(const void *job, int64_t lo, int64_t hi)
+{
+    const round_t *r = job;
+    for (int64_t i = lo; i < hi; i++) {
+        piece_t *p = &r->p[i];
+        int64_t first[SYNC];
+        /* the stream on this thread's stack: in shared memory, its updates
+         * on every word would contend with the other threads' */
+        pcg_t g = pcg_at(r->g, p->lo);
+        p->count = normals_to(&g, p->hi, p->out, first);
+        p->end = g.pos;
+        memcpy(p->first, first, sizeof first);
+    }
+}
+
+/* Standard normals split across threads.  Each round cuts the words of the
+ * draws still to make, one word for each, into `pieces` contiguous pieces
+ * and decodes every piece from its first word, the pieces split across
+ * threads as lanes (split_lanes), into the output at the piece's word offset.  Then the
+ * caller walks the true chain of samples: the first piece starts at a true
+ * sample, so all of its samples are true, and the word after its last is
+ * where the next true sample starts.  A piece whose decoding passed that
+ * word among its first SYNC samples agrees with the true chain from there
+ * on, its samples from there are moved down to follow the last true one,
+ * and the word after its last is the next true start.  Else (about once in
+ * 10^4 pieces) its true samples are drawn again, one thread, from the true
+ * start.  A sample takes at least one word, so a round makes no more draws
+ * than are wanted, and rounds repeat while the draws left fill at least
+ * MIN_PIECE words a piece; the rest are drawn on one thread. */
+#define MAX_PIECES 64
+#define MIN_PIECE ((int64_t)1 << 13)
+
+/* out[i], i < n, = the n standard normals numpy draws from the PCG64 whose
+ * state is state[0] << 64 | state[1] and increment state[2] << 64 | state[3],
+ * and end[0] << 64 | end[1] = the state it leaves, whatever `pieces` is
+ * (clamped to 1..MAX_PIECES). */
+void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, double *out, uint64_t *end)
+{
+    const pcg_t e = {(unsigned __int128)state[0] << 64 | state[1],
+                     (unsigned __int128)state[2] << 64 | state[3], 0};
+    pieces = pieces < 1 ? 1 : pieces > MAX_PIECES ? MAX_PIECES : pieces;
+    int64_t done = 0, at = 0; /* the draws made, and the word the next starts at */
+    while (pieces > 1 && n - done >= pieces * MIN_PIECE) {
+        const int64_t R = n - done;
+        piece_t p[MAX_PIECES];
+        for (int64_t t = 0; t < pieces; t++)
+            p[t] = (piece_t){.lo = at + R * t / pieces, .hi = at + R * (t + 1) / pieces,
+                             .out = out + done + R * t / pieces};
+        const round_t job = {pcg_at(e, at), p};
+        split_lanes(pieces, pieces * MIN_WORK, normal_range, &job); /* a thread a piece */
+        done += p[0].count;
+        at = p[0].end;
+        for (int64_t t = 1; t < pieces; t++) {
+            int64_t j = 0, sync = p[t].count < SYNC ? p[t].count : SYNC;
+            while (j < sync && p[t].first[j] < at)
+                j++;
+            if (j < sync && p[t].first[j] == at) {
+                memmove(out + done, p[t].out + j, (p[t].count - j) * sizeof *out);
+                done += p[t].count - j;
+                at = p[t].end;
+            } else {
+                pcg_t g = pcg_at(e, at);
+                done += normals_to(&g, p[t].hi, out + done, NULL);
+                at = g.pos;
+            }
+        }
+    }
+    pcg_t g = pcg_at(e, at);
+    for (bitgen_t b = {&g, pcg_next64, NULL, pcg_next_double, pcg_next64}; done < n; done++)
+        out[done] = random_standard_normal(&b);
+    end[0] = (uint64_t)(g.s >> 64);
+    end[1] = (uint64_t)g.s;
 }

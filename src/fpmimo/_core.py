@@ -1,15 +1,19 @@
 """Build and load the rounding primitive in ``_core.c``.
 
 The C source is compiled on first use, not at import, with the C compiler
-Python was built with.  The shared library goes into the ``__pycache__``
-directory beside the source, named by the sha256 of the source and the
-compile command, so an edited source or command builds afresh and an
-unchanged one loads the cached build.  A failed build raises
-:class:`RuntimeError` with the command and the compiler's output; there is no
+Python was built with, by :func:`compile_command`.  It links numpy's static
+``libnpyrandom.a`` (the C API of ``numpy.random``), whose ziggurat
+``fp_normal`` calls, and reads ``numpy/random/bitgen.h`` from numpy's include
+directory.  The shared library goes into the ``__pycache__`` directory beside
+the source, named by the sha256 of the source, the compile command and the
+bytes of ``libnpyrandom.a``, so an edited source or command, or another
+numpy, builds afresh and an unchanged one loads the cached build.  A failed
+build, or a missing ``libnpyrandom.a``, raises :class:`RuntimeError` with the
+command and the compiler's output or the library's path; there is no
 pure-Python fallback.  It is built with ``-pthread``: a large call splits its
-lanes over as many threads as the process may use CPUs when the library loads
-(at most eight; ``fp_threads`` reports the count), with the bits of one
-thread.
+lanes, or its normal draws, over as many threads as the process may use CPUs
+when the library loads (at most eight; ``fp_threads`` reports the count, and
+:func:`threads` returns it), with the bits of one thread.
 """
 
 from __future__ import annotations
@@ -41,15 +45,42 @@ class Format(ctypes.Structure):
     ]
 
 
+def _npyrandom() -> Path:
+    """numpy's static ``libnpyrandom.a``, the C API of ``numpy.random``."""
+    import numpy as np
+
+    path = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    if not path.is_file():
+        raise RuntimeError(f"numpy's random C library is missing: {path}")
+    return path
+
+
+def compile_command(source, out) -> list[str]:
+    """The full compile command of ``source`` into the shared library ``out``.
+
+    ``COMMAND``, numpy's include directory (for ``numpy/random/bitgen.h``),
+    the output and the source, and then, after the source so that the linker
+    takes what it calls from them, numpy's ``libnpyrandom.a`` and libm.  A
+    missing ``libnpyrandom.a`` raises :class:`RuntimeError` naming its path.
+    """
+    import numpy as np
+
+    return [*COMMAND, f"-I{np.get_include()}", "-o", str(out), str(source), str(_npyrandom()),
+            "-lm"]
+
+
 def build() -> Path:
-    """Compile ``SOURCE`` with ``COMMAND`` unless a build of both is cached."""
+    """Compile ``SOURCE`` with :func:`compile_command` unless a build of both,
+    and of the ``libnpyrandom.a`` it links, is cached."""
     # imported here, so that importing fpmimo does not pay for them
     import hashlib
     import subprocess
     import tempfile
 
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + b"\0" + "\0".join(COMMAND).encode()).hexdigest()
+    command = "\0".join(compile_command(SOURCE, "")).encode()
+    digest = hashlib.sha256(
+        b"\0".join([SOURCE.read_bytes(), command, _npyrandom().read_bytes()])
+    ).hexdigest()
     cache = SOURCE.parent / "__pycache__"
     target = cache / f"{SOURCE.stem}-{digest}.so"
     if target.exists():
@@ -57,7 +88,7 @@ def build() -> Path:
     cache.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{SOURCE.stem}-", suffix=".tmp", dir=cache)
     os.close(fd)
-    command = [*COMMAND, "-o", tmp, str(SOURCE), "-lm"]
+    command = compile_command(SOURCE, tmp)
     try:
         try:
             proc = subprocess.run(command, capture_output=True, text=True)
@@ -89,6 +120,15 @@ def lib() -> ctypes.CDLL:
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),
+        (so.fp_normal, [i64, i64, ptr, ptr, ptr]),
     ):
         fn.argtypes, fn.restype = argtypes, None
     return so
+
+
+@functools.cache
+def threads() -> int:
+    """The most threads one call of the library runs on (``fp_threads``)."""
+    count = ctypes.c_int64()
+    lib().fp_threads(ctypes.byref(count))
+    return count.value

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _gram, _join
+from .kernels import _gram, _noise
 
 __all__ = [
     "RateBoundResult",
@@ -257,10 +257,9 @@ def _kappa2_samples(M: int, K: int, samples: int, seed) -> np.ndarray:
     done = 0
     while done < samples:
         c = min(chunk, samples - done)
-        Hr = rng.standard_normal((c, M, K))
-        Hi = rng.standard_normal((c, M, K))
-        H = _join(Hr, Hi) / math.sqrt(2.0)
+        H = _noise(rng, (c, M, K))
         G = _gram(H, H)
+        del H  # so that the next chunk's draws do not pile up on this one
         if K == 2:
             # closed-form eigenvalues of the 2x2 Hermitian Gram matrix
             a = G[:, 0, 0].real

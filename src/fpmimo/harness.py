@@ -20,7 +20,9 @@ import numpy as np
 
 from . import bounds
 from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
-from .kernels import PolicyMode, PrecisionPolicy, _gram, _join, inner_product_fp, round_input
+from .kernels import (
+    PolicyMode, PrecisionPolicy, _gram, _join, _noise, _normal, inner_product_fp, round_input,
+)
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 __all__ = [
@@ -231,11 +233,11 @@ def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
     the estimation error H - Hhat is independent of Hhat with entries
     CN(0, 1/(tau*rho + 1)).
     """
-    if tau < 1 or rho <= 0:
-        raise ValueError("tau >= 1 and rho > 0 required")
+    if tau < 1 or not 0 < rho < math.inf:
+        raise ValueError("tau >= 1 and a finite rho > 0 required")
     H = np.asarray(H, dtype=np.complex128)
     p = tau * rho
-    w = _join(rng.standard_normal(H.shape), rng.standard_normal(H.shape)) / math.sqrt(2.0 * p)
+    w = _join(_normal(rng, H.shape), _normal(rng, H.shape)) / math.sqrt(2.0 * p)
     return (p / (p + 1.0)) * (H + w)
 
 
@@ -252,13 +254,6 @@ def _reference_policy(policy: PrecisionPolicy) -> PrecisionPolicy:
 
 def _unit_symbols(rng, shape):
     return np.exp(2j * np.pi * rng.random(shape))
-
-
-def _noise(rng, shape):
-    """iid CN(0, 1) samples; all real parts are drawn before the imaginary ones."""
-    z = _join(rng.standard_normal(shape), rng.standard_normal(shape))
-    z /= math.sqrt(2.0)
-    return z
 
 
 def _round_rng(policy: PrecisionPolicy, ss):

@@ -16,7 +16,11 @@ complex result is joined from its two parts by ``join_to`` in ``_core.c``
 kernel, ``_gram``, is the C core's ``fp_gram``: the fp64 Gram products A^H B
 of the harness's rate analysis and the bounds' condition-number sampler, in
 the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
-``B``, and so with its bits.
+``B``, and so with its bits.  Every Gaussian draw of the package goes
+through ``_normal``, ``rng.standard_normal`` byte for byte and to the same
+end state, which splits large draws from a PCG64 across threads in the C
+core's ``fp_normal`` with numpy's own ziggurat (from ``libnpyrandom.a``); the
+CN(0, 1) draws of channels and noise are ``_noise``.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -131,6 +135,57 @@ def _gram(A, B):
     out = np.empty((*batch, K, N), dtype=np.complex128)
     _core.lib().fp_gram(math.prod(batch), M, K, N, A.ctypes.data, B.ctypes.data, out.ctypes.data)
     return out
+
+
+# Draws below this many go to numpy in one piece: threads cost more than
+# splitting them saves.  It is two of fp_normal's MIN_PIECE, the least it
+# splits over two threads.
+_NORMAL_SPLIT = 1 << 14
+_U64 = (1 << 64) - 1
+
+
+def _normal(rng, shape: tuple):
+    """``rng.standard_normal(shape)`` byte for byte, leaving ``rng`` in the
+    state numpy leaves it in.
+
+    At least ``_NORMAL_SPLIT`` draws from a generator on an exact
+    :class:`numpy.random.PCG64` are split across the C core's threads
+    (:func:`_split_normal`) when it has two or more.  Every other call is
+    ``rng.standard_normal``'s.
+    """
+    pieces = _core.threads()
+    if (type(rng.bit_generator) is np.random.PCG64 and pieces > 1
+            and math.prod(shape) >= _NORMAL_SPLIT):
+        return _split_normal(rng, shape, pieces)
+    return rng.standard_normal(shape)
+
+
+def _split_normal(rng, shape: tuple, pieces: int):
+    """``rng.standard_normal(shape)`` for a generator on a PCG64, by the C
+    core's ``fp_normal`` in rounds of ``pieces`` pieces, with numpy's own
+    ziggurat and numpy's bits whatever ``pieces`` is.  The generator ends in
+    its entry state advanced by the words the draws took, with its
+    ``has_uint32`` and ``uinteger`` as they were; the generator's lock is held
+    from reading the state to setting it, as numpy holds it for a draw."""
+    out = np.empty(shape)
+    bg = rng.bit_generator
+    with bg.lock:
+        state = bg.state
+        pcg = state["state"]
+        s, inc = pcg["state"], pcg["inc"]
+        words = np.array([s >> 64, s & _U64, inc >> 64, inc & _U64], dtype=np.uint64)
+        _core.lib().fp_normal(out.size, pieces, words.ctypes.data, out.ctypes.data,
+                              words.ctypes.data)
+        pcg["state"] = int(words[0]) << 64 | int(words[1])
+        bg.state = state
+    return out
+
+
+def _noise(rng, shape: tuple):
+    """iid CN(0, 1) samples; all real parts are drawn before the imaginary ones."""
+    z = _join(_normal(rng, shape), _normal(rng, shape))
+    z /= math.sqrt(2.0)
+    return z
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from fpmimo import _core
@@ -56,12 +57,34 @@ def test_missing_compiler_names_command(source, monkeypatch):
         _core.build()
 
 
+def test_missing_npyrandom_names_its_path(source, monkeypatch):
+    fake = source.parent / "numpy" / "random" / "__init__.py"
+    monkeypatch.setattr(np.random, "__file__", str(fake))
+    missing = fake.with_name("lib") / "libnpyrandom.a"
+    with pytest.raises(RuntimeError, match=f"missing: {re.escape(str(missing))}$"):
+        _core.build()
+    assert not (source.parent / "__pycache__").exists()
+
+
+def test_build_is_cached_by_npyrandom_bytes(source, monkeypatch):
+    """Another numpy at the same path builds afresh."""
+    lib = source.parent / "libnpyrandom.a"
+    shutil.copy(_core._npyrandom(), lib)
+    monkeypatch.setattr(_core, "_npyrandom", lambda: lib)
+    first = _core.build()
+    assert _core.build() == first
+    lib.write_bytes(b"!<arch>\n")  # an empty archive
+    second = _core.build()
+    assert second != first and second.parent == first.parent
+
+
 def test_source_compiles_without_warnings(tmp_path):
-    """New entry points must not land with unused arguments or other -Wall -Wextra warnings."""
+    """New entry points must not land with unused arguments or other -Wall -Wextra warnings.
+
+    It compiles and links what ``build`` does, by its command."""
     copy = tmp_path / "_core.c"
     shutil.copy(_core.SOURCE, copy)
-    command = [*_core.COMMAND, "-Wall", "-Wextra", "-Werror"]
-    command += ["-o", str(tmp_path / "core.so"), str(copy), "-lm"]
+    command = [*_core.compile_command(copy, tmp_path / "core.so"), "-Wall", "-Wextra", "-Werror"]
     proc = subprocess.run(command, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -69,7 +92,7 @@ def test_source_compiles_without_warnings(tmp_path):
 def test_every_entry_point_is_declared():
     """ctypes would pass an undeclared entry's arguments as C ints, truncating 64-bit ones."""
     entries = re.findall(r"^void (fp_\w+)\(([^)]*)\)", _core.SOURCE.read_text(), re.M)
-    required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram"}
+    required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram", "fp_normal"}
     assert required <= {name for name, _ in entries}
     so = _core.lib()
     for name, params in entries:
@@ -78,22 +101,18 @@ def test_every_entry_point_is_declared():
         assert fn.restype is None, name
 
 
-def _threads():
-    count = ctypes.c_int64()
-    _core.lib().fp_threads(ctypes.byref(count))
-    return count.value
-
-
 def test_thread_count_stays_within_affinity():
-    assert 1 <= _threads() <= min(len(os.sched_getaffinity(0)), 8)
+    assert 1 <= _core.threads() <= min(len(os.sched_getaffinity(0)), 8)
 
 
 # Pins itself to one CPU when asked, before the core loads, then prints the
 # core's thread count and writes a MISO point at M = 10000, a stochastic
 # mixed-precision SIMO point and an MMSE MU-MISO point as sweep CSVs, and the
-# repr of a Monte Carlo upsilon (fp_gram's Gram products) as a text file.
+# repr of a Monte Carlo upsilon (fp_gram's Gram products) as a text file.  On
+# all CPUs their large normal draws are fp_normal's, split over threads; on
+# one, numpy's.
 _CHILD = textwrap.dedent("""
-    import ctypes, os, sys
+    import os, sys
     if sys.argv[1] == "pin":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     from fpmimo import _core, bounds
@@ -112,15 +131,13 @@ _CHILD = textwrap.dedent("""
         emit_csv(run_sweep(config), f"{sys.argv[2]}-{name}.csv")
     with open(f"{sys.argv[2]}-upsilon.txt", "w") as f:
         f.write(repr(bounds.upsilon(64, 4, samples=20000)))
-    count = ctypes.c_int64()
-    _core.lib().fp_threads(ctypes.byref(count))
-    print(count.value)
+    print(_core.threads())
 """)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_one_cpu_gives_the_bytes_of_all(tmp_path):
-    """The lanes a call splits over threads give the bits of one thread."""
+    """The lanes, and the normal draws, a call splits over threads give the bits of one thread."""
     src = str(_core.SOURCE.parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     counts = {}
@@ -129,7 +146,7 @@ def test_one_cpu_gives_the_bytes_of_all(tmp_path):
                               capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
         counts[how] = int(proc.stdout)
-    assert counts == {"pin": 1, "all": _threads()}
+    assert counts == {"pin": 1, "all": _core.threads()}
     assert counts["all"] > 1
     for name in ("miso.csv", "simo.csv", "mu-miso.csv", "upsilon.txt"):
         pinned = (tmp_path / f"pin-{name}").read_bytes()

@@ -73,6 +73,15 @@ class TestMmseEstimate:
         Hh = estimate_channel_mmse(H, 4, 1e9, rng)
         assert np.max(np.abs(H - Hh)) < 1e-3
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_snr_outside_positive_finite_before_drawing(self, rho):
+        rng = np.random.default_rng(7)
+        H = draw_channel(8, 2, rng, (3,))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rho"):
+            estimate_channel_mmse(H, 4, rho, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestRunSweep:
     def test_fp64_simo_closed_form(self):
