@@ -2,23 +2,30 @@
  * significand, elementwise on real (fp_round) or complex128 (fp_round_complex)
  * arrays, or fused into a complex dot product (fp_dot, also on the upper lanes
  * of a Gram matrix alone), a Cholesky factorization (fp_chol) and the
- * triangular solves of its factor (fp_trisolve).  Complex results are written
- * as complex128 by join_to, which fp_join exposes on its own.  Each entry's
- * comment gives the layout of its stochastic uniforms.  One entry rounds
- * nothing: fp_gram computes fp64 Gram products A^H B in numpy's order for the
- * subscripts "...mk,...ml->...kl" on A.conj() and B, and so with its bits, for
- * the rate analysis of the harness and the condition numbers of the bounds.
- * Nor does fp_normal, which draws the standard normals of numpy's
- * Generator.standard_normal on a PCG64, bit for bit and to the same end
- * state, with numpy's own ziggurat (random_standard_normal of
- * libnpyrandom.a), splitting the draws across threads by decoding pieces of
- * the stream from their first word and joining them where the true chain of
- * samples meets them.  fpmimo/_core.py compiles this file on first use, with
- * numpy's include directory and linked to libnpyrandom.a, and loads it with
- * ctypes; it must be built with -ffp-contract=off, so that no product and sum
- * fuse into one rounding, and with -pthread, as the elementwise entries,
- * fp_dot and fp_gram split their lanes across threads (split_lanes) with the
- * bits of one thread, and fp_normal its pieces.
+ * triangular solves of its factor (fp_trisolve).  fp_dot conjugates its
+ * first operand on request, as np.conj does, by the sign of its loaded
+ * imaginary part.  Complex results are written as complex128 by join_to, and
+ * fp_joined tells whether join_to would leave a complex128 array's bits as
+ * they are.  Each entry's comment gives the layout of its stochastic uniforms.
+ *
+ * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
+ * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
+ * and so with its bits, for the rate analysis of the harness and the
+ * condition numbers of the bounds; fp_norm computes the row norms of
+ * numpy.linalg's norm(x, axis=-1), with its bits, for the harness.  fp_normal
+ * draws the standard normals of numpy's Generator.standard_normal on a PCG64,
+ * bit for bit and to the same end state, with numpy's own ziggurat
+ * (random_standard_normal of libnpyrandom.a), splitting the draws across
+ * threads by decoding pieces of the stream from their first word and joining
+ * them where the true chain of samples meets them, into an output of any
+ * stride; fp_cn then makes CN(0, 1) samples of the real and imaginary parts
+ * so drawn in place, with the bits of numpy's (1j*im + re) / d.
+ * fpmimo/_core.py compiles this file on first use, with numpy's include
+ * directory and linked to libnpyrandom.a, and loads it with ctypes; it must
+ * be built with -ffp-contract=off, so that no product and sum fuse into one
+ * rounding unless an fma() says so, and with -pthread, as the elementwise
+ * entries, fp_dot, fp_gram and fp_norm split their lanes across threads
+ * (split_lanes) with the bits of one thread, and fp_normal its pieces.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -104,12 +111,33 @@ ALWAYS_INLINE double round_to(double x, const rounder_t *r, const double *u)
     return x;
 }
 
+/* x, quieted as an operation quiets a NaN, by its bits */
+ALWAYS_INLINE double quiet(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    b |= (uint64_t)1 << 51;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+/* r = x op y for an add, subtract or multiply, with the NaN x86-64 returns
+ * for that operand order: x's, quieted, if x is a NaN, else y's.  A NaN made
+ * from numbers (inf - inf, 0 inf) is r itself. */
+ALWAYS_INLINE double nan_first(double x, double y, double r)
+{
+    return isnan(x) ? quiet(x) : isnan(y) ? quiet(y) : r;
+}
+
 /* out[0] + i out[1] = re + i im with the bits of numpy's 1j*im + re, signed
  * zeros and NaNs included: (0 + 1i)(im + 0i), then + (re + 0i), every
- * operation rounded as written. */
+ * operation rounded as written.  The one sum whose operands may both be NaN
+ * (an infinite im makes 0 im one) takes its NaN by nan_first, as the
+ * compiler may swap the operands of an add. */
 ALWAYS_INLINE void join_to(double re, double im, double *out)
 {
-    out[0] = (0.0 * im - 1.0 * 0.0) + re;
+    const double t = 0.0 * im - 1.0 * 0.0;
+    out[0] = nan_first(t, re, t + re);
     out[1] = (0.0 * 0.0 + 1.0 * im) + 0.0;
 }
 
@@ -119,6 +147,12 @@ ALWAYS_INLINE double load(const char *p, int64_t k)
     double v;
     memcpy(&v, p + k, sizeof v);
     return v;
+}
+
+/* the double at byte offset k of p set to v */
+ALWAYS_INLINE void store(char *p, int64_t k, double v)
+{
+    memcpy(p + k, &v, sizeof v);
 }
 
 /* Lanes across threads.  split_lanes cuts the lanes [0, L) of a call into
@@ -232,11 +266,11 @@ ALWAYS_INLINE void walk_by(walk_t *w, int64_t r)
     }
 }
 
-/* The arguments of fp_round and fp_join: lane i reads the doubles at byte
- * offsets i * sx of x and i * sy of y. */
+/* The arguments of fp_round: lane i reads the double at byte offset i * sx
+ * of x. */
 typedef struct {
-    const char *x, *y;
-    int64_t sx, sy;
+    const char *x;
+    int64_t sx;
     rounder_t r;
     const double *u;
     double *out;
@@ -319,23 +353,66 @@ void fp_round_complex(int64_t ndim, const int64_t *geom, const char *x, double *
     split_lanes(m.n, m.n, u ? round_complex_stochastic : round_complex_nearest, &m);
 }
 
-static void join_range(const void *job, int64_t lo, int64_t hi)
+/* The arguments of fp_joined: n complex128 entries at x, and a flag that a
+ * range sets when join_to moves the bits of one of its entries. */
+typedef struct {
+    const char *x;
+    int *moved;
+} joined_t;
+
+static void joined_range(const void *job, int64_t lo, int64_t hi)
 {
-    const map_t *m = job;
-    const char *re = m->x, *im = m->y;
-    const int64_t sr = m->sx, si = m->sy;
-    double *out = m->out;
-    for (int64_t i = lo; i < hi; i++)
-        join_to(load(re, i * sr), load(im, i * si), out + 2 * i);
+    const joined_t *j = job;
+    for (int64_t i = lo; i < hi; i++) {
+        double y[2];
+        join_to(load(j->x, 16 * i), load(j->x, 16 * i + 8), y);
+        if (memcmp(y, j->x + 16 * i, sizeof y) != 0) {
+            __atomic_store_n(j->moved, 1, __ATOMIC_RELAXED);
+            return;
+        }
+    }
 }
 
-/* The complex128 out[i] = re[i * sr] + i im[i * si], joined by join_to; the
- * strides are in bytes. */
-void fp_join(int64_t n, const char *re, int64_t sr, const char *im, int64_t si,
-             double *out)
+/* *out = 1 if join_to leaves the bits of each of the n complex128 entries of
+ * x as they are, else 0.  It writes nothing else.  A finite entry can move
+ * only where a part is -0.0. */
+void fp_joined(int64_t n, const char *x, int64_t *out)
 {
-    const map_t m = {.x = re, .y = im, .sx = sr, .sy = si, .out = out};
-    split_lanes(n, n, join_range, &m);
+    int moved = 0;
+    const joined_t j = {x, &moved};
+    split_lanes(n, n, joined_range, &j);
+    *out = !moved;
+}
+
+/* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */
+typedef struct {
+    double *z;
+    double d;
+} cn_t;
+
+static void cn_range(const void *job, int64_t lo, int64_t hi)
+{
+    const cn_t *c = job;
+    const double rat = 0.0 / c->d, scl = 1.0 / (c->d + 0.0 * rat);
+    double *z = c->z;
+    for (int64_t i = lo; i < hi; i++) {
+        double j[2];
+        join_to(z[2 * i], z[2 * i + 1], j);
+        z[2 * i] = (j[0] + j[1] * rat) * scl;
+        z[2 * i + 1] = (j[1] - j[0] * rat) * scl;
+    }
+}
+
+/* In place on the n complex128 entries z_i = re + i im, whose parts are
+ * standard normals: z_i = (re + i im) / (d + 0i) with the bits of numpy's
+ * (1j*im + re) / d, that is join_to, then numpy's complex division by a
+ * divisor whose real part is the larger, with rat = 0 / d and
+ * scl = 1 / (d + 0 rat): re' = (re + im rat) scl, im' = (im - re rat) scl.
+ * d = sqrt(2) gives CN(0, 1) samples. */
+void fp_cn(int64_t n, double *z, double d)
+{
+    const cn_t c = {z, d};
+    split_lanes(n, n, cn_range, &c);
 }
 
 typedef struct {
@@ -366,6 +443,17 @@ ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t 
     }
 }
 
+/* x with the sign bits in mask flipped: -x, exactly as np.conj negates, NaN
+ * included, for mask = the sign bit, and x for mask = 0 */
+ALWAYS_INLINE double flip(double x, uint64_t mask)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    b ^= mask;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
 /* The arguments of an fp_dot call: its lanes walk a and d. */
 typedef struct {
     walk_t w;
@@ -374,6 +462,7 @@ typedef struct {
     plan_t pl;
     const double *u;
     int upper;
+    uint64_t conj; /* the sign bit, to flip the imaginary part of a, or 0 */
     double *out;
 } dot_t;
 
@@ -398,7 +487,8 @@ ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int64_t lo, int6
         int64_t p = 0, blk = 0;
         for (int64_t i = 0; i < n; i++) {
             const char *ai = pa + i * ta, *di = pd + i * td;
-            double ar = load(ai, 0), aim = load(ai, 8), dr = load(di, 0), dim = load(di, 8);
+            double ar = load(ai, 0), aim = flip(load(ai, 8), job->conj);
+            double dr = load(di, 0), dim = load(di, 8);
             const double *up = u ? u + l * n + i : NULL;
             double e0 = round_to(ar * dr, &pl.lo, up);
             double e1 = -round_to(aim * dim, &pl.lo, up ? up + prod : NULL);
@@ -459,15 +549,17 @@ static void dot_stochastic(const void *job, int64_t lo, int64_t hi)
  *
  * With upper nonzero the lanes below the diagonal of the last two lane axes
  * (index i > j there) are not reduced and come out 0; their uniforms keep
- * their place in u, unread. */
+ * their place in u, unread.  With conj nonzero the sum is of conj(a_i) d_i,
+ * the sign of each loaded Im a_i flipped (flip), which has the bits of the
+ * sum on np.conj(a). */
 void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
             const char *a, const char *d,
             const fmt_t *lo, const fmt_t *hi, int64_t b,
-            const double *u, int upper, double *out)
+            const double *u, int upper, int conj, double *out)
 {
     dot_t job = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + 2 * ndim + 1},
                  .n = n, .a = a, .d = d, .pl = {rounder(lo), rounder(hi), b, (2 * n + b - 1) / b, 1},
-                 .u = u, .upper = upper, .out = out};
+                 .u = u, .upper = upper, .conj = conj ? (uint64_t)1 << 63 : 0, .out = out};
     for (int64_t k = 0; k < ndim; k++)
         job.pl.lanes *= geom[k];
     split_lanes(job.pl.lanes, job.pl.lanes * n, u ? dot_stochastic : dot_nearest, &job);
@@ -648,24 +740,6 @@ typedef struct {
     double *g;
 } gram_t;
 
-/* x, quieted as an operation quiets a NaN, by its bits */
-ALWAYS_INLINE double quiet(double x)
-{
-    uint64_t b;
-    memcpy(&b, &x, sizeof b);
-    b |= (uint64_t)1 << 51;
-    memcpy(&x, &b, sizeof x);
-    return x;
-}
-
-/* r = x op y for an add, subtract or multiply, with the NaN x86-64 returns
- * for that operand order: x's, quieted, if x is a NaN, else y's.  A NaN made
- * from numbers (inf - inf, 0 inf) is r itself. */
-ALWAYS_INLINE double nan_first(double x, double y, double r)
-{
-    return isnan(x) ? quiet(x) : isnan(y) ? quiet(y) : r;
-}
-
 /* Entry (k, n) of the lane at A, B, for an entry with a NaN part: the sums
  * of gram_range again, in the operand order of numpy's loops (see fp_gram).
  * The compiler may fold the negation of Im a into the operations that use it,
@@ -740,6 +814,83 @@ void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const 
     split_lanes(L, L * M * K * N, gram_range, &job);
 }
 
+/* |x|^2 of the complex128 at p as (x.conj() * x).real has it where numpy's
+ * complex multiply fuses a product into its sum, as on x86-64 with FMA:
+ * Re x Re x less (-Im x) Im x, in one rounding. */
+ALWAYS_INLINE double abs2(const char *p)
+{
+    const double re = load(p, 0), im = load(p, 8);
+    return fma(re, re, im * im);
+}
+
+/* The sum of abs2 over n entries s bytes apart, in the order of numpy's
+ * pairwise add.reduce (pairwise_sum of its loops): fewer than 8 terms in
+ * order from 0.0; at most 128 in 8 running sums r_j over the terms j mod 8
+ * of the whole groups of 8, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+ * (r6 + r7)), then the rest in order; more, the halves split at n / 2
+ * rounded down to a multiple of 8, added. */
+static double pairwise_abs2(const char *p, int64_t n, int64_t s)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += abs2(p + i * s);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int64_t j = 0; j < 8; j++)
+            r[j] = abs2(p + j * s);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += abs2(p + (i + j) * s);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += abs2(p + i * s);
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_abs2(p, n2, s) + pairwise_abs2(p + n2 * s, n - n2, s);
+}
+
+/* The arguments of an fp_norm call: its lanes walk x. */
+typedef struct {
+    walk_t w;
+    int64_t n;
+    const char *x;
+    double *out;
+} norm_t;
+
+static void norm_range(const void *job, int64_t lo, int64_t hi)
+{
+    const norm_t *j = job;
+    const int64_t step = j->w.sa[j->w.ndim];
+    walk_t w = j->w;
+    walk_to(&w, lo);
+    for (int64_t l = lo; l < hi; l++, walk_by(&w, 1))
+        j->out[l] = sqrt(0.0 + pairwise_abs2(j->x + w.oa, j->n, step));
+}
+
+/* out[l] = the 2-norm of lane l of an ndim-dimensional array of lanes of n
+ * complex128 terms, with the bits of numpy.linalg's norm(x, axis=-1), which is
+ * sqrt(add.reduce((x.conj() * x).real, axis=-1)): 0.0 plus the pairwise sum
+ * of abs2 along the lane (pairwise_abs2), then sqrt.  That is numpy's order
+ * when its reduction runs along the lanes, as it does when the term axis has
+ * the smallest stride; across the lanes it sums in another.  geom holds the
+ * lane shape (ndim entries), then x's byte strides (ndim + 1, the term axis
+ * last).  The lanes split like fp_gram's, with work L n. */
+void fp_norm(int64_t ndim, const int64_t *geom, int64_t n, const char *x, double *out)
+{
+    norm_t job = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim},
+                  .n = n, .x = x, .out = out};
+    int64_t L = 1;
+    for (int64_t k = 0; k < ndim; k++)
+        L *= geom[k];
+    split_lanes(L, L * n, norm_range, &job);
+}
+
 /* Standard normals with the bits of numpy's Generator.standard_normal on a
  * PCG64.  The ziggurat is numpy's own, random_standard_normal of its C API
  * (libnpyrandom.a; declared here, as numpy/random/distributions.h needs
@@ -790,39 +941,55 @@ static pcg_t pcg_at(pcg_t g, int64_t pos)
     return g;
 }
 
-/* numpy's normal draws on *g, into out, while they start before word hi;
- * returns how many it made.  The first SYNC samples' start words go to
- * first, when it is not NULL. */
+/* numpy's normal draws on *g, into the doubles s bytes apart from out, while
+ * they start before word hi; returns how many it made.  The first SYNC
+ * samples' start words go to first, when it is not NULL. */
 #define SYNC 16
 
-static int64_t normals_to(pcg_t *g, int64_t hi, double *out, int64_t *first)
+static int64_t normals_to(pcg_t *g, int64_t hi, char *out, int64_t s, int64_t *first)
 {
     bitgen_t b = {g, pcg_next64, NULL, pcg_next_double, pcg_next64};
     int64_t k = 0;
     for (; k < SYNC && g->pos < hi; k++) {
         if (first)
             first[k] = g->pos;
-        out[k] = random_standard_normal(&b);
+        store(out, k * s, random_standard_normal(&b));
     }
     for (; g->pos < hi; k++)
-        out[k] = random_standard_normal(&b);
+        store(out, k * s, random_standard_normal(&b));
     return k;
+}
+
+/* entries [src, src + count) of the doubles s bytes apart from out moved to
+ * [dst, dst + count), the two ranges overlapping or not, as memmove moves */
+static void move(char *out, int64_t s, int64_t dst, int64_t src, int64_t count)
+{
+    if (dst <= src)
+        for (int64_t k = 0; k < count; k++)
+            store(out, (dst + k) * s, load(out, (src + k) * s));
+    else
+        for (int64_t k = count - 1; k >= 0; k--)
+            store(out, (dst + k) * s, load(out, (src + k) * s));
 }
 
 /* One piece of a round: the samples that start in the words [lo, hi) of a
  * stream decoded from word lo, as if a sample started there. */
 typedef struct {
     int64_t lo, hi;
-    double *out;     /* where they go: hi - lo slots, as a sample takes a word or more */
+    int64_t at;      /* the output entry of the first: hi - lo slots follow, as a
+                        sample takes a word or more */
     int64_t count;   /* the samples */
     int64_t end;     /* the word after the last */
     int64_t first[SYNC];
 } piece_t;
 
-/* The arguments of a round: the stream at a known sample start, and its pieces. */
+/* The arguments of a round: the stream at a known sample start, its pieces,
+ * and the output, its doubles s bytes apart. */
 typedef struct {
     pcg_t g;
     piece_t *p;
+    char *out;
+    int64_t s;
 } round_t;
 
 static void normal_range(const void *job, int64_t lo, int64_t hi)
@@ -834,7 +1001,7 @@ static void normal_range(const void *job, int64_t lo, int64_t hi)
         /* the stream on this thread's stack: in shared memory, its updates
          * on every word would contend with the other threads' */
         pcg_t g = pcg_at(r->g, p->lo);
-        p->count = normals_to(&g, p->hi, p->out, first);
+        p->count = normals_to(&g, p->hi, r->out + p->at * r->s, r->s, first);
         p->end = g.pos;
         memcpy(p->first, first, sizeof first);
     }
@@ -848,7 +1015,7 @@ static void normal_range(const void *job, int64_t lo, int64_t hi)
  * sample, so all of its samples are true, and the word after its last is
  * where the next true sample starts.  A piece whose decoding passed that
  * word among its first SYNC samples agrees with the true chain from there
- * on, its samples from there are moved down to follow the last true one,
+ * on, its samples from there are moved (move) to follow the last true one,
  * and the word after its last is the next true start.  Else (about once in
  * 10^4 pieces) its true samples are drawn again, one thread, from the true
  * start.  A sample takes at least one word, so a round makes no more draws
@@ -857,11 +1024,12 @@ static void normal_range(const void *job, int64_t lo, int64_t hi)
 #define MAX_PIECES 64
 #define MIN_PIECE ((int64_t)1 << 13)
 
-/* out[i], i < n, = the n standard normals numpy draws from the PCG64 whose
- * state is state[0] << 64 | state[1] and increment state[2] << 64 | state[3],
- * and end[0] << 64 | end[1] = the state it leaves, whatever `pieces` is
- * (clamped to 1..MAX_PIECES). */
-void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, double *out, uint64_t *end)
+/* The doubles at byte offsets i * s of out, i < n, = the n standard normals
+ * numpy draws from the PCG64 whose state is state[0] << 64 | state[1] and
+ * increment state[2] << 64 | state[3], and end[0] << 64 | end[1] = the state
+ * it leaves, whatever `pieces` is (clamped to 1..MAX_PIECES). */
+void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, char *out, int64_t s,
+               uint64_t *end)
 {
     const pcg_t e = {(unsigned __int128)state[0] << 64 | state[1],
                      (unsigned __int128)state[2] << 64 | state[3], 0};
@@ -872,8 +1040,8 @@ void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, double *out, ui
         piece_t p[MAX_PIECES];
         for (int64_t t = 0; t < pieces; t++)
             p[t] = (piece_t){.lo = at + R * t / pieces, .hi = at + R * (t + 1) / pieces,
-                             .out = out + done + R * t / pieces};
-        const round_t job = {pcg_at(e, at), p};
+                             .at = done + R * t / pieces};
+        const round_t job = {pcg_at(e, at), p, out, s};
         split_lanes(pieces, pieces * MIN_WORK, normal_range, &job); /* a thread a piece */
         done += p[0].count;
         at = p[0].end;
@@ -882,19 +1050,19 @@ void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, double *out, ui
             while (j < sync && p[t].first[j] < at)
                 j++;
             if (j < sync && p[t].first[j] == at) {
-                memmove(out + done, p[t].out + j, (p[t].count - j) * sizeof *out);
+                move(out, s, done, p[t].at + j, p[t].count - j);
                 done += p[t].count - j;
                 at = p[t].end;
             } else {
                 pcg_t g = pcg_at(e, at);
-                done += normals_to(&g, p[t].hi, out + done, NULL);
+                done += normals_to(&g, p[t].hi, out + done * s, s, NULL);
                 at = g.pos;
             }
         }
     }
     pcg_t g = pcg_at(e, at);
     for (bitgen_t b = {&g, pcg_next64, NULL, pcg_next_double, pcg_next64}; done < n; done++)
-        out[done] = random_standard_normal(&b);
+        store(out, done * s, random_standard_normal(&b));
     end[0] = (uint64_t)(g.s >> 64);
     end[1] = (uint64_t)g.s;
 }

@@ -111,16 +111,19 @@ def lib() -> ctypes.CDLL:
     """The loaded library, built on the first call of the process."""
     so = ctypes.CDLL(str(build()))
     i64, ptr, fmt, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format), ctypes.c_int
+    f64 = ctypes.c_double
     for fn, argtypes in (
         (so.fp_round, [i64, ptr, i64, ptr, fmt, ptr]),
         (so.fp_round_complex, [i64, ptr, ptr, ptr, fmt, ptr]),
-        (so.fp_join, [i64, ptr, i64, ptr, i64, ptr]),
-        (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, ptr]),
+        (so.fp_joined, [i64, ptr, ptr]),
+        (so.fp_cn, [i64, ptr, f64]),
+        (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, flag, ptr]),
         (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),
-        (so.fp_normal, [i64, i64, ptr, ptr, ptr]),
+        (so.fp_norm, [i64, ptr, i64, ptr, ptr]),
+        (so.fp_normal, [i64, i64, ptr, ptr, i64, ptr]),
     ):
         fn.argtypes, fn.restype = argtypes, None
     return so

@@ -69,6 +69,11 @@ def _check_u(u: float) -> None:
         raise ValueError(f"unit roundoff must lie in [0, 1), got {u}")
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 def gamma_n(n: float, u: float, lam: float = 1.0) -> float:
     """Cumulative error factor exp(lam*sqrt(n)*u + n*u^2/(1-u)) - 1.
 
@@ -76,6 +81,7 @@ def gamma_n(n: float, u: float, lam: float = 1.0) -> float:
     that decreases in lam.  n may be fractional (it enters analytically).
     """
     _check_u(u)
+    _check_lam(lam)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return math.expm1(lam * math.sqrt(n) * u + n * u * u / (1.0 - u))
@@ -84,6 +90,7 @@ def gamma_n(n: float, u: float, lam: float = 1.0) -> float:
 def gamma_n_first_order(n: float, u: float, lam: float = 1.0) -> float:
     """Leading term lam*sqrt(n)*u of gamma_n, used in the M_max derivation."""
     _check_u(u)
+    _check_lam(lam)
     return lam * math.sqrt(n) * u
 
 
@@ -115,6 +122,7 @@ def xi_bn(b: int, n: int, u_l: float, u_h: float, lam: float = 1.0) -> float:
     if b < 1 or n < 1:
         raise ValueError("b and n must be positive")
     _check_mixed_roundoffs(u_l, u_h)
+    _check_lam(lam)
     g = -(-2 * n // b)
     return u_l + gamma_n(b - 1, u_l, lam) + gamma_n(g - 1, u_h, lam)
 
@@ -128,6 +136,7 @@ def xi_bn_first_order(b: int, n: int, u_l: float, u_h: float, lam: float = 1.0) 
     if b < 1 or n < 1:
         raise ValueError("b and n must be positive")
     _check_mixed_roundoffs(u_l, u_h)
+    _check_lam(lam)
     g = -(-2 * n // b)
     return (lam * math.sqrt(b - 1) + 1.0) * u_l + lam * math.sqrt(g - 1) * u_l * u_l
 
@@ -204,6 +213,7 @@ def m_max_simo(rho: float, u: float, lam: float = 1.0):
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     _check_u(u)
+    _check_lam(lam)
     if u == 0.0:
         return math.inf
     return math.floor(1.0 / (2.0 * u * lam * math.sqrt(rho + 1.0)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -21,7 +22,7 @@ import numpy as np
 from . import bounds
 from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
 from .kernels import (
-    PolicyMode, PrecisionPolicy, _gram, _join, _noise, _normal, inner_product_fp, round_input,
+    PolicyMode, PrecisionPolicy, _gram, _noise, _norm, inner_product_fp, round_input,
 )
 from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
@@ -66,6 +67,15 @@ class ExperimentConfig:
     csi_tau: int | None = None
 
     def __post_init__(self) -> None:
+        counts = {"K": self.K, "trials": self.trials, "seed": self.seed, "csi_T": self.csi_T}
+        counts |= {f"M_grid[{i}]": M for i, M in enumerate(self.M_grid)}
+        if self.csi_tau is not None:
+            counts["csi_tau"] = self.csi_tau
+        for name, value in counts.items():
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         # floats, so that a CSV shows them as its header is parsed back
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "rho_grid_db", tuple(map(float, self.rho_grid_db)))
@@ -237,7 +247,7 @@ def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
         raise ValueError("tau >= 1 and a finite rho > 0 required")
     H = np.asarray(H, dtype=np.complex128)
     p = tau * rho
-    w = _join(_normal(rng, H.shape), _normal(rng, H.shape)) / math.sqrt(2.0 * p)
+    w = _noise(rng, H.shape, math.sqrt(2.0 * p))
     return (p / (p + 1.0)) * (H + w)
 
 
@@ -302,7 +312,7 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
     (hq, zq), r_fp, r_ref = _paired(mrc_combine, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
-    hn = np.linalg.norm(hq, axis=-1)
+    hn = _norm(hq)
     noise_p = hn**2
     if config.csi == "perfect":
         sig = rho * noise_p**2
@@ -313,7 +323,7 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
         "rate": np.log2(1.0 + sinr),
         "rel_err": err / np.abs(np.asarray(r_ref)),
         "err_abs": err,
-        "scale": hn * np.linalg.norm(zq, axis=-1),
+        "scale": hn * _norm(zq),
         "breakdown": np.zeros(c, dtype=bool),
     }
 
@@ -322,11 +332,11 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
     h = draw_channel(M, 1, rng, (c,))[..., 0]
     x = _unit_symbols(rng, (c,))
     comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
-    hn = comb / np.linalg.norm(comb, axis=-1, keepdims=True)
+    hn = comb / _norm(comb)[:, None]
     precode = functools.partial(mrt_precode, prenormalized=True)
-    _, s_fp, s_ref = _paired(precode, (hn, x), config.policy, rng_round)
-    ds = s_fp - s_ref
-    err = np.linalg.norm(ds, axis=-1)
+    _, ds, s_ref = _paired(precode, (hn, x), config.policy, rng_round)
+    ds -= s_ref  # in place in s_fp, which nothing else reads
+    err = _norm(ds)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise
     sig = rho * np.abs(_gram(h[..., None], s_ref[..., None])[..., 0, 0]) ** 2
     interference = rho * np.abs(_gram(h[..., None], ds[..., None])[..., 0, 0]) ** 2
@@ -348,8 +358,8 @@ def _gain_powers(Geff):
 
 def _zf_result(sinr, d, out_ref, G, breakdown) -> dict:
     """Per-trial dict of a zero-forcing batch, with the reference norm as ``scale``."""
-    err = np.linalg.norm(d, axis=-1)
-    ref_norm = np.linalg.norm(out_ref, axis=-1)
+    err = _norm(d)
+    ref_norm = _norm(out_ref)
     return {
         "rate": np.sum(np.log2(1.0 + sinr), axis=-1),
         "rel_err": err / ref_norm,
@@ -499,6 +509,8 @@ def verify_bounds(config: ExperimentConfig, lambdas=(0.5, 1.0, 3.0)) -> list:
     lambda and, for the single-user scenarios, the deterministic worst-case
     variant (which should never be violated).
     """
+    for lam in lambdas:
+        bounds._check_lam(lam)
     reports = []
     u = config.policy.working.unit_roundoff
     for M, rho_db, data in _grid(config):
@@ -541,6 +553,8 @@ def inner_product_violation_study(
     """
     if n < 1 or trials < 1:
         raise ValueError("n >= 1 and trials >= 1 required")
+    for lam in lambdas:
+        bounds._check_lam(lam)
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     rng_round = _round_rng(policy, ss.spawn(1)[0])
@@ -549,10 +563,10 @@ def inner_product_violation_study(
     def batch(c):
         a = draw_channel(n, 1, rng, (c,))[..., 0]
         b = draw_channel(n, 1, rng, (c,))[..., 0]
-        a /= np.linalg.norm(a, axis=-1, keepdims=True)
-        b /= np.linalg.norm(b, axis=-1, keepdims=True)
+        a /= _norm(a)[:, None]
+        b /= _norm(b)[:, None]
         (aq, bq), s_fp, s_ref = _paired(inner_product_fp, (a, b), policy, rng_round)
-        norms = np.linalg.norm(aq, axis=-1) * np.linalg.norm(bq, axis=-1)
+        norms = _norm(aq) * _norm(bq)
         return {"err": np.abs(s_fp - s_ref) / norms}
 
     err = _trials(batch, trials, _CHUNK_SINGLE)["err"]

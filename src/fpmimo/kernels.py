@@ -11,16 +11,25 @@ rounded complex multiply is the one-term reduction: ``_cmul`` in MRT
 precoding, its six steps in C inside the factor and the solves.  Under
 stochastic rounding each kernel draws one block of uniforms after rounding
 its inputs, laid out as the comment of its entry in ``_core.c`` says.  Every
-complex result is joined from its two parts by ``join_to`` in ``_core.c``
-(``_join`` here), with numpy's ``1j*im + re`` bits.  The one unrounded
-kernel, ``_gram``, is the C core's ``fp_gram``: the fp64 Gram products A^H B
+complex result is joined from its two parts by ``join_to`` in ``_core.c``,
+with numpy's ``1j*im + re`` bits; under the fp64 policy, where that join is
+all a copy would do, ``round_input`` returns a C-contiguous input itself
+when the join leaves its bits.  ``inner_product_fp`` conjugates inside the
+reduction (``fp_dot``'s conj flag), making no conjugated copy.
+
+The harness's fp64 side runs in the C core too, with numpy's bits and no
+full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
 of the harness's rate analysis and the bounds' condition-number sampler, in
 the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
-``B``, and so with its bits.  Every Gaussian draw of the package goes
-through ``_normal``, ``rng.standard_normal`` byte for byte and to the same
-end state, which splits large draws from a PCG64 across threads in the C
-core's ``fp_normal`` with numpy's own ziggurat (from ``libnpyrandom.a``); the
-CN(0, 1) draws of channels and noise are ``_noise``.
+``B``.  ``_norm`` is ``fp_norm``: numpy.linalg's ``norm(x, axis=-1)``, each
+term ``fma(re, re, im*im)`` as numpy's fused complex multiply forms it, the
+row summed in numpy's pairwise order.  Every Gaussian draw of the package
+goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
+same end state, which splits large draws from a PCG64 across threads in the
+C core's ``fp_normal`` with numpy's own ziggurat (from ``libnpyrandom.a``),
+into an output of any stride; the CN draws of channels and noise are
+``_noise``, drawn into the parts of their complex output and joined and
+divided in place by ``fp_cn``.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -36,7 +45,9 @@ from enum import Enum
 import numpy as np
 
 from . import _core
-from .formats import FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _round, _uniforms
+from .formats import (
+    FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _passes_through, _round, _uniforms,
+)
 
 __all__ = [
     "PolicyMode",
@@ -102,22 +113,6 @@ def _require_finite(name: str, *arrays) -> None:
             raise ValueError(f"{name} requires finite input")
 
 
-def _join(re, im):
-    """``re + 1j*im``, broadcast, as a fresh complex128 array (a scalar for 0-d).
-
-    The C core's ``join_to`` forms it with the bits of numpy's ``1j*im + re``,
-    signed zeros and NaNs included; assigning ``.real`` and ``.imag`` would
-    not give them.
-    """
-    re, im = np.broadcast_arrays(np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64))
-    out = np.empty(re.shape, dtype=np.complex128)
-    re, im = re.reshape(-1), im.reshape(-1)
-    _core.lib().fp_join(
-        out.size, re.ctypes.data, re.strides[0], im.ctypes.data, im.strides[0], out.ctypes.data
-    )
-    return out if out.ndim else out[()]
-
-
 def _gram(A, B):
     """A^H B in fp64 with the bits of numpy's contraction ``"...mk,...ml->...kl"``
     of ``A.conj()`` and ``B``, in the C core (``fp_gram``).
@@ -137,6 +132,26 @@ def _gram(A, B):
     return out
 
 
+def _norm(x):
+    """numpy.linalg's ``norm(x, axis=-1)`` of a complex ``x``, with its bits,
+    in the C core (``fp_norm``), with no temporary array.
+
+    numpy sums each row in its pairwise order only when its reduction runs
+    along the rows, so the last axis of ``x`` must have the smallest stride
+    of the axes longer than one; else ValueError.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim < 1:
+        raise ValueError("a norm needs at least one dimension")
+    *lanes, n = x.shape
+    if n > 1 and any(m > 1 and abs(s) <= abs(x.strides[-1]) for m, s in zip(lanes, x.strides)):
+        raise ValueError(f"rows must run along the innermost axis; strides are {x.strides}")
+    out = np.empty(lanes)
+    geom = np.array([*lanes, *x.strides], dtype=np.int64)
+    _core.lib().fp_norm(len(lanes), geom.ctypes.data, n, x.ctypes.data, out.ctypes.data)
+    return out if out.ndim else out[()]
+
+
 # Draws below this many go to numpy in one piece: threads cost more than
 # splitting them saves.  It is two of fp_normal's MIN_PIECE, the least it
 # splits over two threads.
@@ -144,47 +159,68 @@ _NORMAL_SPLIT = 1 << 14
 _U64 = (1 << 64) - 1
 
 
-def _normal(rng, shape: tuple):
+def _normal(rng, shape: tuple, out=None):
     """``rng.standard_normal(shape)`` byte for byte, leaving ``rng`` in the
     state numpy leaves it in.
 
     At least ``_NORMAL_SPLIT`` draws from a generator on an exact
     :class:`numpy.random.PCG64` are split across the C core's threads
     (:func:`_split_normal`) when it has two or more.  Every other call is
-    ``rng.standard_normal``'s.
+    ``rng.standard_normal``'s.  With ``out``, a one-dimensional float64
+    array of that many entries at any stride, the draws go into it in C order
+    (numpy's are copied in), and it is returned.
     """
+    if out is not None and (out.dtype != np.float64 or out.shape != (math.prod(shape),)):
+        raise ValueError(f"out must be float64 of shape ({math.prod(shape)},)")
     pieces = _core.threads()
     if (type(rng.bit_generator) is np.random.PCG64 and pieces > 1
             and math.prod(shape) >= _NORMAL_SPLIT):
-        return _split_normal(rng, shape, pieces)
-    return rng.standard_normal(shape)
+        return _split_normal(rng, shape, pieces, out)
+    x = rng.standard_normal(shape)
+    if out is None:
+        return x
+    out[...] = x.reshape(-1)
+    return out
 
 
-def _split_normal(rng, shape: tuple, pieces: int):
+def _split_normal(rng, shape: tuple, pieces: int, out=None):
     """``rng.standard_normal(shape)`` for a generator on a PCG64, by the C
     core's ``fp_normal`` in rounds of ``pieces`` pieces, with numpy's own
-    ziggurat and numpy's bits whatever ``pieces`` is.  The generator ends in
-    its entry state advanced by the words the draws took, with its
-    ``has_uint32`` and ``uinteger`` as they were; the generator's lock is held
-    from reading the state to setting it, as numpy holds it for a draw."""
-    out = np.empty(shape)
+    ziggurat and numpy's bits whatever ``pieces`` is, into a fresh array or
+    into ``out`` as :func:`_normal` says.  The generator ends in its entry
+    state advanced by the words the draws took, with its ``has_uint32`` and
+    ``uinteger`` as they were; the generator's lock is held from reading the
+    state to setting it, as numpy holds it for a draw."""
+    if out is None:
+        out = np.empty(shape)
+    flat = out.reshape(-1)  # a view: out is fresh or one-dimensional
     bg = rng.bit_generator
     with bg.lock:
         state = bg.state
         pcg = state["state"]
         s, inc = pcg["state"], pcg["inc"]
         words = np.array([s >> 64, s & _U64, inc >> 64, inc & _U64], dtype=np.uint64)
-        _core.lib().fp_normal(out.size, pieces, words.ctypes.data, out.ctypes.data,
-                              words.ctypes.data)
+        _core.lib().fp_normal(flat.size, pieces, words.ctypes.data, flat.ctypes.data,
+                              flat.strides[0], words.ctypes.data)
         pcg["state"] = int(words[0]) << 64 | int(words[1])
         bg.state = state
     return out
 
 
-def _noise(rng, shape: tuple):
-    """iid CN(0, 1) samples; all real parts are drawn before the imaginary ones."""
-    z = _join(_normal(rng, shape), _normal(rng, shape))
-    z /= math.sqrt(2.0)
+def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
+    """iid complex normals (re + 1j*im) / d with numpy's bits, re and im
+    standard normal: CN(0, 1) for the default d, CN(0, 2/d^2) for any.
+
+    All real parts are drawn before the imaginary ones, straight into the
+    parts of the complex output, which the C core's ``fp_cn`` then joins and
+    divides in place, with the bits of ``join_to`` and of numpy's complex
+    division by ``d + 0j``.
+    """
+    z = np.empty(shape, dtype=np.complex128)
+    flat = z.reshape(-1)
+    _normal(rng, flat.shape, flat.real)
+    _normal(rng, flat.shape, flat.imag)
+    _core.lib().fp_cn(flat.size, flat.ctypes.data, d)
     return z
 
 
@@ -199,13 +235,23 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass,
     which reads it through its strides, into a fresh complex128 array (a
     scalar for 0-d); under stochastic rounding it draws all real-part
-    uniforms, in C order, before the imaginary ones.
+    uniforms, in C order, before the imaginary ones.  Under the fp64
+    policy a C-contiguous complex128 ``x`` of one or more dimensions comes
+    back as itself when a read-only C pass (``fp_joined``) finds that the
+    copy would have its bits.  That holds for every array this function
+    returns, and for a finite ``x`` unless some part is -0.0.
     """
     x = np.asarray(x)
     if not np.iscomplexobj(x):
         return _round(np.asarray(x, dtype=np.float64), policy.working, policy.rounding,
                       policy.range_mode, rng)
     x = np.asarray(x, dtype=np.complex128)
+    if (x.ndim and x.flags.c_contiguous
+            and _passes_through(policy.working, policy.rounding, policy.range_mode)):
+        joined = np.empty(1, dtype=np.int64)
+        _core.lib().fp_joined(x.size, x.ctypes.data, joined.ctypes.data)
+        if joined[0]:
+            return x
     out = np.empty(x.shape, dtype=np.complex128)
     u = _uniforms(policy.rounding, rng, 2 * x.size)
     geom = np.array([*x.shape, *x.strides], dtype=np.int64)
@@ -216,8 +262,10 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     return out if out.ndim else out[()]
 
 
-def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False):
-    """Rounded sum_i a_i d_i over the last axis (no conjugation), in the C core.
+def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = False):
+    """Rounded sum_i a_i d_i over the last axis, in the C core; with
+    ``conj=True`` sum_i conj(a_i) d_i, with the bits of the sum on numpy's
+    conjugate of ``a``.
 
     Each product of the 2n-term real expansions is rounded in the working
     format.  A uniform policy sums each expansion sequentially in the
@@ -248,7 +296,7 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False):
     _core.lib().fp_dot(
         len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
         _c_format(policy.low, policy.range_mode), _c_format(high, policy.range_mode),
-        b, None if u is None else u.ctypes.data, upper, out.ctypes.data,
+        b, None if u is None else u.ctypes.data, upper, conj, out.ctypes.data,
     )
     return out if out.ndim else out[()]
 
@@ -276,7 +324,7 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     _require_finite("inner_product_fp", a, b)
     a = round_input(a, policy, rng)
     b = round_input(b, policy, rng)
-    out = _dot(np.conj(a), b, policy, rng)
+    out = _dot(a, b, policy, rng, conj=True)
     if np.ndim(out) == 0:
         return complex(out)
     return out

@@ -65,6 +65,21 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_n(10, 1.5)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bound", [
+        lambda lam: gamma_n(10, U16, lam),
+        lambda lam: gamma_n_first_order(10, U16, lam),
+        lambda lam: xi_bn(32, 1000, U16, U32, lam),
+        lambda lam: xi_bn_first_order(32, 1000, U16, U32, lam),
+        lambda lam: xi_bn(1, 1, U16, U32, lam),  # no block steps: gamma_n(0, ...) twice
+        lambda lam: m_max_simo(10.0, U16, lam),
+        lambda lam: delta_simo(64, U16, lam),
+    ], ids=["gamma_n", "gamma_n_first_order", "xi_bn", "xi_bn_first_order", "xi_bn-b1",
+            "m_max_simo", "delta_simo"])
+    def test_rejects_lambda_outside_positive_finite(self, bound, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            bound(lam)
+
 
 class TestXi:
     def test_single_block_degeneration(self):

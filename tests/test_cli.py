@@ -140,6 +140,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ">= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "gamma_n", "--n", "10", "--lambda", "-1"],
+        ["bounds", "gamma_n", "--n", "10", "--lambda", "nan"],
+        ["bounds", "xi_bn", "--n", "100", "--lambda", "0"],
+        ["verify", "--scenario", "SIMO", "--M-grid", "8", "--trials", "5", "--lambdas", "0,-1,nan"],
+        ["verify", "--inner-n", "8", "--trials", "5", "--lambdas", "1,nan"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_rejects_lambda_outside_positive_finite(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: lambda must be positive and finite")
+        assert captured.out == ""
+
     def test_scenario_verify(self, capsys):
         main(["verify", "--scenario", "SIMO", "--M-grid", "32", "--trials", "50",
               "--format", "fp16"])

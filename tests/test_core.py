@@ -92,7 +92,8 @@ def test_source_compiles_without_warnings(tmp_path):
 def test_every_entry_point_is_declared():
     """ctypes would pass an undeclared entry's arguments as C ints, truncating 64-bit ones."""
     entries = re.findall(r"^void (fp_\w+)\(([^)]*)\)", _core.SOURCE.read_text(), re.M)
-    required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram", "fp_normal"}
+    required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram", "fp_normal",
+                "fp_norm", "fp_cn", "fp_joined"}
     assert required <= {name for name, _ in entries}
     so = _core.lib()
     for name, params in entries:
@@ -107,15 +108,16 @@ def test_thread_count_stays_within_affinity():
 
 # Pins itself to one CPU when asked, before the core loads, then prints the
 # core's thread count and writes a MISO point at M = 10000, a stochastic
-# mixed-precision SIMO point and an MMSE MU-MISO point as sweep CSVs, and the
-# repr of a Monte Carlo upsilon (fp_gram's Gram products) as a text file.  On
-# all CPUs their large normal draws are fp_normal's, split over threads; on
-# one, numpy's.
+# mixed-precision SIMO point and an MMSE MU-MISO point as sweep CSVs, the
+# repr of a Monte Carlo upsilon (fp_gram's Gram products) as a text file, and
+# the report of `verify --inner-n` (fp_norm's row norms and fp_dot's
+# conjugate).  On all CPUs their large normal draws are fp_normal's, split
+# over threads; on one, numpy's.
 _CHILD = textwrap.dedent("""
-    import os, sys
+    import contextlib, os, sys
     if sys.argv[1] == "pin":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    from fpmimo import _core, bounds
+    from fpmimo import _core, bounds, cli
     from fpmimo.formats import FP16, FP32, RoundingMode
     from fpmimo.harness import ExperimentConfig, emit_csv, run_sweep
     from fpmimo.kernels import PrecisionPolicy
@@ -131,6 +133,9 @@ _CHILD = textwrap.dedent("""
         emit_csv(run_sweep(config), f"{sys.argv[2]}-{name}.csv")
     with open(f"{sys.argv[2]}-upsilon.txt", "w") as f:
         f.write(repr(bounds.upsilon(64, 4, samples=20000)))
+    with open(f"{sys.argv[2]}-inner.json", "w") as f, contextlib.redirect_stdout(f):
+        cli.main(["verify", "--inner-n", "300", "--trials", "3000", "--seed", "6",
+                  "--lambdas", "0.002,0.005,0.01"])
     print(_core.threads())
 """)
 
@@ -148,6 +153,6 @@ def test_one_cpu_gives_the_bytes_of_all(tmp_path):
         counts[how] = int(proc.stdout)
     assert counts == {"pin": 1, "all": _core.threads()}
     assert counts["all"] > 1
-    for name in ("miso.csv", "simo.csv", "mu-miso.csv", "upsilon.txt"):
+    for name in ("miso.csv", "simo.csv", "mu-miso.csv", "upsilon.txt", "inner.json"):
         pinned = (tmp_path / f"pin-{name}").read_bytes()
         assert pinned == (tmp_path / f"all-{name}").read_bytes(), name

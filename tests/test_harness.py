@@ -169,6 +169,25 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="K must be >= 1"):
             ExperimentConfig("SIMO", (16,), POL16, K=0)
 
+    @pytest.mark.parametrize("kw", [
+        {"trials": 2.5}, {"K": 2.5}, {"seed": 1.5}, {"M_grid": (8, 16.0)},
+        {"csi": "mmse", "csi_T": 10.5}, {"csi": "mmse", "csi_tau": 4.5}, {"trials": "3"},
+    ], ids=str)
+    def test_rejects_non_integer_counts(self, kw):
+        name = next(k for k in kw if k != "csi")
+        with pytest.raises(ValueError, match=f"{name}.* must be an integer"):
+            ExperimentConfig(**{"scenario": "SIMO", "M_grid": (8,), "policy": POL16, **kw})
+
+    def test_numpy_integers_are_counts(self, tmp_path):
+        i = np.int64
+        config = ExperimentConfig("MU-SIMO", (i(8),), POL16, K=i(2), trials=i(3), seed=i(1),
+                                  csi="mmse", csi_T=i(20), csi_tau=i(4))
+        plain = ExperimentConfig("MU-SIMO", (8,), POL16, K=2, trials=3, seed=1,
+                                 csi="mmse", csi_T=20, csi_tau=4)
+        for name, cfg in (("numpy", config), ("plain", plain)):
+            emit_csv(run_sweep(cfg), tmp_path / f"{name}.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_rejects_non_preset_formats(self):
         # its CSV header would name a format that build_config cannot read back
         e4m3 = FloatFormat("e4m3", 4, -6, 8)
@@ -215,6 +234,18 @@ class TestVerifyBounds:
     def test_inner_study_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials >= 1"):
             inner_product_violation_study(8, POL16, trials=0)
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 0.0), (-1.0,), (math.nan,), (1.0, math.inf)],
+                             ids=str)
+    def test_lambdas_are_checked_before_any_trial(self, monkeypatch, lambdas):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the lambdas were checked")
+
+        monkeypatch.setattr(harness, "_trials", no_trials)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            verify_bounds(ExperimentConfig("SIMO", (8,), POL16, trials=5), lambdas)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            inner_product_violation_study(8, POL16, trials=5, lambdas=lambdas)
 
 
 class TestCsv:

@@ -127,3 +127,22 @@ def test_other_bit_generators_go_to_numpy(bit_generator):
     shape = (4 * _NORMAL_SPLIT + 1,)
     _same(rng, other, lambda g: _normal(g, shape), shape)
 
+
+
+@pytest.mark.parametrize("step", [2, -1, -3])
+def test_strided_output_gets_the_draws_and_nothing_else(step):
+    """Draws into every |step|-th double of a buffer, backwards for a negative
+    step, as ``_noise`` draws into the parts of a complex array: the piece
+    moves, the pieces drawn again and the one-thread tail all write at the
+    stride, and the doubles between are left as they were."""
+    cases = [(0, 10819 * 2, 2), (2, 23568 * 3, 3), (5, 70 * MIN_PIECE, 64), (7, 3 * MIN_PIECE + 1, 3)]
+    for seed, n, pieces in cases:
+        buf = np.full(abs(step) * n, -7.0)
+        out = buf[::step] if step > 0 else buf[::step][:n]
+        _same(*_pair(seed), lambda g: _split_normal(g, (n,), pieces, out), (n,))
+        rest = np.ones(buf.size, dtype=bool)
+        rest[np.arange(buf.size)[::step][:n]] = False
+        assert (buf[rest] == -7.0).all()
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="float64 of shape"):
+        _normal(rng, (4,), np.empty(8)[::2][:3])

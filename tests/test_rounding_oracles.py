@@ -39,7 +39,6 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    _join,
     _matmul,
     cholesky_fp,
     inner_product_fp,
@@ -278,9 +277,14 @@ def _pairs(values):
 
 
 def test_join_matches_numpy_on_signed_zeros_and_specials():
+    """Under the fp64 policy nothing rounds, so a copy is join_to of the parts
+    as they are; these pairs move under it, so round_input copies."""
     re, im = _pairs(JOIN_VALUES)
+    x = np.empty(re.shape, dtype=np.complex128)
+    x.real, x.imag = re, im  # every sign pair, which no join would give
     with np.errstate(invalid="ignore"):  # 0 * inf
-        got, want = _join(re, im), _oracle_join(re, im)
+        got, want = round_input(x, PrecisionPolicy.uniform(FP64)), _oracle_join(re, im)
+    assert got is not x
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.flags.owndata  # not a view, so numpy can reuse it as a temporary
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
