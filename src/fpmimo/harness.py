@@ -44,10 +44,14 @@ __all__ = [
 
 _SCENARIOS = ("SIMO", "MISO", "MU-SIMO", "MU-MISO")
 
-# Fixed chunk sizes keep RNG consumption (and thus results) independent of
-# trial count while bounding peak memory of the batched kernels.
+# Chunks fix the draw stream: each chunk's draws are made whole, at these fixed
+# sizes, so the RNG consumption (and thus every result) does not depend on the
+# trial count.  Slabs bound memory: the paired transceiver run and the rate
+# analysis go over slabs of a chunk's trials, each holding at most
+# _SLAB_ENTRIES complex entries (16 MiB) of any per-trial array.
 _CHUNK_SINGLE = 1024
 _CHUNK_MU = 64
+_SLAB_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,8 @@ def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
     H = np.asarray(H, dtype=np.complex128)
     p = tau * rho
     w = _noise(rng, H.shape, math.sqrt(2.0 * p))
-    return (p / (p + 1.0)) * (H + w)
+    np.add(H, w, out=w)
+    return np.multiply(p / (p + 1.0), w, out=w)
 
 
 def _reference_policy(policy: PrecisionPolicy) -> PrecisionPolicy:
@@ -289,27 +294,57 @@ def _paired(transceiver, inputs, policy: PrecisionPolicy, rng_round, **kw):
     return q, transceiver(*q, policy, rng_round, **kw), transceiver(*q, _reference_policy(policy))
 
 
-def _trials(batch, trials: int, chunk: int) -> dict:
-    """Run ``batch(c)`` on chunks of at most ``chunk`` trials; join its per-trial arrays."""
-    parts = [batch(min(chunk, trials - done)) for done in range(0, trials, chunk)]
+def _trials(draw, run, trials: int, chunk: int, policy: PrecisionPolicy) -> dict:
+    """Run ``trials`` trials in chunks of at most ``chunk``; join the per-trial
+    arrays of the dicts that ``run`` returns.
+
+    ``draw(c)`` makes the draws of a chunk of ``c`` trials, a tuple of arrays
+    with the trials on their first axis; chunks fix the draw stream.  ``run``
+    takes the same slab of trials of each array; slabs bound memory, each
+    holding at most ``_SLAB_ENTRIES`` entries of the largest array.  Every
+    kernel and reduction works per trial, so under nearest-even a slab gives
+    the bits of the whole chunk.  Under stochastic rounding the slab is the
+    whole chunk, since each call lays its uniforms out across all its lanes.
+    """
+    parts = []
+    for done in range(0, trials, chunk):
+        c = min(chunk, trials - done)
+        arrays = draw(c)
+        step = c
+        if policy.rounding is not RoundingMode.STOCHASTIC:
+            step = max(1, _SLAB_ENTRIES // max(a.size // c for a in arrays))
+        parts += [run(*(a[i:i + step] for a in arrays)) for i in range(0, c, step)]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-# -- per-scenario trial batches ---------------------------------------------
-# Each returns a dict of per-trial arrays:
+def _draw(c, M, rho, config, rng):
+    """A chunk's draws, in the stream's order: channel, symbols, the uplink
+    noise, and the pilot noise of an MMSE estimate.  Returns the channel, the
+    symbols, the noise (uplink only) and the channel the receiver uses."""
+    single = config.scenario in ("SIMO", "MISO")
+    H = draw_channel(M, 1 if single else config.K, rng, (c,))
+    H = H[..., 0] if single else H
+    x = _unit_symbols(rng, (c,) if single else (c, config.K))
+    noise = (_noise(rng, (c, M)),) if config.scenario.endswith("SIMO") else ()
+    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
+    return (H, x, *noise, Hc)
+
+
+# -- per-scenario slab runs ---------------------------------------------------
+# Each takes a slab of _draw's arrays and returns a dict of per-trial arrays:
 #   rate        per-trial achievable rate (sum over users), bits/s/Hz
 #   rel_err     relative rounding error of the transceiver output
 #   err_abs     absolute rounding error (2-norm)
 #   scale       lambda-independent factor multiplying the bound constant
 #   kappa       spectral condition number of the Gram matrix (MU only)
 #   breakdown   Cholesky breakdown flags
+# The uplink ones form the received signal in place in the noise array.
 
 
-def _batch_simo(c, M, rho, config, rng, rng_round):
-    h = draw_channel(M, 1, rng, (c,))[..., 0]
-    x = _unit_symbols(rng, (c,))
-    z = math.sqrt(rho) * h * x[:, None] + _noise(rng, (c, M))
-    comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
+def _slab_simo(h, x, noise, comb, rho, config, rng_round):
+    z = np.multiply(math.sqrt(rho), h)
+    np.multiply(z, x[:, None], out=z)
+    z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
     (hq, zq), r_fp, r_ref = _paired(mrc_combine, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
     hn = _norm(hq)
@@ -324,14 +359,11 @@ def _batch_simo(c, M, rho, config, rng, rng_round):
         "rel_err": err / np.abs(np.asarray(r_ref)),
         "err_abs": err,
         "scale": hn * _norm(zq),
-        "breakdown": np.zeros(c, dtype=bool),
+        "breakdown": np.zeros(len(h), dtype=bool),
     }
 
 
-def _batch_miso(c, M, rho, config, rng, rng_round):
-    h = draw_channel(M, 1, rng, (c,))[..., 0]
-    x = _unit_symbols(rng, (c,))
-    comb = h if config.csi == "perfect" else estimate_channel_mmse(h, config.tau, rho, rng)
+def _slab_miso(h, x, comb, rho, config, rng_round):
     hn = comb / _norm(comb)[:, None]
     precode = functools.partial(mrt_precode, prenormalized=True)
     _, ds, s_ref = _paired(precode, (hn, x), config.policy, rng_round)
@@ -345,8 +377,8 @@ def _batch_miso(c, M, rho, config, rng, rng_round):
         "rate": np.log2(1.0 + sinr),
         "rel_err": err,  # |x_d| = 1, so this is already the relative measure
         "err_abs": err,
-        "scale": np.ones(c),
-        "breakdown": np.zeros(c, dtype=bool),
+        "scale": np.ones(len(h)),
+        "breakdown": np.zeros(len(h), dtype=bool),
     }
 
 
@@ -357,7 +389,7 @@ def _gain_powers(Geff):
 
 
 def _zf_result(sinr, d, out_ref, G, breakdown) -> dict:
-    """Per-trial dict of a zero-forcing batch, with the reference norm as ``scale``."""
+    """Per-trial dict of a zero-forcing slab, with the reference norm as ``scale``."""
     err = _norm(d)
     ref_norm = _norm(out_ref)
     return {
@@ -371,11 +403,10 @@ def _zf_result(sinr, d, out_ref, G, breakdown) -> dict:
     }
 
 
-def _batch_mu_simo(c, M, rho, config, rng, rng_round):
-    H = draw_channel(M, config.K, rng, (c,))
-    x = _unit_symbols(rng, (c, config.K))
-    z = math.sqrt(rho) * np.einsum("cmk,ck->cm", H, x) + _noise(rng, (c, M))
-    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
+def _slab_mu_simo(H, x, noise, Hc, rho, config, rng_round):
+    z = np.einsum("cmk,ck->cm", H, x)
+    np.multiply(math.sqrt(rho), z, out=z)
+    z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
     (Hq, _), (r_fp, breakdown), r_ref = _paired(
         zf_detect_ne, (Hc, z), config.policy, rng_round, error="mask"
     )
@@ -392,15 +423,12 @@ def _batch_mu_simo(c, M, rho, config, rng, rng_round):
     return out
 
 
-def _batch_mu_miso(c, M, rho, config, rng, rng_round):
-    H = draw_channel(M, config.K, rng, (c,))
-    x = _unit_symbols(rng, (c, config.K))
-    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
+def _slab_mu_miso(H, x, Hc, rho, config, rng_round):
     (Hq, _), (s_fp, breakdown), s_ref = _paired(
         zf_precode_ne, (Hc, x), config.policy, rng_round, error="mask"
     )
     ds = s_fp - s_ref
-    beta = M - config.K
+    beta = H.shape[-2] - config.K
     leak = rho * np.abs(_gram(H, ds[..., None])[..., 0]) ** 2
     G = _gram(Hq, Hq)
     if config.csi == "perfect":
@@ -413,11 +441,11 @@ def _batch_mu_miso(c, M, rho, config, rng, rng_round):
     return _zf_result(sinr, ds, s_ref, G, breakdown)  # the bound constant c_d carries kappa
 
 
-_BATCHES = {
-    "SIMO": _batch_simo,
-    "MISO": _batch_miso,
-    "MU-SIMO": _batch_mu_simo,
-    "MU-MISO": _batch_mu_miso,
+_SLABS = {
+    "SIMO": _slab_simo,
+    "MISO": _slab_miso,
+    "MU-SIMO": _slab_mu_simo,
+    "MU-MISO": _slab_mu_miso,
 }
 
 
@@ -428,8 +456,12 @@ def _collect_point(config: ExperimentConfig, M: int, rho: float, grid_index: int
     rng = np.random.default_rng(ss_draw)
     rng_round = _round_rng(config.policy, ss_round)
     chunk = _CHUNK_MU if config.scenario.startswith("MU") else _CHUNK_SINGLE
-    batch = _BATCHES[config.scenario]
-    return _trials(lambda c: batch(c, M, rho, config, rng, rng_round), config.trials, chunk)
+    run = _SLABS[config.scenario]
+    return _trials(
+        lambda c: _draw(c, M, rho, config, rng),
+        lambda *slab: run(*slab, rho, config, rng_round),
+        config.trials, chunk, config.policy,
+    )
 
 
 def _grid(config: ExperimentConfig):
@@ -560,16 +592,17 @@ def inner_product_violation_study(
     rng_round = _round_rng(policy, ss.spawn(1)[0])
     u = policy.working.unit_roundoff
 
-    def batch(c):
-        a = draw_channel(n, 1, rng, (c,))[..., 0]
-        b = draw_channel(n, 1, rng, (c,))[..., 0]
+    def draw(c):
+        return draw_channel(n, 1, rng, (c,))[..., 0], draw_channel(n, 1, rng, (c,))[..., 0]
+
+    def run(a, b):
         a /= _norm(a)[:, None]
         b /= _norm(b)[:, None]
         (aq, bq), s_fp, s_ref = _paired(inner_product_fp, (a, b), policy, rng_round)
         norms = _norm(aq) * _norm(bq)
         return {"err": np.abs(s_fp - s_ref) / norms}
 
-    err = _trials(batch, trials, _CHUNK_SINGLE)["err"]
+    err = _trials(draw, run, trials, _CHUNK_SINGLE, policy)["err"]
     rates = {
         lam: float(np.mean(err > bounds.delta_simo(n, u, lam)))
         for lam in lambdas

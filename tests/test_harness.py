@@ -1,5 +1,7 @@
 import inspect
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from fpmimo.harness import (
     run_sweep,
     verify_bounds,
 )
-from fpmimo.kernels import PrecisionPolicy
+from fpmimo.kernels import PrecisionPolicy, _noise
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -72,6 +74,19 @@ class TestMmseEstimate:
         H = draw_channel(8, 2, rng, (100,))
         Hh = estimate_channel_mmse(H, 4, 1e9, rng)
         assert np.max(np.abs(H - Hh)) < 1e-3
+
+    def test_bits_and_state_of_the_expression_with_temporaries(self):
+        # 65536 entries: each part's draw is split over the C core's threads
+        H = draw_channel(256, 4, np.random.default_rng(8), (64,))
+        H_in = H.copy()
+        tau, rho = 4, 10.0
+        rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        Hh = estimate_channel_mmse(H, tau, rho, rng)
+        p = tau * rho
+        ref = (p / (p + 1.0)) * (H + _noise(rng_ref, H.shape, math.sqrt(2.0 * p)))
+        assert (Hh.dtype, Hh.shape, Hh.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert H.tobytes() == H_in.tobytes()  # the caller's channel is not written into
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_snr_outside_positive_finite_before_drawing(self, rho):
@@ -311,3 +326,123 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
         for key, a in arrays.items():
             b = ref_arrays[key]
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# -- slabs: the per-slab run gives the bits of the whole chunk ---------------
+
+POL_MIXED = PrecisionPolicy.mixed(FP16, FP32, 8)
+POL_SR = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
+_SLAB_VARIANTS = {
+    "fp16": dict(policy=POL16),
+    "mixed-b8": dict(policy=POL_MIXED),
+    "mmse": dict(policy=POL16, csi="mmse"),
+}
+
+
+def _slab_run(monkeypatch, entries: int, work):
+    """``work()`` with slabs of at most ``entries`` entries; returns its
+    result and the trial count of every slab, in order."""
+    sizes = []
+    trials = harness._trials
+
+    def counted_trials(draw, run, *rest):
+        def counted(*slab):
+            sizes.append(len(slab[0]))
+            return run(*slab)
+
+        return trials(draw, counted, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_SLAB_ENTRIES", entries)
+        m.setattr(harness, "_trials", counted_trials)
+        return work(), sizes
+
+
+def _slab_sizes(trials: int, chunk: int, slab: int, points: int = 1) -> list:
+    """The slab sizes of ``points`` grid points with ``trials`` trials each."""
+    one = []
+    for done in range(0, trials, chunk):
+        c = min(chunk, trials - done)
+        one += [min(slab, c - i) for i in range(0, c, slab)]
+    return one * points
+
+
+def _csv_bytes(cfg, path) -> bytes:
+    emit_csv(run_sweep(cfg), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("variant", list(_SLAB_VARIANTS))
+@pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO"])
+def test_slabs_give_the_bytes_of_the_whole_chunk(monkeypatch, tmp_path, scenario, variant):
+    """Slabs of 1 trial, of 7 (the last one ragged) and of the whole chunk
+    write the same sweep CSV; the MU points span two chunks (64 + 6)."""
+    mu = scenario.startswith("MU")
+    M, trials = (16, 70) if mu else (24, 20)
+    chunk = harness._CHUNK_MU if mu else harness._CHUNK_SINGLE
+    cfg = ExperimentConfig(scenario, (M,), K=2, rho_grid_db=(0.0, 10.0), trials=trials,
+                           seed=3, **_SLAB_VARIANTS[variant])
+    entries = M * cfg.K if mu else M  # per trial, of the largest array: the channel
+    outputs, sizes = {}, {}
+    for slab in (1, 7, chunk):
+        outputs[slab], sizes[slab] = _slab_run(
+            monkeypatch, slab * entries, lambda: _csv_bytes(cfg, tmp_path / f"{slab}.csv"))
+    assert outputs[1] == outputs[chunk]
+    assert outputs[7] == outputs[chunk]
+    for slab, seen in sizes.items():
+        assert seen == _slab_sizes(trials, chunk, slab, points=2)
+
+
+@pytest.mark.parametrize("policy", [POL16, POL_MIXED], ids=["fp16", "mixed-b8"])
+def test_slabs_give_the_inner_study_of_the_whole_chunk(monkeypatch, policy):
+    n, trials = 16, 20
+    outputs, sizes = {}, {}
+    for slab in (1, 7, harness._CHUNK_SINGLE):
+        outputs[slab], sizes[slab] = _slab_run(
+            monkeypatch, slab * n,
+            lambda: inner_product_violation_study(n, policy, trials=trials, seed=2))
+    assert outputs[1] == outputs[7] == outputs[harness._CHUNK_SINGLE]
+    for slab, seen in sizes.items():
+        assert seen == _slab_sizes(trials, harness._CHUNK_SINGLE, slab)
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO"])
+def test_stochastic_runs_whole_chunks_under_any_slab_budget(monkeypatch, tmp_path, scenario):
+    """Each stochastic call lays its uniforms out across the whole chunk, so
+    the slab is the chunk, whatever the budget, and the golden bytes hold."""
+    mu = scenario.startswith("MU")
+    grid = dict(M_grid=(8, 16), K=2) if mu else dict(M_grid=(16, 64))
+    cfg = ExperimentConfig(scenario, policy=POL_SR, rho_grid_db=(0.0, 10.0), trials=16,
+                           seed=0, **grid)
+    golden = (_GOLDEN / f"{scenario.lower()}_stochastic.csv").read_bytes()
+    for entries in (1, 7 * 16):
+        out, sizes = _slab_run(monkeypatch, entries, lambda: _csv_bytes(cfg, tmp_path / "sr.csv"))
+        assert out == golden
+        assert sizes == [16] * 4
+    study, sizes = _slab_run(monkeypatch, 1,
+                             lambda: inner_product_violation_study(16, POL_SR, trials=20, seed=2))
+    assert sizes == [20]
+    assert study == inner_product_violation_study(16, POL_SR, trials=20, seed=2)
+
+
+def test_point_memory_is_its_draws_plus_a_few_slabs():
+    """A MISO point at M = 10000 holds the 1024-trial chunk's 164 MB channel
+    and a few slab-sized arrays, not five chunk-sized arrays (about 820 MB).
+
+    numpy reports its buffers to ``tracemalloc``, so the peak does not
+    depend on the host's allocator.  It is about 230 MB when ``_normal``
+    splits the channel's draws over the C core's threads and 246 MB on one
+    thread, where each part passes through one more 82 MB array.
+    """
+    M, trials = 10_000, 1024
+    cfg = ExperimentConfig("MISO", (M,), POL16, trials=trials)
+    tracemalloc.start()
+    try:
+        harness._collect_point(cfg, M, 10.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 260e6
