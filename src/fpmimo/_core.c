@@ -4,9 +4,9 @@
  * of a Gram matrix alone), a Cholesky factorization (fp_chol) and the
  * triangular solves of its factor (fp_trisolve).  fp_dot conjugates its
  * first operand on request, as np.conj does, by the sign of its loaded
- * imaginary part.  Complex results are written as complex128 by join_to, and
- * fp_joined tells whether join_to would leave a complex128 array's bits as
- * they are.  Each entry's comment gives the layout of its stochastic uniforms.
+ * imaginary part.  join_to writes complex results as complex128.  fp_scan
+ * tells whether a complex128 array is finite and whether rounding keeps its
+ * bits.  Each entry's comment gives the layout of its stochastic uniforms.
  *
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
@@ -297,7 +297,7 @@ void fp_round(int64_t n, const char *x, int64_t sx, double *out,
     split_lanes(n, n, round_range, &m);
 }
 
-/* The arguments of an fp_round_complex call: its lanes walk x. */
+/* The arguments of an fp_round_complex or fp_scan call: its lanes walk x. */
 typedef struct {
     walk_t w;
     const char *x;
@@ -305,83 +305,89 @@ typedef struct {
     rounder_t r;
     const double *u;
     double *out;
+    int64_t stop, *found;
 } cmap_t;
 
-ALWAYS_INLINE void round_complex_lanes(const cmap_t *m, const double *u, int64_t lo, int64_t hi)
+/* What fp_scan finds: a part that is not finite; an entry rounding moves. */
+enum { NONFINITE = 1, MOVED = 2 };
+
+/* The lanes [lo, hi) rounded into out, or with scan nonzero only compared
+ * with x, the findings or'ed into *found, stopping at the first in stop. */
+ALWAYS_INLINE void round_complex_lanes(const cmap_t *m, const double *u, int scan, int64_t lo,
+                                       int64_t hi)
 {
     const rounder_t r = m->r;
     const char *x = m->x;
     const int64_t n = m->n, k = m->w.ndim - 1, step = k < 0 ? 0 : m->w.sa[k];
-    double *out = m->out;
+    double *out = m->out, y[2];
+    int64_t found = 0;
     walk_t w = m->w;
     walk_to(&w, lo);
     /* in runs along the last axis */
-    for (int64_t i = lo, run; i < hi; walk_by(&w, run)) {
+    for (int64_t i = lo, run; i < hi && !(found & m->stop); walk_by(&w, run)) {
         run = k < 0 ? 1 : w.shape[k] - w.idx[k];
         if (run > hi - i)
             run = hi - i;
         const char *p = x + w.oa;
-        for (int64_t end = i + run; i < end; i++, p += step)
+        for (int64_t end = i + run; i < end && !(found & m->stop); i++, p += step) {
             join_to(round_to(load(p, 0), &r, u ? u + i : NULL),
-                    round_to(load(p, 8), &r, u ? u + n + i : NULL), out + 2 * i);
+                    round_to(load(p, 8), &r, u ? u + n + i : NULL), scan ? y : out + 2 * i);
+            if (scan)
+                found |= (isfinite(load(p, 0)) && isfinite(load(p, 8)) ? 0 : NONFINITE)
+                         | (memcmp(y, p, sizeof y) ? MOVED : 0);
+        }
     }
+    if (found)
+        __atomic_fetch_or(m->found, found, __ATOMIC_RELAXED);
 }
 
-/* two copies, so that the nearest-even one has no stochastic branches */
+/* three copies, so that each has only its own branches */
 static void round_complex_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, NULL, lo, hi);
+    round_complex_lanes(job, NULL, 0, lo, hi);
 }
 
 static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, ((const cmap_t *)job)->u, lo, hi);
+    round_complex_lanes(job, ((const cmap_t *)job)->u, 0, lo, hi);
+}
+
+static void scan_range(const void *job, int64_t lo, int64_t hi)
+{
+    round_complex_lanes(job, NULL, 1, lo, hi);
 }
 
 /* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, for
  * the n entries x_i of an ndim-dimensional complex128 array x in C order.
  * geom holds its shape (ndim entries), then its byte strides.  u is NULL for
  * nearest-even, else it holds 2n uniforms: the real parts take the first n,
- * the imaginary parts the last n. */
+ * the imaginary parts the last n.  With found, fp_scan's walk instead. */
+static void round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
+                          const fmt_t *f, const double *u, int64_t stop, int64_t *found)
+{
+    cmap_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
+                .n = 1, .r = rounder(f), .u = u, .out = out, .stop = stop, .found = found};
+    for (int64_t k = 0; k < ndim; k++)
+        m.n *= geom[k];
+    split_lanes(m.n, m.n, found ? scan_range : u ? round_complex_stochastic : round_complex_nearest,
+                &m);
+}
+
 void fp_round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
                       const fmt_t *f, const double *u)
 {
-    cmap_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
-                .n = 1, .r = rounder(f), .u = u, .out = out};
-    for (int64_t k = 0; k < ndim; k++)
-        m.n *= geom[k];
-    split_lanes(m.n, m.n, u ? round_complex_stochastic : round_complex_nearest, &m);
+    round_complex(ndim, geom, x, out, f, u, 0, NULL);
 }
 
-/* The arguments of fp_joined: n complex128 entries at x, and a flag that a
- * range sets when join_to moves the bits of one of its entries. */
-typedef struct {
-    const char *x;
-    int *moved;
-} joined_t;
-
-static void joined_range(const void *job, int64_t lo, int64_t hi)
+/* *out = what fp_round_complex's nearest-even walk of x (geom as there) finds
+ * with no store: NONFINITE if some part is not finite, MOVED if some entry's
+ * rounded and joined value differs from it in a bit.  Each thread's range
+ * stops at its first finding in stop; one outside stop may then go unseen. */
+void fp_scan(int64_t ndim, const int64_t *geom, const char *x, const fmt_t *f, int64_t stop,
+             int64_t *out)
 {
-    const joined_t *j = job;
-    for (int64_t i = lo; i < hi; i++) {
-        double y[2];
-        join_to(load(j->x, 16 * i), load(j->x, 16 * i + 8), y);
-        if (memcmp(y, j->x + 16 * i, sizeof y) != 0) {
-            __atomic_store_n(j->moved, 1, __ATOMIC_RELAXED);
-            return;
-        }
-    }
-}
-
-/* *out = 1 if join_to leaves the bits of each of the n complex128 entries of
- * x as they are, else 0.  It writes nothing else.  A finite entry can move
- * only where a part is -0.0. */
-void fp_joined(int64_t n, const char *x, int64_t *out)
-{
-    int moved = 0;
-    const joined_t j = {x, &moved};
-    split_lanes(n, n, joined_range, &j);
-    *out = !moved;
+    *out = 0;
+    round_complex(ndim, geom, x, NULL, f, NULL, stop, out);
 }
 
 /* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */

@@ -148,6 +148,17 @@ def delta_simo(M: int, u: float, lam: float = 1.0) -> float:
     return math.sqrt(2.0) * gamma_n(2 * M, u, lam)
 
 
+def _det_constant(n: int, u: float) -> float:
+    """Worst-case relative error bound sqrt(2)*gamma_n_det of an n-term reduction.
+
+    The factor n*u/(1-n*u) diverges as n*u -> 1; past that point no finite
+    deterministic bound exists, so it is vacuously satisfied.
+    """
+    if n * u < 1.0:
+        return math.sqrt(2.0) * gamma_n_det(n, u)
+    return math.inf
+
+
 def delta_miso(u: float, lam: float = 1.0) -> float:
     """Relative error constant of finite-precision MRT: sqrt(2)*gamma_2.
 

@@ -135,12 +135,6 @@ def _uniforms(mode: RoundingMode, rng, size: int):
     return rng.random(size)
 
 
-def _passes_through(fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode) -> bool:
-    """Rounding into ``fmt`` under ``mode`` and ``range_mode`` is the identity
-    on the carrier: fp64, nearest-even, unbounded."""
-    return fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN and range_mode is RangeMode.UNBOUNDED
-
-
 def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
@@ -151,12 +145,10 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     takes one draw per element per call, so callers must keep the order of
     their calls to reproduce a stream.
     """
-    if _passes_through(fmt, mode, range_mode):
+    if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN and range_mode is RangeMode.UNBOUNDED:
         return x
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)  # a view when one stride walks x, as for .real of a complex array
-    if not flat.flags.aligned:
-        flat = flat.copy()
     out = np.empty(x.shape)
     u = _uniforms(mode, rng, flat.size)
     _core.lib().fp_round(

@@ -485,17 +485,6 @@ def _bound_constant(config: ExperimentConfig, M: int, lam: float, kappa=None):
     return bounds.c_d(M, config.K, u, lam, kappa)
 
 
-def _det_constant(n: int, u: float) -> float:
-    """Worst-case relative error bound sqrt(2)*gamma_n_det of an n-term reduction.
-
-    The factor n*u/(1-n*u) diverges as n*u -> 1; past that point no finite
-    deterministic bound exists, so it is vacuously satisfied.
-    """
-    if n * u < 1.0:
-        return math.sqrt(2.0) * bounds.gamma_n_det(n, u)
-    return math.inf
-
-
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Monte Carlo rate/error statistics over the (M, rho) grid."""
     result = SweepResult(config)
@@ -557,7 +546,7 @@ def verify_bounds(config: ExperimentConfig, lambdas=(0.5, 1.0, 3.0)) -> list:
         det = None
         if config.scenario in ("SIMO", "MISO"):
             n_red = 2 * M if config.scenario == "SIMO" else 2
-            det = float(np.mean(err > _det_constant(n_red, u) * scale))
+            det = float(np.mean(err > bounds._det_constant(n_red, u) * scale))
         reports.append(
             {
                 "scenario": config.scenario,
@@ -607,7 +596,7 @@ def inner_product_violation_study(
         lam: float(np.mean(err > bounds.delta_simo(n, u, lam)))
         for lam in lambdas
     }
-    det = float(np.mean(err > _det_constant(2 * n, u)))
+    det = float(np.mean(err > bounds._det_constant(2 * n, u)))
     return {"n": n, "trials": trials, "violation_rates": rates, "deterministic": det}
 
 

@@ -12,10 +12,14 @@ precoding, its six steps in C inside the factor and the solves.  Under
 stochastic rounding each kernel draws one block of uniforms after rounding
 its inputs, laid out as the comment of its entry in ``_core.c`` says.  Every
 complex result is joined from its two parts by ``join_to`` in ``_core.c``,
-with numpy's ``1j*im + re`` bits; under the fp64 policy, where that join is
-all a copy would do, ``round_input`` returns a C-contiguous input itself
-when the join leaves its bits.  ``inner_product_fp`` conjugates inside the
+with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
+
+Each kernel enters through ``_enter``: one read-only C pass per operand
+(``fp_scan``, ``round_input``'s C walk with no store) raises ValueError on a
+non-finite part before anything is rounded or drawn, and an operand whose
+bits nearest-even rounding would keep is used as it is; ``round_input`` keeps
+an operand by the same rule and rounds every other one.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -25,15 +29,14 @@ the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
 term ``fma(re, re, im*im)`` as numpy's fused complex multiply forms it, the
 row summed in numpy's pairwise order.  Every Gaussian draw of the package
 goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
-same end state, which splits large draws from a PCG64 across threads in the
-C core's ``fp_normal`` with numpy's own ziggurat (from ``libnpyrandom.a``),
-into an output of any stride; the CN draws of channels and noise are
-``_noise``, drawn into the parts of their complex output and joined and
-divided in place by ``fp_cn``.
+same end state, which hands large draws from a PCG64 to the C core's
+``fp_normal``, split across its threads, with numpy's own ziggurat (from
+``libnpyrandom.a``), into an output of any stride; the CN draws of channels
+and noise are ``_noise``, drawn into the parts of their complex output and
+joined and divided in place by ``fp_cn``.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
-Each kernel raises ValueError on non-finite input before it rounds anything.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import _core
 from .formats import (
-    FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _passes_through, _round, _uniforms,
+    FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _round, _uniforms,
 )
 
 __all__ = [
@@ -106,13 +109,6 @@ class CholeskyBreakdownError(ArithmeticError):
         )
 
 
-def _require_finite(name: str, *arrays) -> None:
-    """Raise ValueError unless every entry of every array is finite."""
-    for x in arrays:
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} requires finite input")
-
-
 def _gram(A, B):
     """A^H B in fp64 with the bits of numpy's contraction ``"...mk,...ml->...kl"``
     of ``A.conj()`` and ``B``, in the C core (``fp_gram``).
@@ -164,18 +160,16 @@ def _normal(rng, shape: tuple, out=None):
     state numpy leaves it in.
 
     At least ``_NORMAL_SPLIT`` draws from a generator on an exact
-    :class:`numpy.random.PCG64` are split across the C core's threads
-    (:func:`_split_normal`) when it has two or more.  Every other call is
+    :class:`numpy.random.PCG64` go to the C core (:func:`_split_normal`),
+    split across its threads when it has two or more.  Every other call is
     ``rng.standard_normal``'s.  With ``out``, a one-dimensional float64
     array of that many entries at any stride, the draws go into it in C order
-    (numpy's are copied in), and it is returned.
+    (numpy's are copied in, the C core's written there), and it is returned.
     """
     if out is not None and (out.dtype != np.float64 or out.shape != (math.prod(shape),)):
         raise ValueError(f"out must be float64 of shape ({math.prod(shape)},)")
-    pieces = _core.threads()
-    if (type(rng.bit_generator) is np.random.PCG64 and pieces > 1
-            and math.prod(shape) >= _NORMAL_SPLIT):
-        return _split_normal(rng, shape, pieces, out)
+    if type(rng.bit_generator) is np.random.PCG64 and math.prod(shape) >= _NORMAL_SPLIT:
+        return _split_normal(rng, shape, _core.threads(), out)
     x = rng.standard_normal(shape)
     if out is None:
         return x
@@ -224,6 +218,39 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
     return z
 
 
+# What fp_scan finds: a part that is not finite; an entry rounding moves.
+_NONFINITE, _MOVED = 1, 2
+
+
+def _scan(x, policy: PrecisionPolicy, stop: int) -> int:
+    """``fp_scan``'s findings on the complex128 ``x``, a thread's range stopping at
+    its first in ``stop``; ``_MOVED`` too unless rounding is nearest-even and ``x``
+    is a C array (``flags.carray``) of one or more dimensions."""
+    keep = policy.rounding is RoundingMode.NEAREST_EVEN and x.ndim > 0 and x.flags.carray
+    if not keep and stop == _MOVED:
+        return _MOVED
+    geom = np.array([*x.shape, *x.strides], dtype=np.int64)
+    found = np.empty(1, dtype=np.int64)
+    _core.lib().fp_scan(x.ndim, geom.ctypes.data, x.ctypes.data,
+                        _c_format(policy.working, policy.range_mode), stop, found.ctypes.data)
+    return int(found[0]) | (0 if keep else _MOVED)
+
+
+def _finite(name: str, policy: PrecisionPolicy, *operands) -> list:
+    """:func:`_scan`'s findings on each operand; ValueError if one is not finite."""
+    found = [_scan(x, policy, _NONFINITE) for x in operands]
+    if any(f & _NONFINITE for f in found):
+        raise ValueError(f"{name} requires finite input")
+    return found
+
+
+def _enter(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
+    """The operands checked by :func:`_finite`, each as it is where :func:`_scan`
+    found nothing moved, else rounded by ``round_input``."""
+    return [round_input(x, policy, rng) if f & _MOVED else x
+            for x, f in zip(operands, _finite(name, policy, *operands))]
+
+
 def round_input(x, policy: PrecisionPolicy, rng=None):
     """Round a real or complex array into the policy's working format.
 
@@ -235,23 +262,19 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass,
     which reads it through its strides, into a fresh complex128 array (a
     scalar for 0-d); under stochastic rounding it draws all real-part
-    uniforms, in C order, before the imaginary ones.  Under the fp64
-    policy a C-contiguous complex128 ``x`` of one or more dimensions comes
-    back as itself when a read-only C pass (``fp_joined``) finds that the
-    copy would have its bits.  That holds for every array this function
-    returns, and for a finite ``x`` unless some part is -0.0.
+    uniforms, in C order, before the imaginary ones.  Under nearest-even
+    rounding a complex128 C array ``x`` (aligned, writeable, C-contiguous) of
+    one or more dimensions comes back as itself when a read-only pass of the
+    same walk (``fp_scan``) finds that the copy would have its bits, as it
+    would for every array this function returns.
     """
     x = np.asarray(x)
     if not np.iscomplexobj(x):
         return _round(np.asarray(x, dtype=np.float64), policy.working, policy.rounding,
                       policy.range_mode, rng)
     x = np.asarray(x, dtype=np.complex128)
-    if (x.ndim and x.flags.c_contiguous
-            and _passes_through(policy.working, policy.rounding, policy.range_mode)):
-        joined = np.empty(1, dtype=np.int64)
-        _core.lib().fp_joined(x.size, x.ctypes.data, joined.ctypes.data)
-        if joined[0]:
-            return x
+    if not _scan(x, policy, _MOVED) & _MOVED:
+        return x
     out = np.empty(x.shape, dtype=np.complex128)
     u = _uniforms(policy.rounding, rng, 2 * x.size)
     geom = np.array([*x.shape, *x.strides], dtype=np.int64)
@@ -283,8 +306,6 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = F
         raise ValueError("a reduction needs at least one term")
     a = np.broadcast_to(np.asarray(a, dtype=np.complex128), shape)
     d = np.broadcast_to(np.asarray(d, dtype=np.complex128), shape)
-    if not (a.flags.aligned and d.flags.aligned):
-        a, d = a.copy(), d.copy()
     mixed = policy.mode is PolicyMode.MIXED
     b = policy.block_size if mixed else 1
     high = policy.high if mixed else policy.low
@@ -321,9 +342,7 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    _require_finite("inner_product_fp", a, b)
-    a = round_input(a, policy, rng)
-    b = round_input(b, policy, rng)
+    a, b = _enter("inner_product_fp", policy, rng, a, b)
     out = _dot(a, b, policy, rng, conj=True)
     if np.ndim(out) == 0:
         return complex(out)
@@ -336,9 +355,7 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     x = _as_cvec(x, "x")
     if A.shape[-1] != x.shape[-1]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")
-    _require_finite("matvec_fp", A, x)
-    A = round_input(A, policy, rng)
-    x = round_input(x, policy, rng)
+    A, x = _enter("matvec_fp", policy, rng, A, x)
     return _dot(A, x[..., None, :], policy, rng)
 
 
@@ -354,9 +371,7 @@ def _matmul(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
-    _require_finite("matmul_fp", A, B)
-    A = round_input(A, policy, rng)
-    B = round_input(B, policy, rng)
+    A, B = _enter("matmul_fp", policy, rng, A, B)
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
     return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng, upper)
 
@@ -396,8 +411,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     K = C.shape[-1]
     if C.shape[-2] != K:
         raise ValueError("C must be square")
-    _require_finite("cholesky_fp", C)
-    C = round_input(C, policy, rng)
+    (C,) = _enter("cholesky_fp", policy, rng, C)
     batch, lanes = C.shape[:-2], math.prod(C.shape[:-2])
     R, breakdown = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=bool)
     stop = np.empty(2, dtype=np.int64)
@@ -423,8 +437,9 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
 
     side="lower-conjugate" solves R^H q = rhs (forward substitution);
     side="upper" solves R x = rhs (back substitution).  Assumes the real
-    diagonal produced by :func:`cholesky_fp`.  The substitution runs in the
-    C core (``fp_trisolve``).
+    diagonal produced by :func:`cholesky_fp`; a diagonal entry that is 0 once
+    rounded (a strict-IEEE flush) raises ZeroDivisionError.  The substitution
+    runs in the C core (``fp_trisolve``).
     """
     if side not in ("lower-conjugate", "upper"):
         raise ValueError("side must be 'lower-conjugate' or 'upper'")
@@ -433,11 +448,9 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
-    _require_finite("trisolve_fp", R, rhs)
+    R, rhs = _enter("trisolve_fp", policy, rng, R, rhs)
     if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
-    R = round_input(R, policy, rng)
-    rhs = round_input(rhs, policy, rng)
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     lanes = math.prod(batch)
     R = np.ascontiguousarray(np.broadcast_to(R, batch + (K, K)))

@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .formats import RoundingMode
 from .kernels import (
+    _MOVED,
     PrecisionPolicy,
     _cmul,
+    _enter,
+    _finite,
     _matmul,
-    _require_finite,
     cholesky_fp,
     inner_product_fp,
     matvec_fp,
@@ -53,26 +54,22 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
-    _require_finite("mrt_precode", h, x_d)
-    if prenormalized:
-        hn = round_input(h, policy, rng)
-    else:
+    if not prenormalized:
+        _finite("mrt_precode", policy, h, x_d)
         nrm = np.linalg.norm(h, axis=-1, keepdims=True)
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
-        hn = round_input(h / nrm, policy, rng)
-    x = round_input(x_d[..., None], policy, rng)
+        h = h / nrm
+    hn, x = _enter("mrt_precode", policy, rng, h, x_d[..., None])
     return _cmul(hn, x, policy, rng)
 
 
 def _channel(name: str, H, policy: PrecisionPolicy, rng):
-    """H and H^H.  Under stochastic rounding H is rounded here, once, so that
-    every kernel of the call sees the same rounding; under nearest-even the
-    kernels' own roundings of H already agree."""
-    if policy.rounding is RoundingMode.STOCHASTIC:
-        _require_finite(name, H)
-        H = round_input(H, policy, rng)
-    return H, np.conj(np.swapaxes(H, -1, -2))
+    """H, rounded once for every kernel of the call, and H^H, C-ordered:
+    under nearest-even the kernels keep both as they are."""
+    (found,) = _finite(name, policy, H)
+    H = round_input(H, policy, rng) if found & _MOVED else H
+    return H, np.conj(np.swapaxes(H, -1, -2), order="C")
 
 
 def _gram_solve(H, Hh, rhs, policy: PrecisionPolicy, rng, error: str):

@@ -93,7 +93,7 @@ def test_every_entry_point_is_declared():
     """ctypes would pass an undeclared entry's arguments as C ints, truncating 64-bit ones."""
     entries = re.findall(r"^void (fp_\w+)\(([^)]*)\)", _core.SOURCE.read_text(), re.M)
     required = {"fp_round", "fp_dot", "fp_chol", "fp_trisolve", "fp_gram", "fp_normal",
-                "fp_norm", "fp_cn", "fp_joined"}
+                "fp_norm", "fp_cn", "fp_scan"}
     assert required <= {name for name, _ in entries}
     so = _core.lib()
     for name, params in entries:

@@ -9,6 +9,7 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
+    _dot,
     _gram,
     cholesky_fp,
     inner_product_fp,
@@ -331,6 +332,16 @@ class TestTrisolve:
         with pytest.raises(ZeroDivisionError):
             trisolve_fp(np.diag([1.0, 0.0]), np.ones(2, dtype=complex), "upper", POL16)
 
+    @pytest.mark.parametrize("side", ["upper", "lower-conjugate"])
+    def test_diagonal_flushed_to_zero_on_entry(self, side):
+        """Strict fp16 flushes a diagonal below x_min to 0 as it rounds R, so
+        the check reads the rounded R; an unbounded policy keeps it nonzero."""
+        R, rhs = np.array([[1e-6, 0.5], [0.0, 1.0]]), np.ones(2, dtype=complex)
+        strict = PrecisionPolicy.uniform(FP16, range_mode=RangeMode.STRICT_IEEE)
+        with pytest.raises(ZeroDivisionError):
+            trisolve_fp(R, rhs, side, strict)
+        assert np.isfinite(trisolve_fp(R, rhs, side, POL16)).all()
+
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):
             trisolve_fp(np.eye(2), np.ones(2), "left", POL16)
@@ -415,6 +426,137 @@ def test_non_finite_input_rejected(name, call, args, arg, bad):
     args[arg].flat[-1] = complex(1.0, bad)
     with pytest.raises(ValueError, match=f"{name} requires finite input"):
         call(POL16, None, *args)
+
+
+def _split_cases():
+    """(name, call(policy, rng, *args), args) for each array entry point, each
+    operand of at least 2^17 complex entries, so that every scan of it splits
+    over the core's threads, of unrounded values."""
+    rng = np.random.default_rng(32)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    L = (1 << 16) + 1
+    return [
+        ("inner_product_fp", lambda p, g, a, b: inner_product_fp(a, b, p, g),
+         (cn(2049, 64), cn(2049, 64))),
+        ("matvec_fp", lambda p, g, A, x: matvec_fp(A, x, p, g), (cn(L, 2, 2), cn(L, 2))),
+        ("matmul_fp", lambda p, g, A, B: matmul_fp(A, B, p, g), (cn(L // 2, 2, 2), cn(L // 2, 2, 2))),
+        ("cholesky_fp", lambda p, g, C: cholesky_fp(C, p, g), (cn(L // 2, 2, 2),)),
+        ("trisolve_fp", lambda p, g, R, b: trisolve_fp(R, b, "upper", p, g), (cn(L, 2, 2), cn(L, 2))),
+        ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g), (cn(L, 2), cn(2 * L))),
+        ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g, prenormalized=True),
+         (cn(L, 2), cn(2 * L))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy", [POL16, PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)],
+    ids=["fp16", "fp16-stochastic"],
+)
+def test_non_finite_input_in_the_last_range_rejected_before_any_draw(policy):
+    """Every entry moves as it rounds, so a scan that stopped at a moved entry
+    would miss the non-finite last one; the generator is left untouched."""
+    for name, call, args in _split_cases():
+        for arg in range(len(args)):
+            bad = [a.copy() if j == arg else a for j, a in enumerate(args)]
+            bad[arg].flat[-1] = complex(1.0, math.nan)
+            rng = np.random.default_rng(6)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"{name} requires finite input"):
+                call(policy, rng, *bad)
+            assert rng.bit_generator.state == before, (name, arg)
+
+
+# -- round_input keeps what rounding would not change ------------------------
+
+ENTRY_FORMATS = [(fmt, rm) for fmt in (FP16, BFLOAT16, FP32) for rm in RangeMode]
+
+
+def _spread(rng, shape):
+    """Complex values whose magnitudes span 10^-12 to 10^12, past the strict
+    range of each low format at both ends."""
+    scale = 10.0 ** rng.uniform(-12, 12, shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+
+
+@pytest.mark.parametrize("fmt,range_mode", ENTRY_FORMATS, ids=lambda v: str(getattr(v, "value", v)))
+def test_round_input_returns_a_rounded_operand_itself(fmt, range_mode):
+    policy = PrecisionPolicy.uniform(fmt, range_mode=range_mode)
+    x = round_input(_spread(np.random.default_rng(33), (40, 300)), policy)
+    assert round_input(x, policy) is x
+    y = round_input(x.T.copy(), policy)  # C-contiguous again
+    assert round_input(y, policy) is y
+    for cut in (x[0], x[:0]):  # one dimension; no entries
+        assert round_input(cut, policy) is cut
+
+
+@pytest.mark.parametrize("fmt,range_mode", ENTRY_FORMATS, ids=lambda v: str(getattr(v, "value", v)))
+def test_round_input_copies_what_rounding_changes(fmt, range_mode):
+    policy = PrecisionPolicy.uniform(fmt, range_mode=range_mode)
+    rng = np.random.default_rng(34)
+    n = (1 << 18) + 3  # splits over every thread count the core allows
+    x = round_input(_spread(rng, n), policy)
+
+    def bits(z):
+        return np.ascontiguousarray(z).view(np.uint64)
+
+    moved = x.copy()  # one unrounded entry, in the last thread's range
+    moved[-1] = 1.0 + 2.0**-30 + 0.5j
+    got = round_input(moved, policy)
+    assert got is not moved and got[-1] == 1.0 + 0.5j
+    np.testing.assert_array_equal(bits(got[:-1]), bits(x[:-1]))
+
+    for part in ("real", "imag"):  # a -0.0 part, which the join makes +0.0
+        signed = x.copy()
+        signed[n // 3] = 1.0 + 1.0j
+        getattr(signed, part)[n // 3] = -0.0
+        got = round_input(signed, policy)
+        assert got is not signed, part
+        assert not np.signbit(getattr(got, part)[n // 3]), part
+        np.testing.assert_array_equal(bits(got[: n // 3]), bits(x[: n // 3]))
+
+    for view in (x[::2], x[::-1], x[:-1].reshape(-1, 3)[:, :2]):  # not C-contiguous
+        got = round_input(view, policy)
+        assert got is not view
+        np.testing.assert_array_equal(bits(got), bits(view))
+
+    stochastic = PrecisionPolicy.uniform(fmt, rounding=RoundingMode.STOCHASTIC, range_mode=range_mode)
+    rng, other = np.random.default_rng(35), np.random.default_rng(35)
+    got = round_input(x, stochastic, rng)
+    assert got is not x
+    np.testing.assert_array_equal(bits(got), bits(x))
+    other.random(2 * n)  # one uniform per part, as every stochastic call draws them
+    assert rng.bit_generator.state == other.bit_generator.state
+
+
+def _unaligned(x):
+    """A copy of ``x`` one byte past an aligned address."""
+    out = np.zeros(x.nbytes + 1, dtype=np.uint8)[1:].view(x.dtype).reshape(x.shape)
+    out[...] = x
+    assert not out.flags.aligned
+    return out
+
+
+@pytest.mark.parametrize("policy", [POL16, MIX, POL64], ids=["fp16", "fp16+fp32", "fp64"])
+def test_unaligned_operands_give_the_bytes_of_aligned_ones(policy):
+    """The C core reads its operands by memcpy, so nothing is copied to align
+    them, and an unaligned operand is never used in place of its rounding."""
+    rng = np.random.default_rng(36)
+    a, b = (rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40)) for _ in range(2))
+    C = np.conj(a[:, :4].T) @ a[:, :4]
+    aq = round_input(a, policy)
+    for got, want in [
+        (round_input(_unaligned(a), policy), aq),
+        (round_input(_unaligned(a.real), policy), round_input(a.real, policy)),
+        (_dot(_unaligned(aq), _unaligned(aq), policy, None), _dot(aq, aq, policy, None)),
+        (inner_product_fp(_unaligned(a), _unaligned(b), policy), inner_product_fp(a, b, policy)),
+        (cholesky_fp(_unaligned(C), policy), cholesky_fp(C, policy)),
+    ]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    x = _unaligned(aq)
+    assert round_input(x, policy) is not x
 
 
 # -- the unrounded Gram products: numpy's bits ------------------------------

@@ -1,9 +1,16 @@
 """The C core's normal draws (``fp_normal``, through ``kernels._normal``):
 numpy's ``Generator.standard_normal`` byte for byte, and the state it leaves."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from fpmimo import _core
 from fpmimo.kernels import _NORMAL_SPLIT, _normal, _split_normal
 
 # fp_normal's MIN_PIECE: a round cuts the draws left into pieces of at least
@@ -146,3 +153,50 @@ def test_strided_output_gets_the_draws_and_nothing_else(step):
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="float64 of shape"):
         _normal(rng, (4,), np.empty(8)[::2][:3])
+
+
+# Pins itself to one CPU before the core loads, then draws into a strided
+# output as _noise does, and a whole CN array through _noise, under tracemalloc.
+_ONE_CPU = textwrap.dedent("""
+    import json, math, os, tracemalloc
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    import numpy as np
+    from fpmimo import _core
+    from fpmimo.kernels import _noise, _normal
+
+    n = 1 << 20
+    rng, other = np.random.default_rng(8), np.random.default_rng(8)
+    z = np.full(n, 7.0 + 7.0j)
+    _noise(np.random.default_rng(0), (1 << 14,))  # loads the core
+    tracemalloc.start()
+    _normal(rng, (n,), z.imag)
+    strided = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    w = _noise(rng, (n,))
+    noise = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    want = other.standard_normal(n)
+    re, im = other.standard_normal(n), other.standard_normal(n)
+    print(json.dumps({
+        "threads": _core.threads(),
+        "bytes": z.imag.tobytes() == want.tobytes() and bool((z.real == 7.0).all()),
+        "noise": w.tobytes() == ((1j * im + re) / math.sqrt(2.0)).tobytes(),
+        "state": rng.bit_generator.state == other.bit_generator.state,
+        "strided_peak": strided, "noise_peak": noise, "n": n,
+    }))
+""")
+
+
+def test_one_cpu_draws_straight_into_the_output():
+    """On one thread a large PCG64 draw still goes to fp_normal, which writes
+    into the strided output: numpy's bytes and end state, and no temporary."""
+    src = str(_core.SOURCE.parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU], capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["threads"] == 1
+    assert got["bytes"] and got["noise"] and got["state"]
+    assert got["strided_peak"] < (1 << 16)  # the draws need no array of their own
+    assert got["noise_peak"] < 16 * got["n"] * 1.05  # the complex output, nearly alone

@@ -482,10 +482,10 @@ def _oracle_trisolve(R, rhs, side, policy, rng=None):
     rhs = np.asarray(rhs, dtype=np.complex128)
     K = R.shape[-1]
     _oracle_require_finite("trisolve_fp", R, rhs)
-    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
-        raise ZeroDivisionError("zero diagonal entry in triangular solve")
     R = _oracle_input(R, policy, rng)
     rhs = _oracle_input(rhs, policy, rng)
+    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):  # once rounded: strict flushes
+        raise ZeroDivisionError("zero diagonal entry in triangular solve")
     rnd = _oracle_rounder(policy, policy.working, rng)
     T = np.conj(np.swapaxes(R, -1, -2)) if side == "lower-conjugate" else R
 
