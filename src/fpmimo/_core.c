@@ -1,12 +1,13 @@
 /* fpmimo's rounding primitive: round binary64 carrier values to a t-bit
- * significand, elementwise on real (fp_round) or complex128 (fp_round_complex)
- * arrays, or fused into a complex dot product (fp_dot, also on the upper lanes
- * of a Gram matrix alone), a Cholesky factorization (fp_chol) and the
- * triangular solves of its factor (fp_trisolve).  fp_dot conjugates its
- * first operand on request, as np.conj does, by the sign of its loaded
- * imaginary part.  join_to writes complex results as complex128.  fp_scan
- * tells whether a complex128 array is finite and whether rounding keeps its
- * bits.  Each entry's comment gives the layout of its stochastic uniforms.
+ * significand, elementwise on real or complex128 arrays of any strides
+ * (fp_round, one walk of shape and strides for both), or fused into a complex
+ * dot product (fp_dot, also on the upper lanes of a Gram matrix alone), a
+ * Cholesky factorization (fp_chol) and the triangular solves of its factor
+ * (fp_trisolve).  fp_dot conjugates its first operand on request, as np.conj
+ * does, by the sign of its loaded imaginary part.  join_to writes complex
+ * results as complex128.  fp_scan, fp_round's walk with no store, tells
+ * whether a complex128 array is finite and whether rounding keeps its bits.
+ * Each entry's comment gives the layout of its stochastic uniforms.
  *
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
@@ -266,38 +267,8 @@ ALWAYS_INLINE void walk_by(walk_t *w, int64_t r)
     }
 }
 
-/* The arguments of fp_round: lane i reads the double at byte offset i * sx
- * of x. */
-typedef struct {
-    const char *x;
-    int64_t sx;
-    rounder_t r;
-    const double *u;
-    double *out;
-} map_t;
-
-static void round_range(const void *job, int64_t lo, int64_t hi)
-{
-    const map_t *m = job;
-    const rounder_t r = m->r;
-    const char *x = m->x;
-    const int64_t sx = m->sx;
-    const double *u = m->u;
-    double *out = m->out;
-    for (int64_t i = lo; i < hi; i++)
-        out[i] = round_to(load(x, i * sx), &r, u ? u + i : NULL);
-}
-
-/* out[i] = fl(x[i * sx]) for i < n; sx is a stride in bytes.  u is NULL for
- * nearest-even, else it holds n uniforms, one per element. */
-void fp_round(int64_t n, const char *x, int64_t sx, double *out,
-              const fmt_t *f, const double *u)
-{
-    const map_t m = {.x = x, .sx = sx, .r = rounder(f), .u = u, .out = out};
-    split_lanes(n, n, round_range, &m);
-}
-
-/* The arguments of an fp_round_complex or fp_scan call: its lanes walk x. */
+/* The arguments of an fp_round or fp_scan call: its lanes, one per entry,
+ * walk x. */
 typedef struct {
     walk_t w;
     const char *x;
@@ -305,33 +276,36 @@ typedef struct {
     rounder_t r;
     const double *u;
     double *out;
-    int64_t stop, *found;
-} cmap_t;
+    int64_t *found;
+} elem_t;
 
 /* What fp_scan finds: a part that is not finite; an entry rounding moves. */
 enum { NONFINITE = 1, MOVED = 2 };
 
-/* The lanes [lo, hi) rounded into out, or with scan nonzero only compared
- * with x, the findings or'ed into *found, stopping at the first in stop. */
-ALWAYS_INLINE void round_complex_lanes(const cmap_t *m, const double *u, int scan, int64_t lo,
-                                       int64_t hi)
+/* The lanes [lo, hi) rounded into out, or with scan nonzero (parts = 2) only
+ * compared with x, the findings or'ed into *found. */
+ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int scan, int64_t lo,
+                               int64_t hi)
 {
     const rounder_t r = m->r;
-    const char *x = m->x;
     const int64_t n = m->n, k = m->w.ndim - 1, step = k < 0 ? 0 : m->w.sa[k];
     double *out = m->out, y[2];
     int64_t found = 0;
     walk_t w = m->w;
     walk_to(&w, lo);
     /* in runs along the last axis */
-    for (int64_t i = lo, run; i < hi && !(found & m->stop); walk_by(&w, run)) {
+    for (int64_t i = lo, run; i < hi; walk_by(&w, run)) {
         run = k < 0 ? 1 : w.shape[k] - w.idx[k];
         if (run > hi - i)
             run = hi - i;
-        const char *p = x + w.oa;
-        for (int64_t end = i + run; i < end && !(found & m->stop); i++, p += step) {
-            join_to(round_to(load(p, 0), &r, u ? u + i : NULL),
-                    round_to(load(p, 8), &r, u ? u + n + i : NULL), scan ? y : out + 2 * i);
+        const char *p = m->x + w.oa;
+        for (int64_t end = i + run; i < end; i++, p += step) {
+            const double re = round_to(load(p, 0), &r, u ? u + i : NULL);
+            if (parts == 1) {
+                out[i] = re;
+                continue;
+            }
+            join_to(re, round_to(load(p, 8), &r, u ? u + n + i : NULL), scan ? y : out + 2 * i);
             if (scan)
                 found |= (isfinite(load(p, 0)) && isfinite(load(p, 8)) ? 0 : NONFINITE)
                          | (memcmp(y, p, sizeof y) ? MOVED : 0);
@@ -341,53 +315,66 @@ ALWAYS_INLINE void round_complex_lanes(const cmap_t *m, const double *u, int sca
         __atomic_fetch_or(m->found, found, __ATOMIC_RELAXED);
 }
 
-/* three copies, so that each has only its own branches */
+/* five copies, so that each has only its own branches */
+static void round_real_nearest(const void *job, int64_t lo, int64_t hi)
+{
+    round_lanes(job, NULL, 1, 0, lo, hi);
+}
+
+static void round_real_stochastic(const void *job, int64_t lo, int64_t hi)
+{
+    round_lanes(job, ((const elem_t *)job)->u, 1, 0, lo, hi);
+}
+
 static void round_complex_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, NULL, 0, lo, hi);
+    round_lanes(job, NULL, 2, 0, lo, hi);
 }
 
 static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, ((const cmap_t *)job)->u, 0, lo, hi);
+    round_lanes(job, ((const elem_t *)job)->u, 2, 0, lo, hi);
 }
 
 static void scan_range(const void *job, int64_t lo, int64_t hi)
 {
-    round_complex_lanes(job, NULL, 1, lo, hi);
+    round_lanes(job, NULL, 2, 1, lo, hi);
 }
 
-/* The complex128 out[i] = fl(Re x_i) + i fl(Im x_i), joined by join_to, for
- * the n entries x_i of an ndim-dimensional complex128 array x in C order.
- * geom holds its shape (ndim entries), then its byte strides.  u is NULL for
- * nearest-even, else it holds 2n uniforms: the real parts take the first n,
- * the imaginary parts the last n.  With found, fp_scan's walk instead. */
-static void round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
-                          const fmt_t *f, const double *u, int64_t stop, int64_t *found)
+/* fn over the n entries of an ndim-dimensional array x in C order; geom holds
+ * its shape (ndim entries), then its byte strides. */
+static void each_entry(int64_t ndim, const int64_t *geom, const char *x, double *out,
+                       const fmt_t *f, const double *u, int64_t *found, range_fn fn)
 {
-    cmap_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
-                .n = 1, .r = rounder(f), .u = u, .out = out, .stop = stop, .found = found};
+    elem_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
+                .n = 1, .r = rounder(f), .u = u, .out = out, .found = found};
     for (int64_t k = 0; k < ndim; k++)
         m.n *= geom[k];
-    split_lanes(m.n, m.n, found ? scan_range : u ? round_complex_stochastic : round_complex_nearest,
-                &m);
+    split_lanes(m.n, m.n, fn, &m);
 }
 
-void fp_round_complex(int64_t ndim, const int64_t *geom, const char *x, double *out,
-                      const fmt_t *f, const double *u)
+/* out = fl(x) entry by entry, for the n entries of an ndim-dimensional array
+ * x (geom as each_entry's) of float64 (parts = 1) or complex128 (parts = 2),
+ * into the C-contiguous out of the same type.  A complex entry is
+ * fl(Re x_i) + i fl(Im x_i), joined by join_to.  u is NULL for nearest-even,
+ * else it holds parts * n uniforms: one per part, the real parts taking the
+ * first n and any imaginary parts the last n. */
+void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, double *out,
+              const fmt_t *f, const double *u)
 {
-    round_complex(ndim, geom, x, out, f, u, 0, NULL);
+    const range_fn fn = parts == 1 ? (u ? round_real_stochastic : round_real_nearest)
+                                   : (u ? round_complex_stochastic : round_complex_nearest);
+    each_entry(ndim, geom, x, out, f, u, NULL, fn);
 }
 
-/* *out = what fp_round_complex's nearest-even walk of x (geom as there) finds
- * with no store: NONFINITE if some part is not finite, MOVED if some entry's
- * rounded and joined value differs from it in a bit.  Each thread's range
- * stops at its first finding in stop; one outside stop may then go unseen. */
-void fp_scan(int64_t ndim, const int64_t *geom, const char *x, const fmt_t *f, int64_t stop,
-             int64_t *out)
+/* *out = what fp_round's nearest-even walk of the complex128 x (geom as
+ * there) finds over the whole of x, with no store: NONFINITE if some part is
+ * not finite, MOVED if some entry's rounded and joined value differs from it
+ * in a bit. */
+void fp_scan(int64_t ndim, const int64_t *geom, const char *x, const fmt_t *f, int64_t *out)
 {
     *out = 0;
-    round_complex(ndim, geom, x, NULL, f, NULL, stop, out);
+    each_entry(ndim, geom, x, NULL, f, NULL, out, scan_range);
 }
 
 /* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */

@@ -138,24 +138,30 @@ def _uniforms(mode: RoundingMode, rng, size: int):
 def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
-    It does no finiteness check, so a non-finite value propagates, and it
-    never writes into ``x``.  The result is a fresh array (a scalar for a
-    0-d input when the range is unbounded), except on the fp64 nearest-even
-    unbounded passthrough, which returns ``x`` itself.  Stochastic rounding
-    takes one draw per element per call, so callers must keep the order of
-    their calls to reproduce a stream.
+    A real ``x`` is rounded as float64, a complex one as complex128, both
+    parts of each entry, joined by ``join_to``; one C pass (``fp_round``)
+    reads ``x`` through its shape and strides, so no view is copied.  It does
+    no finiteness check, so a non-finite value propagates, and it never
+    writes into ``x``.  The result is a fresh array (a scalar for a 0-d input,
+    except a real one under the strict range), except on the real fp64
+    nearest-even unbounded passthrough, which returns ``x`` itself.
+    Stochastic rounding takes one draw per part per call, all real parts'
+    before the imaginary ones, so callers must keep the order of their calls
+    to reproduce a stream.
     """
-    if fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN and range_mode is RangeMode.UNBOUNDED:
+    parts = 2 if np.iscomplexobj(x) else 1
+    if (parts == 1 and fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN
+            and range_mode is RangeMode.UNBOUNDED):
         return x
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)  # a view when one stride walks x, as for .real of a complex array
-    out = np.empty(x.shape)
-    u = _uniforms(mode, rng, flat.size)
+    x = np.asarray(x, dtype=np.complex128 if parts == 2 else np.float64)
+    out = np.empty(x.shape, dtype=x.dtype)
+    u = _uniforms(mode, rng, parts * x.size)
+    geom = np.array([*x.shape, *x.strides], dtype=np.int64)
     _core.lib().fp_round(
-        flat.size, flat.ctypes.data, flat.strides[0], out.ctypes.data,
+        x.ndim, geom.ctypes.data, parts, x.ctypes.data, out.ctypes.data,
         _c_format(fmt, range_mode), None if u is None else u.ctypes.data,
     )
-    if range_mode is RangeMode.STRICT_IEEE:
+    if out.ndim or (parts == 1 and range_mode is RangeMode.STRICT_IEEE):
         return out
     return out[()]  # [()] turns a 0-d result into a scalar
 

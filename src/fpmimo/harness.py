@@ -271,12 +271,6 @@ def _unit_symbols(rng, shape):
     return np.exp(2j * np.pi * rng.random(shape))
 
 
-def _round_rng(policy: PrecisionPolicy, ss):
-    if policy.rounding is RoundingMode.STOCHASTIC:
-        return np.random.default_rng(ss)
-    return None
-
-
 def _pilot_factor(config: ExperimentConfig) -> float:
     if config.csi == "mmse":
         return (config.csi_T - config.tau) / config.csi_T
@@ -454,7 +448,7 @@ def _collect_point(config: ExperimentConfig, M: int, rho: float, grid_index: int
     ss = np.random.SeedSequence(config.seed, spawn_key=(grid_index,))
     ss_draw, ss_round = ss.spawn(2)
     rng = np.random.default_rng(ss_draw)
-    rng_round = _round_rng(config.policy, ss_round)
+    rng_round = np.random.default_rng(ss_round)
     chunk = _CHUNK_MU if config.scenario.startswith("MU") else _CHUNK_SINGLE
     run = _SLABS[config.scenario]
     return _trials(
@@ -578,7 +572,7 @@ def inner_product_violation_study(
         bounds._check_lam(lam)
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
-    rng_round = _round_rng(policy, ss.spawn(1)[0])
+    rng_round = np.random.default_rng(ss.spawn(1)[0])
     u = policy.working.unit_roundoff
 
     def draw(c):

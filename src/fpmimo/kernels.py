@@ -2,8 +2,8 @@
 
 Every scalar multiply, add, subtract, divide, and square root inside these
 kernels is rounded by the C core of :mod:`fpmimo._core`, which reads and
-writes complex128 directly: elementwise through ``formats._round`` on real
-arrays and ``round_input`` on complex ones, and fused into the loops of the
+writes complex128 directly: elementwise through ``round_input``, which is
+``formats._round`` under the policy, and fused into the loops of the
 reductions (the zero-forcing Gram on its upper triangle alone), the Cholesky
 factorization and the triangular solves.  Complex reductions are computed on
 their 2n-term real expansion, summed strictly in index order.  The one
@@ -15,11 +15,13 @@ complex result is joined from its two parts by ``join_to`` in ``_core.c``,
 with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
-Each kernel enters through ``_enter``: one read-only C pass per operand
-(``fp_scan``, ``round_input``'s C walk with no store) raises ValueError on a
-non-finite part before anything is rounded or drawn, and an operand whose
-bits nearest-even rounding would keep is used as it is; ``round_input`` keeps
-an operand by the same rule and rounds every other one.
+Each kernel enters through ``_enter``: one read-only C pass over each whole
+operand (``fp_scan``, ``fp_round``'s walk with no store) raises ValueError on
+a non-finite part before anything is rounded or drawn.  Under nearest-even
+rounding an operand whose bits rounding would keep is then used as it is;
+every other operand goes through ``round_input``, which always rounds a
+complex one into a fresh array.  ``_enter`` is the only code that keeps an
+operand in place.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -222,67 +224,48 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
 _NONFINITE, _MOVED = 1, 2
 
 
-def _scan(x, policy: PrecisionPolicy, stop: int) -> int:
-    """``fp_scan``'s findings on the complex128 ``x``, a thread's range stopping at
-    its first in ``stop``; ``_MOVED`` too unless rounding is nearest-even and ``x``
-    is a C array (``flags.carray``) of one or more dimensions."""
-    keep = policy.rounding is RoundingMode.NEAREST_EVEN and x.ndim > 0 and x.flags.carray
-    if not keep and stop == _MOVED:
-        return _MOVED
-    geom = np.array([*x.shape, *x.strides], dtype=np.int64)
-    found = np.empty(1, dtype=np.int64)
-    _core.lib().fp_scan(x.ndim, geom.ctypes.data, x.ctypes.data,
-                        _c_format(policy.working, policy.range_mode), stop, found.ctypes.data)
-    return int(found[0]) | (0 if keep else _MOVED)
-
-
 def _finite(name: str, policy: PrecisionPolicy, *operands) -> list:
-    """:func:`_scan`'s findings on each operand; ValueError if one is not finite."""
-    found = [_scan(x, policy, _NONFINITE) for x in operands]
+    """``fp_scan``'s findings over the whole of each complex128 operand;
+    ValueError if one is not finite."""
+    found = []
+    for x in operands:
+        geom = np.array([*x.shape, *x.strides], dtype=np.int64)
+        f = np.empty(1, dtype=np.int64)
+        _core.lib().fp_scan(x.ndim, geom.ctypes.data, x.ctypes.data,
+                            _c_format(policy.working, policy.range_mode), f.ctypes.data)
+        found.append(int(f[0]))
     if any(f & _NONFINITE for f in found):
         raise ValueError(f"{name} requires finite input")
     return found
 
 
 def _enter(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
-    """The operands checked by :func:`_finite`, each as it is where :func:`_scan`
-    found nothing moved, else rounded by ``round_input``."""
-    return [round_input(x, policy, rng) if f & _MOVED else x
+    """The operands checked by :func:`_finite`, each used as it is when rounding
+    is nearest-even, it is a C array (``flags.carray``) of one or more
+    dimensions and the scan found nothing moved; else rounded by ``round_input``."""
+    keep = policy.rounding is RoundingMode.NEAREST_EVEN
+    return [x if keep and x.ndim > 0 and x.flags.carray and not f & _MOVED
+            else round_input(x, policy, rng)
             for x, f in zip(operands, _finite(name, policy, *operands))]
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):
-    """Round a real or complex array into the policy's working format.
+    """Round a real or complex array into the policy's working format, by
+    ``formats._round``.
 
     Kernels apply this on entry so that all inputs are representable;
     rounding twice is a no-op, so callers may pre-round to separate
     representation error from arithmetic error.  It does no finiteness
     check (the kernels check their arguments first), and it never writes
-    into ``x``; under an fp64 nearest-even unbounded policy a real float64
-    ``x`` comes back as itself.  A complex ``x`` is rounded by one C pass,
-    which reads it through its strides, into a fresh complex128 array (a
-    scalar for 0-d); under stochastic rounding it draws all real-part
-    uniforms, in C order, before the imaginary ones.  Under nearest-even
-    rounding a complex128 C array ``x`` (aligned, writeable, C-contiguous) of
-    one or more dimensions comes back as itself when a read-only pass of the
-    same walk (``fp_scan``) finds that the copy would have its bits, as it
-    would for every array this function returns.
+    into ``x``.  A real ``x`` is rounded as float64, and under an fp64
+    nearest-even unbounded policy a float64 ``x`` comes back as itself.  A
+    complex ``x`` is rounded as complex128 into a fresh array (a scalar for
+    0-d); under stochastic rounding it draws all real-part uniforms, in C
+    order, before the imaginary ones.  Either is read through its strides.
     """
     x = np.asarray(x)
-    if not np.iscomplexobj(x):
-        return _round(np.asarray(x, dtype=np.float64), policy.working, policy.rounding,
-                      policy.range_mode, rng)
-    x = np.asarray(x, dtype=np.complex128)
-    if not _scan(x, policy, _MOVED) & _MOVED:
-        return x
-    out = np.empty(x.shape, dtype=np.complex128)
-    u = _uniforms(policy.rounding, rng, 2 * x.size)
-    geom = np.array([*x.shape, *x.strides], dtype=np.int64)
-    _core.lib().fp_round_complex(
-        x.ndim, geom.ctypes.data, x.ctypes.data, out.ctypes.data,
-        _c_format(policy.working, policy.range_mode), None if u is None else u.ctypes.data,
-    )
-    return out if out.ndim else out[()]
+    x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    return _round(x, policy.working, policy.rounding, policy.range_mode, rng)
 
 
 def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = False):

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .kernels import (
-    _MOVED,
     PrecisionPolicy,
     _cmul,
     _enter,
@@ -25,7 +24,6 @@ from .kernels import (
     cholesky_fp,
     inner_product_fp,
     matvec_fp,
-    round_input,
     trisolve_fp,
 )
 
@@ -64,11 +62,13 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     return _cmul(hn, x, policy, rng)
 
 
-def _channel(name: str, H, policy: PrecisionPolicy, rng):
-    """H, rounded once for every kernel of the call, and H^H, C-ordered:
-    under nearest-even the kernels keep both as they are."""
-    (found,) = _finite(name, policy, H)
-    H = round_input(H, policy, rng) if found & _MOVED else H
+def _channel(name: str, H, rhs, policy: PrecisionPolicy, rng):
+    """H, entered once for every kernel of the call, and H^H, C-ordered:
+    under nearest-even the kernels keep both as they are.  The right-hand
+    side ``rhs`` is checked for finiteness first, so a non-finite one raises
+    under ``name`` before anything is rounded or drawn."""
+    _finite(name, policy, rhs)
+    (H,) = _enter(name, policy, rng, H)
     return H, np.conj(np.swapaxes(H, -1, -2), order="C")
 
 
@@ -98,7 +98,7 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     z = np.asarray(z, dtype=np.complex128)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
-    H, Hh = _channel("zf_detect_ne", H, policy, rng)
+    H, Hh = _channel("zf_detect_ne", H, z, policy, rng)
     c = matvec_fp(Hh, z, policy, rng)
     r, breakdown = _gram_solve(H, Hh, c, policy, rng, error)
     if error == "mask":
@@ -127,7 +127,7 @@ def zf_precode_ne(
     M, K = H.shape[-2], H.shape[-1]
     if x_d.shape[-1] != K:
         raise ValueError("x_d and H disagree on the user count")
-    H, Hh = _channel("zf_precode_ne", H, policy, rng)
+    H, Hh = _channel("zf_precode_ne", H, x_d, policy, rng)
     e, breakdown = _gram_solve(H, Hh, x_d, policy, rng, error)
     s = matvec_fp(H, e, policy, rng)
     if normalize:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +225,47 @@ class TestComplexOps:
         u = FP16.unit_roundoff
         assert np.all(np.abs(got.real - (a.real + b.real)) <= u * np.abs(a.real + b.real))
         assert np.all(np.abs(got.imag - (a.imag + b.imag)) <= u * np.abs(a.imag + b.imag))
+
+
+class TestStridedViews:
+    """Real rounding reads a view through its shape and strides: the bytes and
+    the rng end state of the same call on a contiguous copy, and no copy."""
+
+    @staticmethod
+    def _views():
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((7, 13)) * 10.0 ** rng.uniform(-8, 8, (7, 13))
+        z = rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6))
+        return {
+            "transpose": a.T,
+            "negative stride": a[::-1, ::-2],
+            "real of a 3-D complex slice": z[1:, ::2, 1::2].real,
+            "0-d": z[2, 1, 3, ...].real,
+        }
+
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+    def test_views_give_the_bytes_of_contiguous_copies(self, mode, range_mode):
+        policy = PrecisionPolicy.uniform(FP16, rounding=mode, range_mode=range_mode)
+        calls = {
+            "round_to_format": lambda x, g: round_to_format(x, FP16, mode, range_mode, g),
+            "round_input": lambda x, g: round_input(x, policy, g),
+        }
+        for name, view in self._views().items():
+            assert view.ndim == 0 or not view.flags.c_contiguous, name
+            for call_name, call in calls.items():
+                rng, other = np.random.default_rng(41), np.random.default_rng(41)
+                got = call(view, rng)
+                want = call(np.ascontiguousarray(view), other)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, call_name)
+                assert rng.bit_generator.state == other.bit_generator.state, (name, call_name)
+
+    def test_a_transposed_view_is_not_copied(self):
+        x = np.random.default_rng(42).standard_normal((1 << 10, 1 << 10)).T
+        round_input(x[:2, :2], POL16)  # loads the core
+        for call in (lambda: round_to_format(x, FP16), lambda: round_input(x, POL16)):
+            tracemalloc.start()
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1.05 * got.nbytes

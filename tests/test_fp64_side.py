@@ -1,7 +1,7 @@
 """The harness's fp64 side in the C core, byte for byte against the numpy it
 replaced: the row norms (``_norm``), the CN draws (``_noise``), the
-conjugating reduction of ``inner_product_fp`` and the fp64 pass-through of
-``round_input``."""
+conjugating reduction of ``inner_product_fp`` and the fp64 entry of the
+kernels (``_enter``) and ``round_input``."""
 
 import math
 
@@ -13,6 +13,7 @@ from fpmimo.kernels import (
     _NORMAL_SPLIT,
     PrecisionPolicy,
     _dot,
+    _enter,
     _noise,
     _norm,
     inner_product_fp,
@@ -178,7 +179,7 @@ def test_conjugating_dot_flips_the_sign_of_specials_as_np_conj():
         _bytes_equal(got, want)
 
 
-# -- round_input's fp64 pass-through --------------------------------------------
+# -- the fp64 entry: an operand kept, or joined into a copy ---------------------
 
 def _moved_by_join(x):
     """True where numpy's 1j*im + re of x's parts would not have x's bits."""
@@ -187,7 +188,7 @@ def _moved_by_join(x):
     return (joined.view(np.uint64) != x.view(np.uint64)).reshape(*x.shape, 2).any(axis=-1)
 
 
-def test_fp64_round_input_returns_x_exactly_when_its_bits_would_stay():
+def test_fp64_entry_keeps_x_exactly_when_its_bits_would_stay():
     rng = np.random.default_rng(13)
     fp64 = PrecisionPolicy.uniform(FP64)
     strict = PrecisionPolicy.uniform(FP64, range_mode=RangeMode.STRICT_IEEE)
@@ -207,12 +208,13 @@ def test_fp64_round_input_returns_x_exactly_when_its_bits_would_stay():
             moved = _moved_by_join(x).any()
             want = 1j * x.imag
             want += x.real
-        assert (got is x) == (not moved), name
+        assert got is not x, name  # round_input always copies
         _bytes_equal(got, want)
         if np.isfinite(x).all():  # no finite part here is out of fp64's strict range
-            assert (round_input(x, strict) is x) == (not moved), name
-        for view in (x.T, x[:, ::2], x[::-1]):  # not C-contiguous: always a copy
-            assert round_input(view, fp64) is not view, name
+            for policy in (fp64, strict):
+                assert (_enter("matmul_fp", policy, None, x)[0] is x) == (not moved), name
+            for view in (x.T, x[:, ::2], x[::-1]):  # not C-contiguous: always a copy
+                assert _enter("matmul_fp", fp64, None, view)[0] is not view, name
     for policy in (POLICIES["uniform"], PrecisionPolicy.uniform(FP64, rounding=RoundingMode.STOCHASTIC)):
-        assert round_input(clean, policy, np.random.default_rng(0)) is not clean
+        assert _enter("matmul_fp", policy, np.random.default_rng(0), clean)[0] is not clean
     assert isinstance(round_input(np.array(1 + 2j), fp64), complex)

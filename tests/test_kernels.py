@@ -10,6 +10,7 @@ from fpmimo.kernels import (
     PolicyMode,
     PrecisionPolicy,
     _dot,
+    _enter,
     _gram,
     cholesky_fp,
     inner_product_fp,
@@ -482,14 +483,15 @@ def _spread(rng, shape):
 
 
 @pytest.mark.parametrize("fmt,range_mode", ENTRY_FORMATS, ids=lambda v: str(getattr(v, "value", v)))
-def test_round_input_returns_a_rounded_operand_itself(fmt, range_mode):
+def test_entry_keeps_a_rounded_operand_itself(fmt, range_mode):
+    """A kernel's entry uses a rounded operand in place; round_input copies it."""
     policy = PrecisionPolicy.uniform(fmt, range_mode=range_mode)
     x = round_input(_spread(np.random.default_rng(33), (40, 300)), policy)
-    assert round_input(x, policy) is x
     y = round_input(x.T.copy(), policy)  # C-contiguous again
-    assert round_input(y, policy) is y
-    for cut in (x[0], x[:0]):  # one dimension; no entries
-        assert round_input(cut, policy) is cut
+    for z in (x, y, x[0], x[:0]):  # two dimensions; one; no entries
+        assert _enter("matmul_fp", policy, None, z)[0] is z
+        got = round_input(z, policy)
+        assert got is not z and got.tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("fmt,range_mode", ENTRY_FORMATS, ids=lambda v: str(getattr(v, "value", v)))
@@ -556,7 +558,7 @@ def test_unaligned_operands_give_the_bytes_of_aligned_ones(policy):
     ]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     x = _unaligned(aq)
-    assert round_input(x, policy) is not x
+    assert _enter("matmul_fp", policy, None, x)[0] is not x
 
 
 # -- the unrounded Gram products: numpy's bits ------------------------------

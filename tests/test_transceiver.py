@@ -194,8 +194,8 @@ class TestZfPrecode:
 class TestZfChannelRounding:
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
     def test_stochastic_rounds_the_channel_once(self, monkeypatch, zf):
-        """The right-hand side, both Gram factors and the precoder's final
-        product all see one rounding of H."""
+        """The channel's own entry, the right-hand side, both Gram factors
+        and the precoder's final product all see one rounding of H."""
         M, K = 32, 4
         seen = []
 
@@ -213,9 +213,27 @@ class TestZfChannelRounding:
         y = _channel(rng, M if zf is zf_detect_ne else K)
         policy = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
         zf(H, y, policy, np.random.default_rng(1))
-        assert len(seen) == 3
+        assert len(seen) == 4
         for Hq in seen[1:]:
             np.testing.assert_array_equal(Hq, seen[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_non_finite_right_hand_side_rejected_before_any_draw(self, zf, rounding, bad):
+        """A right-hand side of 2^17 entries and more, so that its scan splits
+        over the core's threads, with its last entry not finite."""
+        rng = np.random.default_rng(18)
+        lanes, M, K = (1 << 16) + 1, 4, 2
+        H = _channel(rng, lanes, M, K)
+        y = _channel(rng, lanes, M if zf is zf_detect_ne else K)
+        y.flat[-1] = bad
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+        g = np.random.default_rng(3)
+        before = g.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{zf.__name__} requires finite input$"):
+            zf(H, y, policy, g)
+        assert g.bit_generator.state == before
 
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("fmt", [FP16, BFLOAT16], ids=str)
