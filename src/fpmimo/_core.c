@@ -4,10 +4,14 @@
  * dot product (fp_dot, also on the upper lanes of a Gram matrix alone), a
  * Cholesky factorization (fp_chol) and the triangular solves of its factor
  * (fp_trisolve).  fp_dot conjugates its first operand on request, as np.conj
- * does, by the sign of its loaded imaginary part.  join_to writes complex
- * results as complex128.  fp_scan, fp_round's walk with no store, tells
- * whether a complex128 array is finite and whether rounding keeps its bits.
- * Each entry's comment gives the layout of its stochastic uniforms.
+ * does, by the sign of its loaded imaginary part, and runs a carrier copy of
+ * its loop, with no rounding, when both formats are fp64 under nearest-even
+ * and the unbounded range.  join_to writes complex results as complex128.
+ * fp_scan, fp_round's walk with no store, tells whether a complex128 array
+ * is finite and whether rounding keeps its bits; fp_round itself tells, on
+ * request, whether what it wrote is finite, so that one pass rounds an
+ * operand and checks it.  Each entry's comment gives the layout of its
+ * stochastic uniforms.
  *
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
@@ -283,7 +287,10 @@ typedef struct {
 enum { NONFINITE = 1, MOVED = 2 };
 
 /* The lanes [lo, hi) rounded into out, or with scan nonzero (parts = 2) only
- * compared with x, the findings or'ed into *found. */
+ * compared with x.  Unless found is NULL, what they find is or'ed into
+ * *found: NONFINITE if some part of x (with scan) or of out (else) is not
+ * finite, and with scan MOVED.  The check of out costs a rounding pass about
+ * a tenth of its time, so it is made only when found is not NULL. */
 ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int scan, int64_t lo,
                                int64_t hi)
 {
@@ -291,6 +298,8 @@ ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int 
     const int64_t n = m->n, k = m->w.ndim - 1, step = k < 0 ? 0 : m->w.sa[k];
     double *out = m->out, y[2];
     int64_t found = 0;
+    int bad = 0;
+    const int check = m->found != NULL;
     walk_t w = m->w;
     walk_to(&w, lo);
     /* in runs along the last axis */
@@ -300,18 +309,25 @@ ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int 
             run = hi - i;
         const char *p = m->x + w.oa;
         for (int64_t end = i + run; i < end; i++, p += step) {
-            const double re = round_to(load(p, 0), &r, u ? u + i : NULL);
+            const double xr = load(p, 0), re = round_to(xr, &r, u ? u + i : NULL);
             if (parts == 1) {
                 out[i] = re;
+                if (check)
+                    bad |= !isfinite(re);
                 continue;
             }
-            join_to(re, round_to(load(p, 8), &r, u ? u + n + i : NULL), scan ? y : out + 2 * i);
-            if (scan)
-                found |= (isfinite(load(p, 0)) && isfinite(load(p, 8)) ? 0 : NONFINITE)
-                         | (memcmp(y, p, sizeof y) ? MOVED : 0);
+            const double xi = load(p, 8), im = round_to(xi, &r, u ? u + n + i : NULL);
+            join_to(re, im, scan ? y : out + 2 * i);
+            if (scan) {
+                bad |= !(isfinite(xr) & isfinite(xi));
+                found |= memcmp(y, p, sizeof y) ? MOVED : 0;
+            } else if (check) {
+                bad |= !isfinite(out[2 * i]); /* finite iff both rounded parts are */
+            }
         }
     }
-    if (found)
+    found |= bad ? NONFINITE : 0;
+    if (found && m->found)
         __atomic_fetch_or(m->found, found, __ATOMIC_RELAXED);
 }
 
@@ -358,13 +374,15 @@ static void each_entry(int64_t ndim, const int64_t *geom, const char *x, double 
  * into the C-contiguous out of the same type.  A complex entry is
  * fl(Re x_i) + i fl(Im x_i), joined by join_to.  u is NULL for nearest-even,
  * else it holds parts * n uniforms: one per part, the real parts taking the
- * first n and any imaginary parts the last n. */
+ * first n and any imaginary parts the last n.  Unless found is NULL, NONFINITE
+ * is or'ed into *found if some part of out is not finite, what fp_scan would
+ * find on out, so that one pass rounds an operand and checks what it gives. */
 void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, double *out,
-              const fmt_t *f, const double *u)
+              const fmt_t *f, const double *u, int64_t *found)
 {
     const range_fn fn = parts == 1 ? (u ? round_real_stochastic : round_real_nearest)
                                    : (u ? round_complex_stochastic : round_complex_nearest);
-    each_entry(ndim, geom, x, out, f, u, NULL, fn);
+    each_entry(ndim, geom, x, out, f, u, found, fn);
 }
 
 /* *out = what fp_round's nearest-even walk of the complex128 x (geom as
@@ -419,20 +437,28 @@ typedef struct {
     double blk, sum;
 } acc_t;
 
+/* fl(x) in r, as round_to has it; in the carrier loop x itself, which is
+ * round_to's result when r is the carrier, nearest-even and unbounded */
+ALWAYS_INLINE double fl_dot(double x, const rounder_t *r, const double *u, int carrier)
+{
+    return carrier ? x : round_to(x, r, u);
+}
+
 ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t l,
-                            const plan_t *pl, const double *u)
+                            const plan_t *pl, const double *u, int carrier)
 {
     if (p == 0)
         s->blk = t;
     else
-        s->blk = round_to(s->blk + t, &pl->lo,
-                          u ? u + ((p - 1) * pl->lanes + l) * pl->g + blk : NULL);
+        s->blk = fl_dot(s->blk + t, &pl->lo,
+                        u ? u + ((p - 1) * pl->lanes + l) * pl->g + blk : NULL, carrier);
     if (p == pl->b - 1) {
         if (blk == 0)
             s->sum = s->blk;
         else
-            s->sum = round_to(s->sum + s->blk, &pl->hi,
-                              u ? u + ((pl->b - 1) * pl->g + blk - 1) * pl->lanes + l : NULL);
+            s->sum = fl_dot(s->sum + s->blk, &pl->hi,
+                            u ? u + ((pl->b - 1) * pl->g + blk - 1) * pl->lanes + l : NULL,
+                            carrier);
     }
 }
 
@@ -459,7 +485,8 @@ typedef struct {
     double *out;
 } dot_t;
 
-ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int64_t lo, int64_t hi)
+ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int carrier, int64_t lo,
+                             int64_t hi)
 {
     const plan_t pl = job->pl;
     const int64_t n = job->n, ndim = job->w.ndim, ta = job->w.sa[ndim], td = job->w.sd[ndim];
@@ -483,18 +510,18 @@ ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int64_t lo, int6
             double ar = load(ai, 0), aim = flip(load(ai, 8), job->conj);
             double dr = load(di, 0), dim = load(di, 8);
             const double *up = u ? u + l * n + i : NULL;
-            double e0 = round_to(ar * dr, &pl.lo, up);
-            double e1 = -round_to(aim * dim, &pl.lo, up ? up + prod : NULL);
-            double f0 = round_to(ar * dim, &pl.lo, up ? up + 2 * prod : NULL);
-            double f1 = round_to(aim * dr, &pl.lo, up ? up + 3 * prod : NULL);
-            add_term(&e, e0, p, blk, l, &pl, ue);
-            add_term(&f, f0, p, blk, l, &pl, uf);
+            double e0 = fl_dot(ar * dr, &pl.lo, up, carrier);
+            double e1 = -fl_dot(aim * dim, &pl.lo, up ? up + prod : NULL, carrier);
+            double f0 = fl_dot(ar * dim, &pl.lo, up ? up + 2 * prod : NULL, carrier);
+            double f1 = fl_dot(aim * dr, &pl.lo, up ? up + 3 * prod : NULL, carrier);
+            add_term(&e, e0, p, blk, l, &pl, ue, carrier);
+            add_term(&f, f0, p, blk, l, &pl, uf, carrier);
             if (++p == pl.b) {
                 p = 0;
                 blk++;
             }
-            add_term(&e, e1, p, blk, l, &pl, ue);
-            add_term(&f, f1, p, blk, l, &pl, uf);
+            add_term(&e, e1, p, blk, l, &pl, ue, carrier);
+            add_term(&f, f1, p, blk, l, &pl, uf, carrier);
             if (++p == pl.b) {
                 p = 0;
                 blk++;
@@ -502,22 +529,28 @@ ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int64_t lo, int6
         }
         for (; blk < pl.g; p = 0, blk++)
             for (; p < pl.b; p++) {
-                add_term(&e, 0.0, p, blk, l, &pl, ue);
-                add_term(&f, 0.0, p, blk, l, &pl, uf);
+                add_term(&e, 0.0, p, blk, l, &pl, ue, carrier);
+                add_term(&f, 0.0, p, blk, l, &pl, uf, carrier);
             }
         join_to(e.sum, f.sum, out + 2 * l);
     }
 }
 
-/* two copies, so that the nearest-even one has no stochastic branches */
+/* three copies, so that the nearest-even one has no stochastic branches and
+ * the carrier one no rounding at all */
 static void dot_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    dot_lanes(job, NULL, lo, hi);
+    dot_lanes(job, NULL, 0, lo, hi);
 }
 
 static void dot_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    dot_lanes(job, ((const dot_t *)job)->u, lo, hi);
+    dot_lanes(job, ((const dot_t *)job)->u, 0, lo, hi);
+}
+
+static void dot_carrier(const void *job, int64_t lo, int64_t hi)
+{
+    dot_lanes(job, NULL, 1, lo, hi);
 }
 
 /* out = sum_i a_i d_i over the last axis of two complex128 arrays
@@ -531,7 +564,10 @@ static void dot_stochastic(const void *job, int64_t lo, int64_t hi)
  * summed in order within each block, rounding in lo, and the block sums are
  * added in order, rounding in hi; f likewise.  A sequential sum in one format
  * is b = 1 with hi = lo.  Lane l's sums e + i f go to the complex128 out[l],
- * joined by join_to.
+ * joined by join_to.  When lo and hi are both the carrier (t = 53) unbounded
+ * and u is NULL, rounding keeps every value, so the call runs dot_carrier,
+ * the same loop in the same order, +0.0 padding included, with no round_to:
+ * the fp64 reference of the harness at the cost of a plain fp64 sum.
  *
  * u is NULL for nearest-even.  Else it holds the uniforms of the whole call,
  * laid out in the order of an elementwise evaluation over all lanes (L of
@@ -555,7 +591,9 @@ void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
                  .u = u, .upper = upper, .conj = conj ? (uint64_t)1 << 63 : 0, .out = out};
     for (int64_t k = 0; k < ndim; k++)
         job.pl.lanes *= geom[k];
-    split_lanes(job.pl.lanes, job.pl.lanes * n, u ? dot_stochastic : dot_nearest, &job);
+    const int carrier = lo->t == 53 && !lo->strict && hi->t == 53 && !hi->strict;
+    const range_fn fn = u ? dot_stochastic : carrier ? dot_carrier : dot_nearest;
+    split_lanes(job.pl.lanes, job.pl.lanes * n, fn, &job);
 }
 
 /* The uniforms of a factorization or a solve over L lanes: one block of L per

@@ -113,7 +113,7 @@ def lib() -> ctypes.CDLL:
     i64, ptr, fmt, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(Format), ctypes.c_int
     f64 = ctypes.c_double
     for fn, argtypes in (
-        (so.fp_round, [i64, ptr, i64, ptr, ptr, fmt, ptr]),
+        (so.fp_round, [i64, ptr, i64, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_scan, [i64, ptr, ptr, fmt, ptr]),
         (so.fp_cn, [i64, ptr, f64]),
         (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, flag, ptr]),

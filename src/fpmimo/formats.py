@@ -135,19 +135,23 @@ def _uniforms(mode: RoundingMode, rng, size: int):
     return rng.random(size)
 
 
-def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
+def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, found=None):
     """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
     A real ``x`` is rounded as float64, a complex one as complex128, both
     parts of each entry, joined by ``join_to``; one C pass (``fp_round``)
     reads ``x`` through its shape and strides, so no view is copied.  It does
-    no finiteness check, so a non-finite value propagates, and it never
-    writes into ``x``.  The result is a fresh array (a scalar for a 0-d input,
+    not raise on a non-finite value, which propagates, and it never writes
+    into ``x``.  The result is a fresh array (a scalar for a 0-d input,
     except a real one under the strict range), except on the real fp64
-    nearest-even unbounded passthrough, which returns ``x`` itself.
-    Stochastic rounding takes one draw per part per call, all real parts'
-    before the imaginary ones, so callers must keep the order of their calls
-    to reproduce a stream.
+    nearest-even unbounded passthrough, which returns ``x`` itself.  With
+    ``found``, a one-entry int64 array, the C pass also ors the finding
+    ``kernels._NONFINITE`` into ``found[0]`` if some part of the result is
+    not finite, what ``fp_scan`` would find on it, so that one pass rounds
+    and checks; the passthrough makes no pass and finds nothing.  Stochastic
+    rounding takes one draw per part per call, all real parts' before the
+    imaginary ones, so callers must keep the order of their calls to
+    reproduce a stream.
     """
     parts = 2 if np.iscomplexobj(x) else 1
     if (parts == 1 and fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN
@@ -160,6 +164,7 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng):
     _core.lib().fp_round(
         x.ndim, geom.ctypes.data, parts, x.ctypes.data, out.ctypes.data,
         _c_format(fmt, range_mode), None if u is None else u.ctypes.data,
+        None if found is None else found.ctypes.data,
     )
     if out.ndim or (parts == 1 and range_mode is RangeMode.STRICT_IEEE):
         return out

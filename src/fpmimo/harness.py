@@ -9,7 +9,6 @@ isolates arithmetic rounding error from input-representation error.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -21,10 +20,10 @@ import numpy as np
 
 from . import bounds
 from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
-from .kernels import (
-    PolicyMode, PrecisionPolicy, _gram, _noise, _norm, inner_product_fp, round_input,
+from .kernels import PolicyMode, PrecisionPolicy, _gram, _inner, _noise, _norm, _rounded
+from .transceiver import (  # the public four stay here: bench/tracing.py wraps them by name
+    _mrt, _zf_detect, _zf_precode, mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne,
 )
-from .transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 __all__ = [
     "ExperimentConfig",
@@ -277,15 +276,19 @@ def _pilot_factor(config: ExperimentConfig) -> float:
     return 1.0
 
 
-def _paired(transceiver, inputs, policy: PrecisionPolicy, rng_round, **kw):
-    """Round ``inputs`` once, in order, and run ``transceiver`` on them twice.
+def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round, **kw):
+    """Round ``inputs`` once, in order, and run the transceiver ``name`` on
+    them twice, through its ``core``.
 
-    The first run is under ``policy`` with the keywords ``kw``, the second
-    under ``_reference_policy(policy)``.  Returns the rounded inputs and the
-    two outputs.
+    The rounding (``kernels._rounded``) is ``round_input``'s, and its C pass
+    also checks what it writes: a part that is not finite raises ValueError
+    under ``name`` once every input is rounded, so no input is scanned.  The
+    first run is under ``policy`` with the keywords ``kw``, the second under
+    ``_reference_policy(policy)``, which rounds and draws nothing.  Returns
+    the rounded inputs and the two outputs.
     """
-    q = [round_input(x, policy, rng_round) for x in inputs]
-    return q, transceiver(*q, policy, rng_round, **kw), transceiver(*q, _reference_policy(policy))
+    q = _rounded(name, policy, rng_round, *inputs)
+    return q, core(*q, policy, rng_round, **kw), core(*q, _reference_policy(policy))
 
 
 def _trials(draw, run, trials: int, chunk: int, policy: PrecisionPolicy) -> dict:
@@ -339,7 +342,7 @@ def _slab_simo(h, x, noise, comb, rho, config, rng_round):
     z = np.multiply(math.sqrt(rho), h)
     np.multiply(z, x[:, None], out=z)
     z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
-    (hq, zq), r_fp, r_ref = _paired(mrc_combine, (comb, z), config.policy, rng_round)
+    (hq, zq), r_fp, r_ref = _paired("mrc_combine", _inner, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
     hn = _norm(hq)
     noise_p = hn**2
@@ -359,8 +362,7 @@ def _slab_simo(h, x, noise, comb, rho, config, rng_round):
 
 def _slab_miso(h, x, comb, rho, config, rng_round):
     hn = comb / _norm(comb)[:, None]
-    precode = functools.partial(mrt_precode, prenormalized=True)
-    _, ds, s_ref = _paired(precode, (hn, x), config.policy, rng_round)
+    _, ds, s_ref = _paired("mrt_precode", _mrt, (hn, x), config.policy, rng_round)
     ds -= s_ref  # in place in s_fp, which nothing else reads
     err = _norm(ds)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise
@@ -402,7 +404,7 @@ def _slab_mu_simo(H, x, noise, Hc, rho, config, rng_round):
     np.multiply(math.sqrt(rho), z, out=z)
     z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
     (Hq, _), (r_fp, breakdown), r_ref = _paired(
-        zf_detect_ne, (Hc, z), config.policy, rng_round, error="mask"
+        "zf_detect_ne", _zf_detect, (Hc, z), config.policy, rng_round, error="mask"
     )
     dr = r_fp - r_ref
     G = _gram(Hq, Hq)
@@ -419,7 +421,7 @@ def _slab_mu_simo(H, x, noise, Hc, rho, config, rng_round):
 
 def _slab_mu_miso(H, x, Hc, rho, config, rng_round):
     (Hq, _), (s_fp, breakdown), s_ref = _paired(
-        zf_precode_ne, (Hc, x), config.policy, rng_round, error="mask"
+        "zf_precode_ne", _zf_precode, (Hc, x), config.policy, rng_round, error="mask"
     )
     ds = s_fp - s_ref
     beta = H.shape[-2] - config.K
@@ -581,7 +583,7 @@ def inner_product_violation_study(
     def run(a, b):
         a /= _norm(a)[:, None]
         b /= _norm(b)[:, None]
-        (aq, bq), s_fp, s_ref = _paired(inner_product_fp, (a, b), policy, rng_round)
+        (aq, bq), s_fp, s_ref = _paired("inner_product_fp", _inner, (a, b), policy, rng_round)
         norms = _norm(aq) * _norm(bq)
         return {"err": np.abs(s_fp - s_ref) / norms}
 

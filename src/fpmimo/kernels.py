@@ -15,13 +15,24 @@ complex result is joined from its two parts by ``join_to`` in ``_core.c``,
 with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
-Each kernel enters through ``_enter``: one read-only C pass over each whole
-operand (``fp_scan``, ``fp_round``'s walk with no store) raises ValueError on
-a non-finite part before anything is rounded or drawn.  Under nearest-even
-rounding an operand whose bits rounding would keep is then used as it is;
-every other operand goes through ``round_input``, which always rounds a
-complex one into a fresh array.  ``_enter`` is the only code that keeps an
-operand in place.
+Each public kernel and transceiver checks the operands it is given by
+``_checked``: one read-only C pass over each whole operand (``fp_scan``,
+``fp_round``'s walk with no store) raises ValueError on a non-finite part
+before anything is rounded or drawn, and under nearest-even rounding an
+operand whose bits rounding would keep is used as it is, every other one
+rounded by ``round_input`` (``_keep`` is the only code that keeps an
+operand in place).  The call then computes on the entered operands, in a
+private core where another caller needs it (``_inner``, ``_product``,
+``_trisolve``; ``transceiver._mrt``, ``_zf_detect``, ``_zf_precode``).  A
+core scans nothing it is given: its stages take operands through
+``_stage``, which under stochastic rounding calls ``round_input`` wherever
+a kernel's entry always has, so every draw keeps its place.  It checks,
+with ``_enter``, only what its stages compute (the zero-forcing Gram,
+factor, right-hand sides and solution, each K-sized).  The harness's paired
+run rounds its inputs once by ``_rounded``, whose ``fp_round`` pass also
+checks what it writes, and calls a core twice; under the fp64 reference
+policy nothing is rounded or drawn, and ``fp_dot`` sums in its carrier
+loop.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -239,14 +250,60 @@ def _finite(name: str, policy: PrecisionPolicy, *operands) -> list:
     return found
 
 
-def _enter(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
-    """The operands checked by :func:`_finite`, each used as it is when rounding
-    is nearest-even, it is a C array (``flags.carray``) of one or more
-    dimensions and the scan found nothing moved; else rounded by ``round_input``."""
+def _keep(policy: PrecisionPolicy, rng, operands, found) -> list:
+    """Each operand used as it is when rounding is nearest-even, it is a C
+    array (``flags.carray``) of one or more dimensions and its finding in
+    ``found`` has no ``_MOVED``; else rounded by ``round_input``."""
     keep = policy.rounding is RoundingMode.NEAREST_EVEN
     return [x if keep and x.ndim > 0 and x.flags.carray and not f & _MOVED
             else round_input(x, policy, rng)
-            for x, f in zip(operands, _finite(name, policy, *operands))]
+            for x, f in zip(operands, found)]
+
+
+def _entered(policy: PrecisionPolicy, operands, found) -> list:
+    """Outside operands with their findings ``found``, entered for a core:
+    under nearest-even kept or rounded by :func:`_keep`; under stochastic
+    rounding as they are, for the core's :func:`_stage` to round them with
+    the draws of the entry."""
+    if policy.rounding is RoundingMode.STOCHASTIC:
+        return list(operands)
+    return _keep(policy, None, operands, found)
+
+
+def _checked(name: str, policy: PrecisionPolicy, *operands) -> list:
+    """The outside operands of a public call, each checked by one scan
+    (:func:`_finite`) and entered by :func:`_entered`."""
+    return _entered(policy, operands, _finite(name, policy, *operands))
+
+
+def _stage(policy: PrecisionPolicy, rng, *operands) -> list:
+    """Entered operands as a stage of a core takes them, with no scan.  Under
+    nearest-even each is used as it is (a C array; else rounded into a copy
+    by ``round_input``, which keeps its values).  Under stochastic rounding
+    each is rounded by ``round_input``: the entry's rounding of an outside
+    operand, and on an operand already rounded a rounding that moves nothing
+    and takes the draws every stage entry takes."""
+    return _keep(policy, rng, operands, [0] * len(operands))
+
+
+def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
+    """Each operand rounded into a fresh array by ``_round`` under the policy,
+    in order, as ``round_input`` rounds it; then ValueError if a part of a
+    result is not finite.  The rounding's C pass makes that check as it goes,
+    so no operand is scanned, and the draws of every operand are taken before
+    the error.  The results are entered operands."""
+    found = np.zeros(1, dtype=np.int64)
+    out = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found)
+           for x in operands]
+    if found[0] & _NONFINITE:
+        raise ValueError(f"{name} requires finite input")
+    return out
+
+
+def _enter(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
+    """The operands of a stage checked and entered: :func:`_checked`, then
+    :func:`_stage`."""
+    return _stage(policy, rng, *_checked(name, policy, *operands))
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):
@@ -325,11 +382,15 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    a, b = _enter("inner_product_fp", policy, rng, a, b)
-    out = _dot(a, b, policy, rng, conj=True)
+    out = _inner(*_checked("inner_product_fp", policy, a, b), policy, rng)
     if np.ndim(out) == 0:
         return complex(out)
     return out
+
+
+def _inner(a, b, policy: PrecisionPolicy, rng=None):
+    """The core of :func:`inner_product_fp` on entered operands."""
+    return _dot(*_stage(policy, rng, a, b), policy, rng, conj=True)
 
 
 def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
@@ -354,7 +415,11 @@ def _matmul(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
-    A, B = _enter("matmul_fp", policy, rng, A, B)
+    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng, upper)
+
+
+def _product(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
+    """The core of :func:`_matmul` on entered operands."""
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
     return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng, upper)
 
@@ -431,9 +496,14 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
-    R, rhs = _enter("trisolve_fp", policy, rng, R, rhs)
+    return _trisolve(*_enter("trisolve_fp", policy, rng, R, rhs), side, policy, rng)
+
+
+def _trisolve(R, rhs, side: str, policy: PrecisionPolicy, rng):
+    """The core of :func:`trisolve_fp` on entered operands."""
     if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
+    K = R.shape[-1]
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     lanes = math.prod(batch)
     R = np.ascontiguousarray(np.broadcast_to(R, batch + (K, K)))

@@ -7,6 +7,12 @@ The zero-forcing pair never forms (H^H H)^-1 explicitly: it factorizes the
 Gram matrix by Cholesky and runs two triangular solves.
 
 All operations accept leading batch dimensions on their array arguments.
+
+Each public transceiver scans each operand it is given once, enters it and
+calls its core (MRC's is ``kernels._inner``), which the harness's paired run
+calls directly.  A core scans none of its operands, nor H^H, the conjugate
+of the entered H; it checks only what its stages compute (the zero-forcing
+C, R, c, q and e), as the kernels that read them always have.
 """
 
 from __future__ import annotations
@@ -16,14 +22,18 @@ import math
 import numpy as np
 
 from .kernels import (
+    _MOVED,
     PrecisionPolicy,
+    _checked,
     _cmul,
-    _enter,
+    _dot,
+    _entered,
     _finite,
-    _matmul,
+    _product,
+    _stage,
+    _trisolve,
     cholesky_fp,
     inner_product_fp,
-    matvec_fp,
     trisolve_fp,
 )
 
@@ -52,37 +62,31 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
+    found = _finite("mrt_precode", policy, h, x_d)
     if not prenormalized:
-        _finite("mrt_precode", policy, h, x_d)
         nrm = np.linalg.norm(h, axis=-1, keepdims=True)
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
-        h = h / nrm
-    hn, x = _enter("mrt_precode", policy, rng, h, x_d[..., None])
+        h, found[0] = h / nrm, _MOVED  # a quotient of checked values: rounded, not scanned
+    return _mrt(*_entered(policy, (h, x_d), found), policy, rng)
+
+
+def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
+    """The core of :func:`mrt_precode` on an entered direction and symbols."""
+    hn, x = _stage(policy, rng, hn, x_d[..., None])
     return _cmul(hn, x, policy, rng)
 
 
-def _channel(name: str, H, rhs, policy: PrecisionPolicy, rng):
-    """H, entered once for every kernel of the call, and H^H, C-ordered:
-    under nearest-even the kernels keep both as they are.  The right-hand
-    side ``rhs`` is checked for finiteness first, so a non-finite one raises
-    under ``name`` before anything is rounded or drawn."""
-    _finite(name, policy, rhs)
-    (H,) = _enter(name, policy, rng, H)
-    return H, np.conj(np.swapaxes(H, -1, -2), order="C")
+def _factor(H, Hh, policy: PrecisionPolicy, rng, error: str):
+    """The Cholesky factor R of H^H H from the entered H and its conjugate
+    transpose Hh, and the breakdown mask (None unless ``error="mask"``).
 
-
-def _gram_solve(H, Hh, rhs, policy: PrecisionPolicy, rng, error: str):
-    """Solve (H^H H) y = rhs through Cholesky + two triangular solves.
-
-    A broken lane solves with the unit pivots ``cholesky_fp`` gave it; its
-    result is discarded upstream."""
-    C = _matmul(Hh, H, policy, rng, upper=True)  # the factor reads only the upper triangle
+    A broken lane keeps the unit pivots ``cholesky_fp`` gave it, so it stays
+    solvable; its result is discarded upstream."""
+    # the factor reads only the upper triangle, and checks C as it takes it
+    C = _product(*_stage(policy, rng, Hh, H), policy, rng, upper=True)
     out = cholesky_fp(C, policy, rng, error=error)
-    R, breakdown = out if error == "mask" else (out, None)
-    q = trisolve_fp(R, rhs, "lower-conjugate", policy, rng)
-    y = trisolve_fp(R, q, "upper", policy, rng)
-    return y, breakdown
+    return out if error == "mask" else (out, None)
 
 
 def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
@@ -92,15 +96,26 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     factorization and forward/back substitution, every operation rounded.
     ``H`` has shape (..., M, K), ``z`` shape (..., M); returns r of shape
     (..., K).  With ``error="mask"`` returns (r, breakdown_mask) instead of
-    raising on a non-positive pivot.
+    raising on a non-positive pivot.  A non-finite ``H`` or ``z`` raises
+    ValueError before anything is rounded or drawn.
     """
     H = np.asarray(H, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
-    H, Hh = _channel("zf_detect_ne", H, z, policy, rng)
-    c = matvec_fp(Hh, z, policy, rng)
-    r, breakdown = _gram_solve(H, Hh, c, policy, rng, error)
+    z, H = _checked("zf_detect_ne", policy, z, H)
+    return _zf_detect(H, z, policy, rng, error)
+
+
+def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
+    """The core of :func:`zf_detect_ne` on an entered channel and signal."""
+    (H,) = _stage(policy, rng, H)
+    Hh = np.conj(np.swapaxes(H, -1, -2), order="C")
+    Hc, zc = _stage(policy, rng, Hh, z)
+    c = _dot(Hc, zc[..., None, :], policy, rng)
+    R, breakdown = _factor(H, Hh, policy, rng, error)
+    q = trisolve_fp(R, c, "lower-conjugate", policy, rng)  # which checks R and c
+    r = trisolve_fp(R, q, "upper", policy, rng)
     if error == "mask":
         return r, breakdown
     return r
@@ -120,16 +135,28 @@ def zf_precode_ne(
     s = fl(H e).  ``normalize=True`` applies the full-precision power
     normalization sqrt(M - K) (the analytic expectation of the zero-forcing
     precoder's power).  ``H`` is (..., M, K), ``x_d`` is (..., K); returns s
-    of shape (..., M).
+    of shape (..., M).  A non-finite ``H`` or ``x_d`` raises ValueError
+    before anything is rounded or drawn.
     """
     H = np.asarray(H, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
-    M, K = H.shape[-2], H.shape[-1]
-    if x_d.shape[-1] != K:
+    if x_d.shape[-1] != H.shape[-1]:
         raise ValueError("x_d and H disagree on the user count")
-    H, Hh = _channel("zf_precode_ne", H, x_d, policy, rng)
-    e, breakdown = _gram_solve(H, Hh, x_d, policy, rng, error)
-    s = matvec_fp(H, e, policy, rng)
+    x_d, H = _checked("zf_precode_ne", policy, x_d, H)
+    return _zf_precode(H, x_d, policy, rng, error, normalize)
+
+
+def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
+                normalize: bool = True):
+    """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
+    M, K = H.shape[-2], H.shape[-1]
+    (H,) = _stage(policy, rng, H)
+    R, breakdown = _factor(H, np.conj(np.swapaxes(H, -1, -2), order="C"), policy, rng, error)
+    q = _trisolve(*_stage(policy, rng, *_checked("trisolve_fp", policy, R), x_d),
+                  "lower-conjugate", policy, rng)
+    e = trisolve_fp(R, q, "upper", policy, rng)
+    H, e = _stage(policy, rng, H, *_checked("matvec_fp", policy, e))
+    s = _dot(H, e[..., None, :], policy, rng)
     if normalize:
         if M <= K:
             raise ValueError("power normalization requires M > K")

@@ -289,6 +289,11 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# The core through which the harness runs each transceiver.
+_CORES = {"mrc_combine": "_inner", "mrt_precode": "_mrt", "zf_detect_ne": "_zf_detect",
+          "zf_precode_ne": "_zf_precode", "inner_product_fp": "_inner"}
+
+
 @pytest.mark.parametrize("rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC])
 @pytest.mark.parametrize(
     "scenario, name",
@@ -301,9 +306,11 @@ class TestCsv:
     ],
 )
 def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding):
-    """Each policy run is followed by an fp64 run on byte-identical inputs."""
+    """Each policy run is followed by an fp64 run on byte-identical inputs,
+    both through the core of the transceiver ``name``."""
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
-    inner = getattr(harness, name)
+    core = _CORES[name]
+    inner = getattr(harness, core)
     signature = inspect.signature(inner)
     calls = []
 
@@ -313,7 +320,7 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
         calls.append((arrays, bound["policy"]))
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, spy)
+    monkeypatch.setattr(harness, core, spy)
     if scenario == "study":
         inner_product_violation_study(16, policy, trials=8)
     else:
@@ -326,6 +333,54 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
         for key, a in arrays.items():
             b = ref_arrays[key]
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO", "study"])
+def test_paired_runs_scan_no_operand_of_m_entries(scans, scenario, rounding):
+    """The paired run's rounding checks its inputs, so neither run scans
+    them; the zero-forcing runs scan only their K-sized stage outputs."""
+    M = 20
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    if scenario == "study":
+        inner_product_violation_study(M, policy, trials=8)
+    else:
+        run_sweep(ExperimentConfig(scenario, (M,), policy, K=2, trials=8))
+    assert [shape for _, shape in scans if M in shape] == []
+    assert bool(scans) == scenario.startswith("MU")
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+def test_paired_rejects_a_non_finite_input_once_every_input_is_rounded(rounding):
+    """A NaN in the first input raises under the transceiver's name, with the
+    generator where the rounding of both inputs leaves it, as when the
+    transceiver's own entry scan raised."""
+    rng = np.random.default_rng(21)
+    a, b = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)) for _ in range(2))
+    a[0, 0] = math.nan
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    g, want = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(ValueError, match="^mrc_combine requires finite input$"):
+        harness._paired("mrc_combine", harness._inner, (a, b), policy, g)
+    if rounding is RoundingMode.STOCHASTIC:
+        want.random(2 * a.size)
+        want.random(2 * b.size)
+    assert g.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["zf_detect_ne", "zf_precode_ne"])
+def test_paired_overflowing_gram_raises_at_the_factor(name, rounding):
+    """With H near 1e154 the Gram overflows the carrier; the factor's check
+    of it raises in the paired run as in the public transceiver."""
+    rng = np.random.default_rng(22)
+    lanes, M, K = 3, 16, 2
+    H = 1e154 * (rng.standard_normal((lanes, M, K)) + 1j * rng.standard_normal((lanes, M, K)))
+    y = rng.standard_normal((lanes, M if name == "zf_detect_ne" else K)) + 0.5j
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    core = getattr(harness, _CORES[name])
+    with pytest.raises(ValueError, match="^cholesky_fp requires finite input$"):
+        harness._paired(name, core, (H, y), policy, np.random.default_rng(3), error="mask")
 
 
 # -- slabs: the per-slab run gives the bits of the whole chunk ---------------

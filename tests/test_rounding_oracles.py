@@ -10,8 +10,9 @@ properties nearest-even rounding must have in every preset low format.
 Last, the C core is compared with the numpy ``frexp``/``ldexp`` formula it
 replaced: elementwise through ``formats._round``, on every setting, on inputs
 the public API rejects (non-finite values, subnormal carriers) and on 10^6 bit
-patterns; and fused, through ``inner_product_fp``, ``matvec_fp`` and
-``matmul_fp``, against the numpy reduction it replaced.  The rounded complex
+patterns; and fused, through ``inner_product_fp``, ``matvec_fp``,
+``matmul_fp`` and the upper Gram, against the numpy reduction it replaced,
+also in fp64, where the C core runs its carrier loop, which rounds nothing.  The rounded complex
 multiply of ``cholesky_fp``, ``trisolve_fp`` and ``mrt_precode``, the fused
 kernel's one-term reduction, is compared with the Python scheme of six
 elementwise roundings it replaced.
@@ -379,8 +380,18 @@ def _complex(rng, shape, scale):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _upper_gram(A, B, policy, rng):
+    return _matmul(A, B, policy, rng, upper=True)
+
+
+def _oracle_upper_gram(A, B, policy, rng):
+    return np.triu(_oracle_matmul(A, B, policy, rng))
+
+
 def _fused_cases(scale):
-    """(name, public call, oracle, args, n) over n = 1, batched and broadcast shapes."""
+    """(name, call, oracle, args, n) over n = 1, batched and broadcast shapes;
+    the inner products are the conjugating ones (``fp_dot``'s conj flag), and
+    the upper Gram reduces only the lanes on and above the diagonal."""
     rng = np.random.default_rng(11)
     c = lambda *shape: _complex(rng, shape, scale)
     yield "inner-n1", inner_product_fp, _oracle_inner, (c(1), c(1)), 1
@@ -391,6 +402,8 @@ def _fused_cases(scale):
     A = c(2, 5, 3)
     yield "matmul-gram", matmul_fp, _oracle_matmul, (np.conj(np.swapaxes(A, -1, -2)), A), 5
     yield "matmul-broadcast", matmul_fp, _oracle_matmul, (c(2, 1, 3, 2), c(4, 2, 3)), 2
+    A = c(3, 7, 4)
+    yield "gram-upper", _upper_gram, _oracle_upper_gram, (np.conj(np.swapaxes(A, -1, -2)), A), 7
 
 
 SCALES = {"normal": 1.0, "near-1e300": 1e300, "subnormal": 1e-310}
@@ -401,6 +414,9 @@ SCALES = {"normal": 1.0, "near-1e300": 1e300, "subnormal": 1e-310}
 @pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
 def test_fused_kernel_matches_numpy_reduction(fmt, mode, range_mode, scale):
+    """fp64 under nearest-even and the unbounded range (uniform, and mixed
+    fp64/fp64 at every block size) runs the carrier loop, which rounds
+    nothing; at 1e300 its sums overflow and meet inf - inf."""
     for name, call, oracle, args, n in _fused_cases(SCALES[scale]):
         for policy in _policies(fmt, mode, range_mode, n):
             rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)

@@ -236,6 +236,19 @@ class TestZfChannelRounding:
         assert g.bit_generator.state == before
 
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_overflowing_gram_raises_at_the_factor(self, zf, rounding):
+        """With H near 1e154 the Gram overflows the carrier, and the check of
+        the Gram as the factor takes it raises."""
+        rng = np.random.default_rng(20)
+        lanes, M, K = 3, 16, 2
+        H = 1e154 * _channel(rng, lanes, M, K)
+        y = _channel(rng, lanes, M if zf is zf_detect_ne else K)
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+        with pytest.raises(ValueError, match="^cholesky_fp requires finite input$"):
+            zf(H, y, policy, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("fmt", [FP16, BFLOAT16], ids=str)
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
     def test_masked_breakdown(self, zf, fmt, rounding):
@@ -254,3 +267,32 @@ class TestZfChannelRounding:
             ref, bd_ref = zf(H[keep], y[keep], policy, error="mask")
             assert not bd_ref.any()
             np.testing.assert_array_equal(out[keep].view(np.uint64), ref.view(np.uint64))
+
+
+def _scan_cases():
+    """(name, call(policy, rng), outside operands) for each public
+    transceiver, with M = 24 antennas, K = 3 users and 5 lanes."""
+    rng = np.random.default_rng(19)
+    h, z, H = _channel(rng, 5, 24), _channel(rng, 5, 24), _channel(rng, 5, 24, 3)
+    x, x_k = _channel(rng, 5), _channel(rng, 5, 3)
+    return {
+        "mrc_combine": (lambda p, g: mrc_combine(h, z, p, g), (h, z)),
+        "mrt_precode": (lambda p, g: mrt_precode(h, x, p, g), (h, x)),
+        "mrt_precode-prenormalized":
+            (lambda p, g: mrt_precode(h, x, p, g, prenormalized=True), (h, x)),
+        "zf_detect_ne": (lambda p, g: zf_detect_ne(H, z, p, g), (H, z)),
+        "zf_precode_ne": (lambda p, g: zf_precode_ne(H, x_k, p, g), (H, x_k)),
+    }
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(_scan_cases()))
+def test_each_outside_operand_is_scanned_once(scans, name, rounding):
+    """A public transceiver scans each operand it is given once, and its core
+    scans none of the M-entry operands it derives (H^H, the normalized
+    channel); the zero-forcing ones also check their K-sized stage outputs."""
+    call, operands = _scan_cases()[name]
+    call(PrecisionPolicy.uniform(FP16, rounding=rounding), np.random.default_rng(4))
+    for x in operands:
+        assert [address for address, _ in scans].count(x.ctypes.data) == 1
+    assert sum(24 in shape for _, shape in scans) == sum(24 in x.shape for x in operands)
