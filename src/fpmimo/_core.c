@@ -7,11 +7,9 @@
  * does, by the sign of its loaded imaginary part, and runs a carrier copy of
  * its loop, with no rounding, when both formats are fp64 under nearest-even
  * and the unbounded range.  join_to writes complex results as complex128.
- * fp_scan, fp_round's walk with no store, tells whether a complex128 array
- * is finite and whether rounding keeps its bits; fp_round itself tells, on
- * request, whether what it wrote is finite, so that one pass rounds an
- * operand and checks it.  Each entry's comment gives the layout of its
- * stochastic uniforms.
+ * fp_round tells, on request, whether an operand it rounds is finite, so
+ * that one pass rounds an operand and checks it.  Each entry's comment gives
+ * the layout of its stochastic uniforms.
  *
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
@@ -271,8 +269,7 @@ ALWAYS_INLINE void walk_by(walk_t *w, int64_t r)
     }
 }
 
-/* The arguments of an fp_round or fp_scan call: its lanes, one per entry,
- * walk x. */
+/* The arguments of an fp_round call: its lanes, one per entry, walk x. */
 typedef struct {
     walk_t w;
     const char *x;
@@ -283,23 +280,20 @@ typedef struct {
     int64_t *found;
 } elem_t;
 
-/* What fp_scan finds: a part that is not finite; an entry rounding moves. */
-enum { NONFINITE = 1, MOVED = 2 };
+/* What fp_round finds: a part that is not finite. */
+enum { NONFINITE = 1 };
 
-/* The lanes [lo, hi) rounded into out, or with scan nonzero (parts = 2) only
- * compared with x.  Unless found is NULL, what they find is or'ed into
- * *found: NONFINITE if some part of x (with scan) or of out (else) is not
- * finite, and with scan MOVED.  The check of out costs a rounding pass about
- * a tenth of its time, so it is made only when found is not NULL. */
-ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int scan, int64_t lo,
-                               int64_t hi)
+/* The lanes [lo, hi) rounded into out, with fp_round's check unless found is
+ * NULL.  Under the strict range, which clamps an infinity to x_max, it reads
+ * x; else out, which is not finite where x is not.  It costs a rounding pass
+ * about a tenth of its time, so it is made only when asked for. */
+ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int64_t lo, int64_t hi)
 {
     const rounder_t r = m->r;
     const int64_t n = m->n, k = m->w.ndim - 1, step = k < 0 ? 0 : m->w.sa[k];
-    double *out = m->out, y[2];
-    int64_t found = 0;
+    double *out = m->out;
     int bad = 0;
-    const int check = m->found != NULL;
+    const int check = m->found != NULL, strict = r.f.strict;
     walk_t w = m->w;
     walk_to(&w, lo);
     /* in runs along the last axis */
@@ -313,48 +307,38 @@ ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int 
             if (parts == 1) {
                 out[i] = re;
                 if (check)
-                    bad |= !isfinite(re);
+                    bad |= !isfinite(strict ? xr : re);
                 continue;
             }
             const double xi = load(p, 8), im = round_to(xi, &r, u ? u + n + i : NULL);
-            join_to(re, im, scan ? y : out + 2 * i);
-            if (scan) {
-                bad |= !(isfinite(xr) & isfinite(xi));
-                found |= memcmp(y, p, sizeof y) ? MOVED : 0;
-            } else if (check) {
-                bad |= !isfinite(out[2 * i]); /* finite iff both rounded parts are */
-            }
+            join_to(re, im, out + 2 * i);
+            if (check) /* the joined real part is finite iff both rounded parts are */
+                bad |= strict ? !(isfinite(xr) & isfinite(xi)) : !isfinite(out[2 * i]);
         }
     }
-    found |= bad ? NONFINITE : 0;
-    if (found && m->found)
-        __atomic_fetch_or(m->found, found, __ATOMIC_RELAXED);
+    if (bad && m->found)
+        __atomic_fetch_or(m->found, NONFINITE, __ATOMIC_RELAXED);
 }
 
-/* five copies, so that each has only its own branches */
+/* four copies, so that each has only its own branches */
 static void round_real_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    round_lanes(job, NULL, 1, 0, lo, hi);
+    round_lanes(job, NULL, 1, lo, hi);
 }
 
 static void round_real_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    round_lanes(job, ((const elem_t *)job)->u, 1, 0, lo, hi);
+    round_lanes(job, ((const elem_t *)job)->u, 1, lo, hi);
 }
 
 static void round_complex_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    round_lanes(job, NULL, 2, 0, lo, hi);
+    round_lanes(job, NULL, 2, lo, hi);
 }
 
 static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    round_lanes(job, ((const elem_t *)job)->u, 2, 0, lo, hi);
-}
-
-static void scan_range(const void *job, int64_t lo, int64_t hi)
-{
-    round_lanes(job, NULL, 2, 1, lo, hi);
+    round_lanes(job, ((const elem_t *)job)->u, 2, lo, hi);
 }
 
 /* fn over the n entries of an ndim-dimensional array x in C order; geom holds
@@ -375,24 +359,14 @@ static void each_entry(int64_t ndim, const int64_t *geom, const char *x, double 
  * fl(Re x_i) + i fl(Im x_i), joined by join_to.  u is NULL for nearest-even,
  * else it holds parts * n uniforms: one per part, the real parts taking the
  * first n and any imaginary parts the last n.  Unless found is NULL, NONFINITE
- * is or'ed into *found if some part of out is not finite, what fp_scan would
- * find on out, so that one pass rounds an operand and checks what it gives. */
+ * is or'ed into *found if some part of out, or under the strict range of x,
+ * is not finite, so that one pass rounds an operand and checks it. */
 void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, double *out,
               const fmt_t *f, const double *u, int64_t *found)
 {
     const range_fn fn = parts == 1 ? (u ? round_real_stochastic : round_real_nearest)
                                    : (u ? round_complex_stochastic : round_complex_nearest);
     each_entry(ndim, geom, x, out, f, u, found, fn);
-}
-
-/* *out = what fp_round's nearest-even walk of the complex128 x (geom as
- * there) finds over the whole of x, with no store: NONFINITE if some part is
- * not finite, MOVED if some entry's rounded and joined value differs from it
- * in a bit. */
-void fp_scan(int64_t ndim, const int64_t *geom, const char *x, const fmt_t *f, int64_t *out)
-{
-    *out = 0;
-    each_entry(ndim, geom, x, NULL, f, NULL, out, scan_range);
 }
 
 /* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */

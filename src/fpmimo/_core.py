@@ -114,7 +114,6 @@ def lib() -> ctypes.CDLL:
     f64 = ctypes.c_double
     for fn, argtypes in (
         (so.fp_round, [i64, ptr, i64, ptr, ptr, fmt, ptr, ptr]),
-        (so.fp_scan, [i64, ptr, ptr, fmt, ptr]),
         (so.fp_cn, [i64, ptr, f64]),
         (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, flag, ptr]),
         (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),

@@ -147,11 +147,11 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, 
     nearest-even unbounded passthrough, which returns ``x`` itself.  With
     ``found``, a one-entry int64 array, the C pass also ors the finding
     ``kernels._NONFINITE`` into ``found[0]`` if some part of the result is
-    not finite, what ``fp_scan`` would find on it, so that one pass rounds
-    and checks; the passthrough makes no pass and finds nothing.  Stochastic
-    rounding takes one draw per part per call, all real parts' before the
-    imaginary ones, so callers must keep the order of their calls to
-    reproduce a stream.
+    not finite or, under the strict range, which clamps an infinity, some
+    part of ``x``, so that one pass rounds and checks; the passthrough makes
+    no pass and finds nothing.  Stochastic rounding takes one draw per part
+    per call, all real parts' before the imaginary ones, so callers must keep
+    the order of their calls to reproduce a stream.
     """
     parts = 2 if np.iscomplexobj(x) else 1
     if (parts == 1 and fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN

@@ -281,11 +281,11 @@ def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round, **kw):
     them twice, through its ``core``.
 
     The rounding (``kernels._rounded``) is ``round_input``'s, and its C pass
-    also checks what it writes: a part that is not finite raises ValueError
-    under ``name`` once every input is rounded, so no input is scanned.  The
-    first run is under ``policy`` with the keywords ``kw``, the second under
-    ``_reference_policy(policy)``, which rounds and draws nothing.  Returns
-    the rounded inputs and the two outputs.
+    is also the check: a part that is not finite raises ValueError under
+    ``name`` once every input is rounded, as at a public entry under
+    nearest-even.  The first run is under ``policy`` with the keywords
+    ``kw``, the second under ``_reference_policy(policy)``, which rounds and
+    draws nothing.  Returns the rounded inputs and the two outputs.
     """
     q = _rounded(name, policy, rng_round, *inputs)
     return q, core(*q, policy, rng_round, **kw), core(*q, _reference_policy(policy))

@@ -15,24 +15,23 @@ complex result is joined from its two parts by ``join_to`` in ``_core.c``,
 with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
-Each public kernel and transceiver checks the operands it is given by
-``_checked``: one read-only C pass over each whole operand (``fp_scan``,
-``fp_round``'s walk with no store) raises ValueError on a non-finite part
-before anything is rounded or drawn, and under nearest-even rounding an
-operand whose bits rounding would keep is used as it is, every other one
-rounded by ``round_input`` (``_keep`` is the only code that keeps an
-operand in place).  The call then computes on the entered operands, in a
-private core where another caller needs it (``_inner``, ``_product``,
-``_trisolve``; ``transceiver._mrt``, ``_zf_detect``, ``_zf_precode``).  A
-core scans nothing it is given: its stages take operands through
-``_stage``, which under stochastic rounding calls ``round_input`` wherever
-a kernel's entry always has, so every draw keeps its place.  It checks,
-with ``_enter``, only what its stages compute (the zero-forcing Gram,
-factor, right-hand sides and solution, each K-sized).  The harness's paired
-run rounds its inputs once by ``_rounded``, whose ``fp_round`` pass also
-checks what it writes, and calls a core twice; under the fp64 reference
-policy nothing is rounded or drawn, and ``fp_dot`` sums in its carrier
-loop.
+Each public kernel and transceiver enters the operands it is given by
+``_checked``, as the harness's paired run enters its inputs.  Under
+nearest-even that is ``_rounded``: each operand is rounded into a fresh
+array by one ``fp_round`` pass, which is also the check, raising ValueError
+on a part that is not finite once rounded or, under the strict range,
+before.  Under stochastic rounding each operand is only checked and passed
+on, so a bad one raises before any draw.  The call then computes on the
+entered operands, in a private core where another caller needs it
+(``_inner``, ``_product``, ``_trisolve``; ``transceiver._mrt``,
+``_zf_detect``, ``_zf_precode``).  A core checks nothing it is given: its
+stages take operands through ``_stage``, which under stochastic rounding
+calls ``round_input`` wherever a kernel's entry always has, so every draw
+keeps its place.  It enters, with ``_enter``, only what its stages compute
+(the zero-forcing Gram, factor, right-hand sides and solution, each
+K-sized).  The paired run calls a core twice on the inputs it rounded;
+under the fp64 reference policy no input is rounded again and nothing is
+drawn, and ``fp_dot`` sums in its carrier loop.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -231,67 +230,45 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
     return z
 
 
-# What fp_scan finds: a part that is not finite; an entry rounding moves.
-_NONFINITE, _MOVED = 1, 2
+# What fp_round finds: a part that is not finite.
+_NONFINITE = 1
 
 
-def _finite(name: str, policy: PrecisionPolicy, *operands) -> list:
-    """``fp_scan``'s findings over the whole of each complex128 operand;
-    ValueError if one is not finite."""
-    found = []
-    for x in operands:
-        geom = np.array([*x.shape, *x.strides], dtype=np.int64)
-        f = np.empty(1, dtype=np.int64)
-        _core.lib().fp_scan(x.ndim, geom.ctypes.data, x.ctypes.data,
-                            _c_format(policy.working, policy.range_mode), f.ctypes.data)
-        found.append(int(f[0]))
-    if any(f & _NONFINITE for f in found):
+def _finite(name: str, *operands) -> list:
+    """The operands as they are; ValueError if a part of one is not finite."""
+    if not all(np.isfinite(x).all() for x in operands):
         raise ValueError(f"{name} requires finite input")
-    return found
-
-
-def _keep(policy: PrecisionPolicy, rng, operands, found) -> list:
-    """Each operand used as it is when rounding is nearest-even, it is a C
-    array (``flags.carray``) of one or more dimensions and its finding in
-    ``found`` has no ``_MOVED``; else rounded by ``round_input``."""
-    keep = policy.rounding is RoundingMode.NEAREST_EVEN
-    return [x if keep and x.ndim > 0 and x.flags.carray and not f & _MOVED
-            else round_input(x, policy, rng)
-            for x, f in zip(operands, found)]
-
-
-def _entered(policy: PrecisionPolicy, operands, found) -> list:
-    """Outside operands with their findings ``found``, entered for a core:
-    under nearest-even kept or rounded by :func:`_keep`; under stochastic
-    rounding as they are, for the core's :func:`_stage` to round them with
-    the draws of the entry."""
-    if policy.rounding is RoundingMode.STOCHASTIC:
-        return list(operands)
-    return _keep(policy, None, operands, found)
+    return list(operands)
 
 
 def _checked(name: str, policy: PrecisionPolicy, *operands) -> list:
-    """The outside operands of a public call, each checked by one scan
-    (:func:`_finite`) and entered by :func:`_entered`."""
-    return _entered(policy, operands, _finite(name, policy, *operands))
+    """The outside operands of a public call, checked and entered for a core.
+    Under nearest-even each is rounded by :func:`_rounded`, whose pass is the
+    check.  Under stochastic rounding each is checked by :func:`_finite`
+    before any draw and passed on as it is, for the core's :func:`_stage` to
+    round with the draws of the entry."""
+    if policy.rounding is RoundingMode.STOCHASTIC:
+        return _finite(name, *operands)
+    return _rounded(name, policy, None, *operands)
 
 
 def _stage(policy: PrecisionPolicy, rng, *operands) -> list:
-    """Entered operands as a stage of a core takes them, with no scan.  Under
-    nearest-even each is used as it is (a C array; else rounded into a copy
-    by ``round_input``, which keeps its values).  Under stochastic rounding
-    each is rounded by ``round_input``: the entry's rounding of an outside
-    operand, and on an operand already rounded a rounding that moves nothing
-    and takes the draws every stage entry takes."""
-    return _keep(policy, rng, operands, [0] * len(operands))
+    """Entered operands as a stage of a core takes them.  Under stochastic
+    rounding each is rounded by ``round_input``: the entry's rounding of an
+    outside operand, and on an operand already rounded a rounding that moves
+    nothing and takes the draws every stage entry takes.  Under nearest-even
+    each is used as it is."""
+    if policy.rounding is RoundingMode.STOCHASTIC:
+        return [round_input(x, policy, rng) for x in operands]
+    return list(operands)
 
 
 def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
     """Each operand rounded into a fresh array by ``_round`` under the policy,
     in order, as ``round_input`` rounds it; then ValueError if a part of a
-    result is not finite.  The rounding's C pass makes that check as it goes,
-    so no operand is scanned, and the draws of every operand are taken before
-    the error.  The results are entered operands."""
+    result, or under the strict range of an operand, is not finite.  The
+    rounding's C pass makes that check as it goes, and the draws of every
+    operand are taken before the error.  The results are entered operands."""
     found = np.zeros(1, dtype=np.int64)
     out = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found)
            for x in operands]
@@ -405,21 +382,17 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
 
 def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     """C = A B, entrywise finite-precision inner products (mixed-aware)."""
-    return _matmul(A, B, policy, rng)
-
-
-def _matmul(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
-    """:func:`matmul_fp`; ``upper=True`` gives only the entries on and above
-    the diagonal, bit for bit, and 0 below it (see :func:`_dot`)."""
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
-    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng, upper)
+    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng)
 
 
 def _product(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
-    """The core of :func:`_matmul` on entered operands."""
+    """The core of :func:`matmul_fp` on entered operands; ``upper=True`` gives
+    only the entries on and above the diagonal, bit for bit, and 0 below it
+    (see :func:`_dot`)."""
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
     return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng, upper)
 

@@ -8,11 +8,12 @@ Gram matrix by Cholesky and runs two triangular solves.
 
 All operations accept leading batch dimensions on their array arguments.
 
-Each public transceiver scans each operand it is given once, enters it and
-calls its core (MRC's is ``kernels._inner``), which the harness's paired run
-calls directly.  A core scans none of its operands, nor H^H, the conjugate
-of the entered H; it checks only what its stages compute (the zero-forcing
-C, R, c, q and e), as the kernels that read them always have.
+Each public transceiver enters each operand it is given once, by
+``kernels._checked``, and calls its core (MRC's is ``kernels._inner``),
+which the harness's paired run calls directly on the inputs it rounded.  A
+core checks none of its operands; the zero-forcing cores conjugate H inside
+their reductions, forming no H^H, and check only what their stages compute
+(C, R, c, q and e), as the kernels that read them always have.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import math
 import numpy as np
 
 from .kernels import (
-    _MOVED,
     PrecisionPolicy,
     _checked,
     _cmul,
     _dot,
-    _entered,
     _finite,
-    _product,
     _stage,
     _trisolve,
     cholesky_fp,
@@ -62,13 +60,13 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
-    found = _finite("mrt_precode", policy, h, x_d)
     if not prenormalized:
+        _finite("mrt_precode", h, x_d)  # before the norm, which would turn a bad h into NaN
         nrm = np.linalg.norm(h, axis=-1, keepdims=True)
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
-        h, found[0] = h / nrm, _MOVED  # a quotient of checked values: rounded, not scanned
-    return _mrt(*_entered(policy, (h, x_d), found), policy, rng)
+        h = h / nrm
+    return _mrt(*_checked("mrt_precode", policy, h, x_d), policy, rng)
 
 
 def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
@@ -77,14 +75,16 @@ def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
     return _cmul(hn, x, policy, rng)
 
 
-def _factor(H, Hh, policy: PrecisionPolicy, rng, error: str):
-    """The Cholesky factor R of H^H H from the entered H and its conjugate
-    transpose Hh, and the breakdown mask (None unless ``error="mask"``).
+def _factor(H, policy: PrecisionPolicy, rng, error: str):
+    """The Cholesky factor R of H^H H from the entered H, and the breakdown
+    mask (None unless ``error="mask"``).
 
     A broken lane keeps the unit pivots ``cholesky_fp`` gave it, so it stays
     solvable; its result is discarded upstream."""
+    Ht, H = _stage(policy, rng, np.swapaxes(H, -1, -2), H)
     # the factor reads only the upper triangle, and checks C as it takes it
-    C = _product(*_stage(policy, rng, Hh, H), policy, rng, upper=True)
+    C = _dot(Ht[..., :, None, :], np.swapaxes(H, -1, -2)[..., None, :, :], policy, rng,
+             upper=True, conj=True)
     out = cholesky_fp(C, policy, rng, error=error)
     return out if error == "mask" else (out, None)
 
@@ -97,7 +97,7 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     ``H`` has shape (..., M, K), ``z`` shape (..., M); returns r of shape
     (..., K).  With ``error="mask"`` returns (r, breakdown_mask) instead of
     raising on a non-positive pivot.  A non-finite ``H`` or ``z`` raises
-    ValueError before anything is rounded or drawn.
+    ValueError before any draw or reduction.
     """
     H = np.asarray(H, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -110,10 +110,9 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
 def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """The core of :func:`zf_detect_ne` on an entered channel and signal."""
     (H,) = _stage(policy, rng, H)
-    Hh = np.conj(np.swapaxes(H, -1, -2), order="C")
-    Hc, zc = _stage(policy, rng, Hh, z)
-    c = _dot(Hc, zc[..., None, :], policy, rng)
-    R, breakdown = _factor(H, Hh, policy, rng, error)
+    Ht, zc = _stage(policy, rng, np.swapaxes(H, -1, -2), z)
+    c = _dot(Ht, zc[..., None, :], policy, rng, conj=True)
+    R, breakdown = _factor(H, policy, rng, error)
     q = trisolve_fp(R, c, "lower-conjugate", policy, rng)  # which checks R and c
     r = trisolve_fp(R, q, "upper", policy, rng)
     if error == "mask":
@@ -136,7 +135,7 @@ def zf_precode_ne(
     normalization sqrt(M - K) (the analytic expectation of the zero-forcing
     precoder's power).  ``H`` is (..., M, K), ``x_d`` is (..., K); returns s
     of shape (..., M).  A non-finite ``H`` or ``x_d`` raises ValueError
-    before anything is rounded or drawn.
+    before any draw or reduction.
     """
     H = np.asarray(H, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
@@ -151,7 +150,7 @@ def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
     """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
     M, K = H.shape[-2], H.shape[-1]
     (H,) = _stage(policy, rng, H)
-    R, breakdown = _factor(H, np.conj(np.swapaxes(H, -1, -2), order="C"), policy, rng, error)
+    R, breakdown = _factor(H, policy, rng, error)
     q = _trisolve(*_stage(policy, rng, *_checked("trisolve_fp", policy, R), x_d),
                   "lower-conjugate", policy, rng)
     e = trisolve_fp(R, q, "upper", policy, rng)

@@ -1,5 +1,5 @@
 """Collects acceptance-criterion verdicts and prints them in the summary, and
-gives the tests a spy on the C core's entry scan."""
+gives the tests a spy on the C core's elementwise rounding."""
 
 import ctypes
 
@@ -19,16 +19,18 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """A list that gets the (address, shape) of the operand of every
-    ``fp_scan`` call made while the test runs."""
+def roundings(monkeypatch):
+    """A list that gets the (address, shape, drawn) of the operand of every
+    ``fp_round`` call made while the test runs; ``drawn`` is True when the
+    call takes stochastic uniforms."""
     lib = _core.lib()
-    scan = lib.fp_scan
+    fp_round = lib.fp_round
     seen = []
 
-    def spy(ndim, geom, x, fmt, out):
-        seen.append((x, tuple((ctypes.c_int64 * ndim).from_address(geom)) if ndim else ()))
-        return scan(ndim, geom, x, fmt, out)
+    def spy(ndim, geom, parts, x, out, fmt, u, found):
+        shape = tuple((ctypes.c_int64 * ndim).from_address(geom)) if ndim else ()
+        seen.append((x, shape, u is not None))
+        return fp_round(ndim, geom, parts, x, out, fmt, u, found)
 
-    monkeypatch.setattr(lib, "fp_scan", spy)
+    monkeypatch.setattr(lib, "fp_round", spy)
     return seen

@@ -179,16 +179,9 @@ def test_conjugating_dot_flips_the_sign_of_specials_as_np_conj():
         _bytes_equal(got, want)
 
 
-# -- the fp64 entry: an operand kept, or joined into a copy ---------------------
+# -- the fp64 entry: an operand joined into a copy ------------------------------
 
-def _moved_by_join(x):
-    """True where numpy's 1j*im + re of x's parts would not have x's bits."""
-    joined = 1j * x.imag
-    joined += x.real
-    return (joined.view(np.uint64) != x.view(np.uint64)).reshape(*x.shape, 2).any(axis=-1)
-
-
-def test_fp64_entry_keeps_x_exactly_when_its_bits_would_stay():
+def test_fp64_entry_joins_x_into_a_copy_with_numpys_bits():
     rng = np.random.default_rng(13)
     fp64 = PrecisionPolicy.uniform(FP64)
     strict = PrecisionPolicy.uniform(FP64, range_mode=RangeMode.STRICT_IEEE)
@@ -205,16 +198,11 @@ def test_fp64_entry_keeps_x_exactly_when_its_bits_would_stay():
     for name, x in inputs.items():
         with np.errstate(invalid="ignore"):
             got = round_input(x, fp64)
-            moved = _moved_by_join(x).any()
             want = 1j * x.imag
             want += x.real
         assert got is not x, name  # round_input always copies
         _bytes_equal(got, want)
         if np.isfinite(x).all():  # no finite part here is out of fp64's strict range
             for policy in (fp64, strict):
-                assert (_enter("matmul_fp", policy, None, x)[0] is x) == (not moved), name
-            for view in (x.T, x[:, ::2], x[::-1]):  # not C-contiguous: always a copy
-                assert _enter("matmul_fp", fp64, None, view)[0] is not view, name
-    for policy in (POLICIES["uniform"], PrecisionPolicy.uniform(FP64, rounding=RoundingMode.STOCHASTIC)):
-        assert _enter("matmul_fp", policy, np.random.default_rng(0), clean)[0] is not clean
+                _bytes_equal(_enter("matmul_fp", policy, None, x)[0], want)
     assert isinstance(round_input(np.array(1 + 2j), fp64), complex)

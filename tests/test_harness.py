@@ -337,24 +337,38 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
 
 @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO", "study"])
-def test_paired_runs_scan_no_operand_of_m_entries(scans, scenario, rounding):
-    """The paired run's rounding checks its inputs, so neither run scans
-    them; the zero-forcing runs scan only their K-sized stage outputs."""
+def test_paired_runs_pass_over_no_m_entry_operand_beyond_the_rounding(
+        monkeypatch, roundings, scenario, rounding):
+    """The paired run's rounding (``_rounded``) is its inputs' one pass, and
+    their check.  Beyond it the only passes over an M-entry operand are the
+    stochastic policy run's stage roundings, which take draws; the
+    zero-forcing runs also enter their K-sized stage outputs, the reference
+    run included."""
     M = 20
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    rounded, paired = harness._rounded, set()
+
+    def spy(*args):
+        start = len(roundings)
+        out = rounded(*args)
+        paired.update(range(start, len(roundings)))
+        return out
+
+    monkeypatch.setattr(harness, "_rounded", spy)
     if scenario == "study":
         inner_product_violation_study(M, policy, trials=8)
     else:
         run_sweep(ExperimentConfig(scenario, (M,), policy, K=2, trials=8))
-    assert [shape for _, shape in scans if M in shape] == []
-    assert bool(scans) == scenario.startswith("MU")
+    beyond = [(shape, drawn) for i, (_, shape, drawn) in enumerate(roundings) if i not in paired]
+    assert paired
+    assert [shape for shape, drawn in beyond if M in shape and not drawn] == []
+    assert any(not drawn for _, drawn in beyond) == scenario.startswith("MU")
 
 
 @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
 def test_paired_rejects_a_non_finite_input_once_every_input_is_rounded(rounding):
     """A NaN in the first input raises under the transceiver's name, with the
-    generator where the rounding of both inputs leaves it, as when the
-    transceiver's own entry scan raised."""
+    generator where the rounding of both inputs leaves it."""
     rng = np.random.default_rng(21)
     a, b = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)) for _ in range(2))
     a[0, 0] = math.nan

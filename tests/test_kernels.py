@@ -10,7 +10,6 @@ from fpmimo.kernels import (
     PolicyMode,
     PrecisionPolicy,
     _dot,
-    _enter,
     _gram,
     cholesky_fp,
     inner_product_fp,
@@ -19,7 +18,7 @@ from fpmimo.kernels import (
     round_input,
     trisolve_fp,
 )
-from fpmimo.transceiver import mrt_precode
+from fpmimo.transceiver import mrt_precode, zf_detect_ne, zf_precode_ne
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -365,7 +364,8 @@ class TestPrecisionOrdering:
 # -- inputs: never written, and checked for finiteness -----------------------
 
 def _entry_cases():
-    """(name, call(policy, rng, *args), args) for each array entry point."""
+    """(name, call(policy, rng, *args), args) for each array entry point
+    (``mrc_combine`` is ``inner_product_fp``)."""
     rng = np.random.default_rng(31)
 
     def cn(*shape):
@@ -389,6 +389,8 @@ def _entry_cases():
         ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g), (cn(3, 50), cn(3))),
         ("mrt_precode-prenormalized",
          lambda p, g, h, x: mrt_precode(h, x, p, g, prenormalized=True), (cn(3, 50), cn(3))),
+        ("zf_detect_ne", lambda p, g, H, z: zf_detect_ne(H, z, p, g), (H, cn(3, 6))),
+        ("zf_precode_ne", lambda p, g, H, x: zf_precode_ne(H, x, p, g), (H, cn(3, 2))),
     ]
 
 
@@ -412,16 +414,16 @@ def test_inputs_left_unchanged(call, args, policy):
         assert a.tobytes() == b.tobytes()
 
 
+CHECKED_OPERANDS = [
+    pytest.param(n.split("-")[0], c, a, j, id=f"{n}-arg{j}")
+    for n, c, a in ENTRY_CASES
+    if not n.startswith("round_")  # round_input is unchecked; round_to_format has its own test
+    for j in range(len(a))
+]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "name,call,args,arg",
-    [
-        pytest.param(n.split("-")[0], c, a, j, id=f"{n}-arg{j}")
-        for n, c, a in ENTRY_CASES
-        if not n.startswith("round_")  # round_input is unchecked; round_to_format has its own test
-        for j in range(len(a))
-    ],
-)
+@pytest.mark.parametrize("name,call,args,arg", CHECKED_OPERANDS)
 def test_non_finite_input_rejected(name, call, args, arg, bad):
     args = [a.copy() for a in args]
     args[arg].flat[-1] = complex(1.0, bad)
@@ -429,10 +431,37 @@ def test_non_finite_input_rejected(name, call, args, arg, bad):
         call(POL16, None, *args)
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("name,call,args,arg", CHECKED_OPERANDS)
+def test_infinity_rejected_under_the_strict_range(name, call, args, arg, inf, part):
+    """The strict range rounds an infinity to x_max, so the entry's rounding
+    checks what it reads as well as what it writes."""
+    args = [a.copy() for a in args]
+    getattr(args[arg], part).flat[-1] = inf
+    policy = PrecisionPolicy.uniform(FP16, range_mode=RangeMode.STRICT_IEEE)
+    with pytest.raises(ValueError, match=f"^{name} requires finite input$"):
+        call(policy, None, *args)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("name,call,args,arg", [
+    p for p in CHECKED_OPERANDS
+    if p.id != "mrt_precode-arg0"  # the norm of such an h overflows before any rounding
+])
+def test_finite_input_that_rounds_to_infinity_rejected(name, call, args, arg, part):
+    """The largest double rounds up to inf in fp16's significand under the
+    unbounded range; the entry raises on it, as the paired run's does."""
+    args = [a.copy() for a in args]
+    getattr(args[arg], part).flat[-1] = np.finfo(np.float64).max
+    with pytest.raises(ValueError, match=f"^{name} requires finite input$"):
+        call(POL16, None, *args)
+
+
 def _split_cases():
     """(name, call(policy, rng, *args), args) for each array entry point, each
-    operand of at least 2^17 complex entries, so that every scan of it splits
-    over the core's threads, of unrounded values."""
+    operand of at least 2^17 complex entries, so that every rounding of it
+    splits over the core's threads, of unrounded values."""
     rng = np.random.default_rng(32)
 
     def cn(*shape):
@@ -457,8 +486,9 @@ def _split_cases():
     ids=["fp16", "fp16-stochastic"],
 )
 def test_non_finite_input_in_the_last_range_rejected_before_any_draw(policy):
-    """Every entry moves as it rounds, so a scan that stopped at a moved entry
-    would miss the non-finite last one; the generator is left untouched."""
+    """Every entry moves as it rounds, so a check that stopped at a moved
+    entry would miss the non-finite last one; the generator is left
+    untouched."""
     for name, call, args in _split_cases():
         for arg in range(len(args)):
             bad = [a.copy() if j == arg else a for j, a in enumerate(args)]
@@ -470,7 +500,7 @@ def test_non_finite_input_in_the_last_range_rejected_before_any_draw(policy):
             assert rng.bit_generator.state == before, (name, arg)
 
 
-# -- round_input keeps what rounding would not change ------------------------
+# -- round_input: a copy, with the bits of what rounding would not change ----
 
 ENTRY_FORMATS = [(fmt, rm) for fmt in (FP16, BFLOAT16, FP32) for rm in RangeMode]
 
@@ -483,13 +513,11 @@ def _spread(rng, shape):
 
 
 @pytest.mark.parametrize("fmt,range_mode", ENTRY_FORMATS, ids=lambda v: str(getattr(v, "value", v)))
-def test_entry_keeps_a_rounded_operand_itself(fmt, range_mode):
-    """A kernel's entry uses a rounded operand in place; round_input copies it."""
+def test_round_input_copies_a_rounded_operand_bit_for_bit(fmt, range_mode):
     policy = PrecisionPolicy.uniform(fmt, range_mode=range_mode)
     x = round_input(_spread(np.random.default_rng(33), (40, 300)), policy)
     y = round_input(x.T.copy(), policy)  # C-contiguous again
     for z in (x, y, x[0], x[:0]):  # two dimensions; one; no entries
-        assert _enter("matmul_fp", policy, None, z)[0] is z
         got = round_input(z, policy)
         assert got is not z and got.tobytes() == z.tobytes()
 
@@ -544,7 +572,7 @@ def _unaligned(x):
 @pytest.mark.parametrize("policy", [POL16, MIX, POL64], ids=["fp16", "fp16+fp32", "fp64"])
 def test_unaligned_operands_give_the_bytes_of_aligned_ones(policy):
     """The C core reads its operands by memcpy, so nothing is copied to align
-    them, and an unaligned operand is never used in place of its rounding."""
+    them."""
     rng = np.random.default_rng(36)
     a, b = (rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40)) for _ in range(2))
     C = np.conj(a[:, :4].T) @ a[:, :4]
@@ -557,8 +585,6 @@ def test_unaligned_operands_give_the_bytes_of_aligned_ones(policy):
         (cholesky_fp(_unaligned(C), policy), cholesky_fp(C, policy)),
     ]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    x = _unaligned(aq)
-    assert _enter("matmul_fp", policy, None, x)[0] is not x
 
 
 # -- the unrounded Gram products: numpy's bits ------------------------------

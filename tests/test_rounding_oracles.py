@@ -40,7 +40,8 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    _matmul,
+    _enter,
+    _product,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -381,7 +382,7 @@ def _complex(rng, shape, scale):
 
 
 def _upper_gram(A, B, policy, rng):
-    return _matmul(A, B, policy, rng, upper=True)
+    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng, upper=True)
 
 
 def _oracle_upper_gram(A, B, policy, rng):
@@ -621,9 +622,7 @@ def _threaded_cases():
     yield "mrt", mrt_precode, _oracle_mrt, (c(37, 40001), c(37))
     yield "inner", inner_product_fp, _oracle_inner, (c(1009, 263), c(1009, 263))
     A = c(33, 401, 5)
-    gram = lambda A, B, policy, rng: _matmul(A, B, policy, rng, upper=True)
-    oracle_gram = lambda A, B, policy, rng: np.triu(_oracle_matmul(A, B, policy, rng))
-    yield "gram-upper", gram, oracle_gram, (np.conj(np.swapaxes(A, -1, -2)), A)
+    yield "gram-upper", _upper_gram, _oracle_upper_gram, (np.conj(np.swapaxes(A, -1, -2)), A)
     strided = c(409, 603)[::-1, ::3].T  # (201, 409), negative and non-unit strides
     yield "strided-input", round_input, _oracle_input, (strided,)
 

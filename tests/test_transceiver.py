@@ -203,8 +203,8 @@ class TestZfChannelRounding:
             out = round_input(x, policy, rng)
             if np.shape(x) == (M, K):
                 seen.append(out)
-            elif np.shape(x) == (K, M):  # H^H
-                seen.append(np.conj(out.T))
+            elif np.shape(x) == (K, M):  # H^T, which the reductions conjugate
+                seen.append(out.T)
             return out
 
         monkeypatch.setattr(kernels, "round_input", spy)
@@ -221,7 +221,7 @@ class TestZfChannelRounding:
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
     def test_non_finite_right_hand_side_rejected_before_any_draw(self, zf, rounding, bad):
-        """A right-hand side of 2^17 entries and more, so that its scan splits
+        """A right-hand side of 2^17 entries and more, so that its check splits
         over the core's threads, with its last entry not finite."""
         rng = np.random.default_rng(18)
         lanes, M, K = (1 << 16) + 1, 4, 2
@@ -269,30 +269,31 @@ class TestZfChannelRounding:
             np.testing.assert_array_equal(out[keep].view(np.uint64), ref.view(np.uint64))
 
 
-def _scan_cases():
-    """(name, call(policy, rng), outside operands) for each public
-    transceiver, with M = 24 antennas, K = 3 users and 5 lanes."""
+def _entry_cases():
+    """(name, call(policy), operands, operands entered as given) for each
+    public transceiver, with M = 24 antennas, K = 3 users and 5 lanes.  The
+    normalizing MRT enters h / ||h|| in place of h."""
     rng = np.random.default_rng(19)
     h, z, H = _channel(rng, 5, 24), _channel(rng, 5, 24), _channel(rng, 5, 24, 3)
     x, x_k = _channel(rng, 5), _channel(rng, 5, 3)
     return {
-        "mrc_combine": (lambda p, g: mrc_combine(h, z, p, g), (h, z)),
-        "mrt_precode": (lambda p, g: mrt_precode(h, x, p, g), (h, x)),
+        "mrc_combine": (lambda p: mrc_combine(h, z, p), (h, z), (h, z)),
+        "mrt_precode": (lambda p: mrt_precode(h, x, p), (h, x), (x,)),
         "mrt_precode-prenormalized":
-            (lambda p, g: mrt_precode(h, x, p, g, prenormalized=True), (h, x)),
-        "zf_detect_ne": (lambda p, g: zf_detect_ne(H, z, p, g), (H, z)),
-        "zf_precode_ne": (lambda p, g: zf_precode_ne(H, x_k, p, g), (H, x_k)),
+            (lambda p: mrt_precode(h, x, p, prenormalized=True), (h, x), (h, x)),
+        "zf_detect_ne": (lambda p: zf_detect_ne(H, z, p), (H, z), (H, z)),
+        "zf_precode_ne": (lambda p: zf_precode_ne(H, x_k, p), (H, x_k), (H, x_k)),
     }
 
 
-@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", list(_scan_cases()))
-def test_each_outside_operand_is_scanned_once(scans, name, rounding):
-    """A public transceiver scans each operand it is given once, and its core
-    scans none of the M-entry operands it derives (H^H, the normalized
-    channel); the zero-forcing ones also check their K-sized stage outputs."""
-    call, operands = _scan_cases()[name]
-    call(PrecisionPolicy.uniform(FP16, rounding=rounding), np.random.default_rng(4))
-    for x in operands:
-        assert [address for address, _ in scans].count(x.ctypes.data) == 1
-    assert sum(24 in shape for _, shape in scans) == sum(24 in x.shape for x in operands)
+@pytest.mark.parametrize("name", list(_entry_cases()))
+def test_each_outside_operand_enters_by_one_rounding(roundings, name):
+    """Under nearest-even a public transceiver enters each operand it is
+    given by one ``fp_round`` pass, which is also its check, and makes no
+    other pass over an M-entry operand (H^T, the normalized channel); the
+    zero-forcing ones also enter their K-sized stage outputs."""
+    call, operands, as_given = _entry_cases()[name]
+    call(POL16)
+    for x in as_given:
+        assert [address for address, _, _ in roundings].count(x.ctypes.data) == 1
+    assert sum(24 in shape for _, shape, _ in roundings) == sum(24 in x.shape for x in operands)
