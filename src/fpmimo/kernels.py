@@ -23,8 +23,8 @@ on a part that is not finite once rounded or, under the strict range,
 before.  Under stochastic rounding each operand is only checked and passed
 on, so a bad one raises before any draw.  The call then computes on the
 entered operands, in a private core where another caller needs it
-(``_inner``, ``_product``, ``_trisolve``; ``transceiver._mrt``,
-``_zf_detect``, ``_zf_precode``).  A core checks nothing it is given: its
+(``_inner``, ``_trisolve``; ``transceiver._mrt``, ``_zf_detect``,
+``_zf_precode``).  A core checks nothing it is given: its
 stages take operands through ``_stage``, which under stochastic rounding
 calls ``round_input`` wherever a kernel's entry always has, so every draw
 keeps its place.  It enters, with ``_enter``, only what its stages compute
@@ -386,15 +386,9 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
-    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng)
-
-
-def _product(A, B, policy: PrecisionPolicy, rng, upper: bool = False):
-    """The core of :func:`matmul_fp` on entered operands; ``upper=True`` gives
-    only the entries on and above the diagonal, bit for bit, and 0 below it
-    (see :func:`_dot`)."""
+    A, B = _enter("matmul_fp", policy, rng, A, B)
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
-    return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng, upper)
+    return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
 
 
 # -- the rounded complex multiply -------------------------------------------

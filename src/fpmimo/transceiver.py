@@ -61,7 +61,7 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
     if not prenormalized:
-        _finite("mrt_precode", h, x_d)  # before the norm, which would turn a bad h into NaN
+        _finite("mrt_precode", h)  # before the norm, which would turn a bad h into NaN
         nrm = np.linalg.norm(h, axis=-1, keepdims=True)
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
@@ -81,12 +81,17 @@ def _factor(H, policy: PrecisionPolicy, rng, error: str):
 
     A broken lane keeps the unit pivots ``cholesky_fp`` gave it, so it stays
     solvable; its result is discarded upstream."""
-    Ht, H = _stage(policy, rng, np.swapaxes(H, -1, -2), H)
-    # the factor reads only the upper triangle, and checks C as it takes it
-    C = _dot(Ht[..., :, None, :], np.swapaxes(H, -1, -2)[..., None, :, :], policy, rng,
-             upper=True, conj=True)
-    out = cholesky_fp(C, policy, rng, error=error)
+    # the factor checks C as it takes it
+    out = cholesky_fp(_upper_gram(H, policy, rng), policy, rng, error=error)
     return out if error == "mask" else (out, None)
+
+
+def _upper_gram(H, policy: PrecisionPolicy, rng):
+    """H^H H from the entered H on and above the diagonal, bit for bit, and 0
+    below it, which the factor does not read (see ``kernels._dot``)."""
+    Ht, H = _stage(policy, rng, np.swapaxes(H, -1, -2), H)
+    return _dot(Ht[..., :, None, :], np.swapaxes(H, -1, -2)[..., None, :, :], policy, rng,
+                upper=True, conj=True)
 
 
 def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):

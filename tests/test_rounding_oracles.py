@@ -11,7 +11,7 @@ Last, the C core is compared with the numpy ``frexp``/``ldexp`` formula it
 replaced: elementwise through ``formats._round``, on every setting, on inputs
 the public API rejects (non-finite values, subnormal carriers) and on 10^6 bit
 patterns; and fused, through ``inner_product_fp``, ``matvec_fp``,
-``matmul_fp`` and the upper Gram, against the numpy reduction it replaced,
+``matmul_fp`` and the zero-forcing upper Gram, against the numpy reduction it replaced,
 also in fp64, where the C core runs its carrier loop, which rounds nothing.  The rounded complex
 multiply of ``cholesky_fp``, ``trisolve_fp`` and ``mrt_precode``, the fused
 kernel's one-term reduction, is compared with the Python scheme of six
@@ -40,8 +40,7 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    _enter,
-    _product,
+    _checked,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -49,7 +48,7 @@ from fpmimo.kernels import (
     round_input,
     trisolve_fp,
 )
-from fpmimo.transceiver import mrt_precode
+from fpmimo.transceiver import _upper_gram, mrt_precode
 
 
 def _assert_bits_equal(got, want):
@@ -381,18 +380,26 @@ def _complex(rng, shape, scale):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _upper_gram(A, B, policy, rng):
-    return _product(*_enter("matmul_fp", policy, rng, A, B), policy, rng, upper=True)
+def _zf_gram(H, policy, rng):
+    """The zero-forcing Gram as a public zero-forcing call forms it: H entered
+    by ``_checked``, then the factor's ``_upper_gram``."""
+    return _upper_gram(*_checked("zf_detect_ne", policy, H), policy, rng)
 
 
-def _oracle_upper_gram(A, B, policy, rng):
-    return np.triu(_oracle_matmul(A, B, policy, rng))
+def _oracle_zf_gram(H, policy, rng):
+    """H^T and H rounded in that order, as the stage rounds them; then the
+    reduction of conj(H^T) with H, its upper triangle."""
+    Ht = _oracle_input(np.swapaxes(H, -1, -2), policy, rng)
+    Hr = _oracle_input(H, policy, rng)
+    return np.triu(_oracle_dot(np.conj(Ht)[..., :, None, :],
+                               np.swapaxes(Hr, -1, -2)[..., None, :, :], policy, rng))
 
 
 def _fused_cases(scale):
     """(name, call, oracle, args, n) over n = 1, batched and broadcast shapes;
-    the inner products are the conjugating ones (``fp_dot``'s conj flag), and
-    the upper Gram reduces only the lanes on and above the diagonal."""
+    the inner products and the zero-forcing Gram are the conjugating ones
+    (``fp_dot``'s conj flag), and the Gram reduces only the lanes on and above
+    the diagonal."""
     rng = np.random.default_rng(11)
     c = lambda *shape: _complex(rng, shape, scale)
     yield "inner-n1", inner_product_fp, _oracle_inner, (c(1), c(1)), 1
@@ -403,8 +410,7 @@ def _fused_cases(scale):
     A = c(2, 5, 3)
     yield "matmul-gram", matmul_fp, _oracle_matmul, (np.conj(np.swapaxes(A, -1, -2)), A), 5
     yield "matmul-broadcast", matmul_fp, _oracle_matmul, (c(2, 1, 3, 2), c(4, 2, 3)), 2
-    A = c(3, 7, 4)
-    yield "gram-upper", _upper_gram, _oracle_upper_gram, (np.conj(np.swapaxes(A, -1, -2)), A), 7
+    yield "gram-upper", _zf_gram, _oracle_zf_gram, (c(3, 7, 4),), 7
 
 
 SCALES = {"normal": 1.0, "near-1e300": 1e300, "subnormal": 1e-310}
@@ -621,8 +627,7 @@ def _threaded_cases():
     c = lambda *shape: _complex(rng, shape, 1.0)
     yield "mrt", mrt_precode, _oracle_mrt, (c(37, 40001), c(37))
     yield "inner", inner_product_fp, _oracle_inner, (c(1009, 263), c(1009, 263))
-    A = c(33, 401, 5)
-    yield "gram-upper", _upper_gram, _oracle_upper_gram, (np.conj(np.swapaxes(A, -1, -2)), A)
+    yield "gram-upper", _zf_gram, _oracle_zf_gram, (c(33, 401, 5),)
     strided = c(409, 603)[::-1, ::3].T  # (201, 409), negative and non-unit strides
     yield "strided-input", round_input, _oracle_input, (strided,)
 

@@ -270,19 +270,19 @@ class TestZfChannelRounding:
 
 
 def _entry_cases():
-    """(name, call(policy), operands, operands entered as given) for each
+    """(name, call(policy, rng=None), operands, operands entered as given) for each
     public transceiver, with M = 24 antennas, K = 3 users and 5 lanes.  The
     normalizing MRT enters h / ||h|| in place of h."""
     rng = np.random.default_rng(19)
     h, z, H = _channel(rng, 5, 24), _channel(rng, 5, 24), _channel(rng, 5, 24, 3)
     x, x_k = _channel(rng, 5), _channel(rng, 5, 3)
     return {
-        "mrc_combine": (lambda p: mrc_combine(h, z, p), (h, z), (h, z)),
-        "mrt_precode": (lambda p: mrt_precode(h, x, p), (h, x), (x,)),
+        "mrc_combine": (lambda p, g=None: mrc_combine(h, z, p, g), (h, z), (h, z)),
+        "mrt_precode": (lambda p, g=None: mrt_precode(h, x, p, g), (h, x), (x,)),
         "mrt_precode-prenormalized":
-            (lambda p: mrt_precode(h, x, p, prenormalized=True), (h, x), (h, x)),
-        "zf_detect_ne": (lambda p: zf_detect_ne(H, z, p), (H, z), (H, z)),
-        "zf_precode_ne": (lambda p: zf_precode_ne(H, x_k, p), (H, x_k), (H, x_k)),
+            (lambda p, g=None: mrt_precode(h, x, p, g, prenormalized=True), (h, x), (h, x)),
+        "zf_detect_ne": (lambda p, g=None: zf_detect_ne(H, z, p, g), (H, z), (H, z)),
+        "zf_precode_ne": (lambda p, g=None: zf_precode_ne(H, x_k, p, g), (H, x_k), (H, x_k)),
     }
 
 
@@ -297,3 +297,25 @@ def test_each_outside_operand_enters_by_one_rounding(roundings, name):
     for x in as_given:
         assert [address for address, _, _ in roundings].count(x.ctypes.data) == 1
     assert sum(24 in shape for _, shape, _ in roundings) == sum(24 in x.shape for x in operands)
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(_entry_cases()))
+def test_each_outside_operand_is_checked_once(roundings, monkeypatch, name, rounding):
+    """A public transceiver checks each operand it is given once: by its
+    ``fp_round`` pass under nearest-even, by one ``np.isfinite`` pass under
+    stochastic rounding, whose ``fp_round`` passes take draws and check
+    nothing.  The normalizing MRT checks h by ``np.isfinite`` before its norm."""
+    isfinite, checked = np.isfinite, []
+
+    def spy(x, *args, **kwargs):
+        if isinstance(x, np.ndarray):
+            checked.append(x.ctypes.data)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    call, operands, _ = _entry_cases()[name]
+    call(PrecisionPolicy.uniform(FP16, rounding=rounding), np.random.default_rng(4))
+    rounded = [address for address, _, drawn in roundings if not drawn]
+    for x in operands:
+        assert checked.count(x.ctypes.data) + rounded.count(x.ctypes.data) == 1
