@@ -280,12 +280,13 @@ def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round, **kw):
     """Round ``inputs`` once, in order, and run the transceiver ``name`` on
     them twice, through its ``core``.
 
-    The rounding (``kernels._rounded``) is ``round_input``'s, and its C pass
-    is also the check: a part that is not finite raises ValueError under
-    ``name`` once every input is rounded, as at a public entry under
-    nearest-even.  The first run is under ``policy`` with the keywords
-    ``kw``, the second under ``_reference_policy(policy)``, which rounds and
-    draws nothing.  Returns the rounded inputs and the two outputs.
+    The rounding (``kernels._rounded``) is the public transceiver's entry,
+    and its C pass is also the check: a part that is not finite raises
+    ValueError under ``name``, under stochastic rounding before any draw.
+    The first run is under ``policy`` with the keywords ``kw``, and gives
+    the bytes and generator end state of the public call; the second is
+    under ``_reference_policy(policy)``, which rounds no input and draws
+    nothing.  Returns the rounded inputs and the two outputs.
     """
     q = _rounded(name, policy, rng_round, *inputs)
     return q, core(*q, policy, rng_round, **kw), core(*q, _reference_policy(policy))

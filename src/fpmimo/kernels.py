@@ -16,22 +16,18 @@ with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
 Each public kernel and transceiver enters the operands it is given by
-``_checked``, as the harness's paired run enters its inputs.  Under
-nearest-even that is ``_rounded``: each operand is rounded into a fresh
-array by one ``fp_round`` pass, which is also the check, raising ValueError
-on a part that is not finite once rounded or, under the strict range,
-before.  Under stochastic rounding each operand is only checked and passed
-on, so a bad one raises before any draw.  The call then computes on the
-entered operands, in a private core where another caller needs it
-(``_inner``, ``_trisolve``; ``transceiver._mrt``, ``_zf_detect``,
-``_zf_precode``).  A core checks nothing it is given: its
-stages take operands through ``_stage``, which under stochastic rounding
-calls ``round_input`` wherever a kernel's entry always has, so every draw
-keeps its place.  It enters, with ``_enter``, only what its stages compute
-(the zero-forcing Gram, factor, right-hand sides and solution, each
-K-sized).  The paired run calls a core twice on the inputs it rounded;
-under the fp64 reference policy no input is rounded again and nothing is
-drawn, and ``fp_dot`` sums in its carrier loop.
+``_rounded``, as the harness's paired run enters its inputs: each operand is
+rounded into a fresh array by one ``fp_round`` pass, which is also the
+check, raising ValueError on a part that is not finite once rounded or,
+under the strict range, before.  Under stochastic rounding ``_rounded``
+first checks every operand by ``np.isfinite``, so a bad one raises before
+any draw.  The call then computes on the entered operands, in a private
+core where another caller needs it (``_inner``; ``transceiver._mrt``,
+``_zf_detect``, ``_zf_precode``).  A core rounds nothing it is given, and
+enters by ``_rounded`` only what its stages compute (the zero-forcing Gram,
+factor, right-hand sides and solution, each K-sized).  The paired run calls
+a core twice on the inputs it rounded; under the fp64 reference policy
+nothing is drawn, and ``fp_dot`` sums in its carrier loop.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -234,41 +230,17 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
 _NONFINITE = 1
 
 
-def _finite(name: str, *operands) -> list:
-    """The operands as they are; ValueError if a part of one is not finite."""
-    if not all(np.isfinite(x).all() for x in operands):
-        raise ValueError(f"{name} requires finite input")
-    return list(operands)
-
-
-def _checked(name: str, policy: PrecisionPolicy, *operands) -> list:
-    """The outside operands of a public call, checked and entered for a core.
-    Under nearest-even each is rounded by :func:`_rounded`, whose pass is the
-    check.  Under stochastic rounding each is checked by :func:`_finite`
-    before any draw and passed on as it is, for the core's :func:`_stage` to
-    round with the draws of the entry."""
-    if policy.rounding is RoundingMode.STOCHASTIC:
-        return _finite(name, *operands)
-    return _rounded(name, policy, None, *operands)
-
-
-def _stage(policy: PrecisionPolicy, rng, *operands) -> list:
-    """Entered operands as a stage of a core takes them.  Under stochastic
-    rounding each is rounded by ``round_input``: the entry's rounding of an
-    outside operand, and on an operand already rounded a rounding that moves
-    nothing and takes the draws every stage entry takes.  Under nearest-even
-    each is used as it is."""
-    if policy.rounding is RoundingMode.STOCHASTIC:
-        return [round_input(x, policy, rng) for x in operands]
-    return list(operands)
-
-
 def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
-    """Each operand rounded into a fresh array by ``_round`` under the policy,
-    in order, as ``round_input`` rounds it; then ValueError if a part of a
-    result, or under the strict range of an operand, is not finite.  The
-    rounding's C pass makes that check as it goes, and the draws of every
-    operand are taken before the error.  The results are entered operands."""
+    """The operands of a call entered: each rounded into a fresh array by
+    ``_round`` under the policy, in order, as ``round_input`` rounds it; then
+    ValueError if a part of a result, or under the strict range of an
+    operand, is not finite.  The rounding's C pass makes that check as it
+    goes.  Under stochastic rounding each operand is first checked by
+    ``np.isfinite``, so that a bad one raises before any draw.  This is the
+    one entry of every public kernel and transceiver, and of the harness's
+    paired run."""
+    if policy.rounding is RoundingMode.STOCHASTIC and not all(np.isfinite(x).all() for x in operands):
+        raise ValueError(f"{name} requires finite input")
     found = np.zeros(1, dtype=np.int64)
     out = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found)
            for x in operands]
@@ -277,25 +249,19 @@ def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
     return out
 
 
-def _enter(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
-    """The operands of a stage checked and entered: :func:`_checked`, then
-    :func:`_stage`."""
-    return _stage(policy, rng, *_checked(name, policy, *operands))
-
-
 def round_input(x, policy: PrecisionPolicy, rng=None):
     """Round a real or complex array into the policy's working format, by
     ``formats._round``.
 
-    Kernels apply this on entry so that all inputs are representable;
-    rounding twice is a no-op, so callers may pre-round to separate
-    representation error from arithmetic error.  It does no finiteness
-    check (the kernels check their arguments first), and it never writes
-    into ``x``.  A real ``x`` is rounded as float64, and under an fp64
-    nearest-even unbounded policy a float64 ``x`` comes back as itself.  A
-    complex ``x`` is rounded as complex128 into a fresh array (a scalar for
-    0-d); under stochastic rounding it draws all real-part uniforms, in C
-    order, before the imaginary ones.  Either is read through its strides.
+    The kernels enter their operands by the same rounding (``_rounded``,
+    which also checks them); rounding twice is a no-op, so callers may
+    pre-round to separate representation error from arithmetic error.  It
+    does no finiteness check, and it never writes into ``x``.  A real ``x``
+    is rounded as float64, and under an fp64 nearest-even unbounded policy a
+    float64 ``x`` comes back as itself.  A complex ``x`` is rounded as
+    complex128 into a fresh array (a scalar for 0-d); under stochastic
+    rounding it draws all real-part uniforms, in C order, before the
+    imaginary ones.  Either is read through its strides.
     """
     x = np.asarray(x)
     x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
@@ -359,7 +325,7 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    out = _inner(*_checked("inner_product_fp", policy, a, b), policy, rng)
+    out = _inner(*_rounded("inner_product_fp", policy, rng, a, b), policy, rng)
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -367,7 +333,7 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
 
 def _inner(a, b, policy: PrecisionPolicy, rng=None):
     """The core of :func:`inner_product_fp` on entered operands."""
-    return _dot(*_stage(policy, rng, a, b), policy, rng, conj=True)
+    return _dot(a, b, policy, rng, conj=True)
 
 
 def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
@@ -376,7 +342,7 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     x = _as_cvec(x, "x")
     if A.shape[-1] != x.shape[-1]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")
-    A, x = _enter("matvec_fp", policy, rng, A, x)
+    A, x = _rounded("matvec_fp", policy, rng, A, x)
     return _dot(A, x[..., None, :], policy, rng)
 
 
@@ -386,7 +352,7 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     B = np.asarray(B, dtype=np.complex128)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
-    A, B = _enter("matmul_fp", policy, rng, A, B)
+    A, B = _rounded("matmul_fp", policy, rng, A, B)
     Bt = np.swapaxes(B, -1, -2)  # (..., p, n)
     return _dot(A[..., :, None, :], Bt[..., None, :, :], policy, rng)
 
@@ -426,7 +392,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     K = C.shape[-1]
     if C.shape[-2] != K:
         raise ValueError("C must be square")
-    (C,) = _enter("cholesky_fp", policy, rng, C)
+    (C,) = _rounded("cholesky_fp", policy, rng, C)
     batch, lanes = C.shape[:-2], math.prod(C.shape[:-2])
     R, breakdown = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=bool)
     stop = np.empty(2, dtype=np.int64)
@@ -463,14 +429,9 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
-    return _trisolve(*_enter("trisolve_fp", policy, rng, R, rhs), side, policy, rng)
-
-
-def _trisolve(R, rhs, side: str, policy: PrecisionPolicy, rng):
-    """The core of :func:`trisolve_fp` on entered operands."""
+    R, rhs = _rounded("trisolve_fp", policy, rng, R, rhs)
     if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
-    K = R.shape[-1]
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     lanes = math.prod(batch)
     R = np.ascontiguousarray(np.broadcast_to(R, batch + (K, K)))

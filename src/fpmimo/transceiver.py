@@ -9,11 +9,12 @@ Gram matrix by Cholesky and runs two triangular solves.
 All operations accept leading batch dimensions on their array arguments.
 
 Each public transceiver enters each operand it is given once, by
-``kernels._checked``, and calls its core (MRC's is ``kernels._inner``),
-which the harness's paired run calls directly on the inputs it rounded.  A
-core checks none of its operands; the zero-forcing cores conjugate H inside
-their reductions, forming no H^H, and check only what their stages compute
-(C, R, c, q and e), as the kernels that read them always have.
+``kernels._rounded``, as the harness's paired run enters its inputs, and
+calls its core (MRC's is ``kernels._inner``), which the paired run calls
+directly on the inputs it rounded.  A core rounds none of its operands
+again; the zero-forcing cores conjugate H inside their reductions, forming
+no H^H, and enter by ``_rounded`` only what their stages compute (C, R, c,
+q and e), which under a mixed policy holds sums of the high format.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ import numpy as np
 
 from .kernels import (
     PrecisionPolicy,
-    _checked,
     _cmul,
     _dot,
-    _finite,
-    _stage,
-    _trisolve,
+    _rounded,
     cholesky_fp,
     inner_product_fp,
     trisolve_fp,
@@ -55,24 +53,27 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     real multiplies + 2 rounded additions per entry), so the error does not
     grow with M.  ``prenormalized=True`` skips the norm division (the caller
     already passes a unit-norm direction), which lets a full-precision rerun
-    consume bit-identical inputs.  Non-finite ``h`` or ``x_d`` raises
-    ValueError.
+    consume bit-identical inputs.  Non-finite ``h`` or ``x_d``, or a norm
+    of ``h`` that overflows, raises ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
     if not prenormalized:
-        _finite("mrt_precode", h)  # before the norm, which would turn a bad h into NaN
-        nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        if not np.isfinite(h).all():  # before the norm, which would turn a bad h into NaN
+            raise ValueError("mrt_precode requires finite input")
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        if not np.isfinite(nrm).all():  # else h / nrm would be a precoder of zeros
+            raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
         h = h / nrm
-    return _mrt(*_checked("mrt_precode", policy, h, x_d), policy, rng)
+    return _mrt(*_rounded("mrt_precode", policy, rng, h, x_d), policy, rng)
 
 
 def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
     """The core of :func:`mrt_precode` on an entered direction and symbols."""
-    hn, x = _stage(policy, rng, hn, x_d[..., None])
-    return _cmul(hn, x, policy, rng)
+    return _cmul(hn, x_d[..., None], policy, rng)
 
 
 def _factor(H, policy: PrecisionPolicy, rng, error: str):
@@ -81,7 +82,7 @@ def _factor(H, policy: PrecisionPolicy, rng, error: str):
 
     A broken lane keeps the unit pivots ``cholesky_fp`` gave it, so it stays
     solvable; its result is discarded upstream."""
-    # the factor checks C as it takes it
+    # the factor enters C as it takes it
     out = cholesky_fp(_upper_gram(H, policy, rng), policy, rng, error=error)
     return out if error == "mask" else (out, None)
 
@@ -89,9 +90,8 @@ def _factor(H, policy: PrecisionPolicy, rng, error: str):
 def _upper_gram(H, policy: PrecisionPolicy, rng):
     """H^H H from the entered H on and above the diagonal, bit for bit, and 0
     below it, which the factor does not read (see ``kernels._dot``)."""
-    Ht, H = _stage(policy, rng, np.swapaxes(H, -1, -2), H)
-    return _dot(Ht[..., :, None, :], np.swapaxes(H, -1, -2)[..., None, :, :], policy, rng,
-                upper=True, conj=True)
+    Ht = np.swapaxes(H, -1, -2)
+    return _dot(Ht[..., :, None, :], Ht[..., None, :, :], policy, rng, upper=True, conj=True)
 
 
 def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
@@ -108,17 +108,15 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     z = np.asarray(z, dtype=np.complex128)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
-    z, H = _checked("zf_detect_ne", policy, z, H)
+    H, z = _rounded("zf_detect_ne", policy, rng, H, z)
     return _zf_detect(H, z, policy, rng, error)
 
 
 def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """The core of :func:`zf_detect_ne` on an entered channel and signal."""
-    (H,) = _stage(policy, rng, H)
-    Ht, zc = _stage(policy, rng, np.swapaxes(H, -1, -2), z)
-    c = _dot(Ht, zc[..., None, :], policy, rng, conj=True)
+    c = _dot(np.swapaxes(H, -1, -2), z[..., None, :], policy, rng, conj=True)
     R, breakdown = _factor(H, policy, rng, error)
-    q = trisolve_fp(R, c, "lower-conjugate", policy, rng)  # which checks R and c
+    q = trisolve_fp(R, c, "lower-conjugate", policy, rng)  # which enters R and c
     r = trisolve_fp(R, q, "upper", policy, rng)
     if error == "mask":
         return r, breakdown
@@ -146,7 +144,7 @@ def zf_precode_ne(
     x_d = np.asarray(x_d, dtype=np.complex128)
     if x_d.shape[-1] != H.shape[-1]:
         raise ValueError("x_d and H disagree on the user count")
-    x_d, H = _checked("zf_precode_ne", policy, x_d, H)
+    H, x_d = _rounded("zf_precode_ne", policy, rng, H, x_d)
     return _zf_precode(H, x_d, policy, rng, error, normalize)
 
 
@@ -154,12 +152,10 @@ def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
                 normalize: bool = True):
     """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
     M, K = H.shape[-2], H.shape[-1]
-    (H,) = _stage(policy, rng, H)
     R, breakdown = _factor(H, policy, rng, error)
-    q = _trisolve(*_stage(policy, rng, *_checked("trisolve_fp", policy, R), x_d),
-                  "lower-conjugate", policy, rng)
+    q = trisolve_fp(R, x_d, "lower-conjugate", policy, rng)
     e = trisolve_fp(R, q, "upper", policy, rng)
-    H, e = _stage(policy, rng, H, *_checked("matvec_fp", policy, e))
+    (e,) = _rounded("matvec_fp", policy, rng, e)
     s = _dot(H, e[..., None, :], policy, rng)
     if normalize:
         if M <= K:

@@ -1,7 +1,7 @@
 """The harness's fp64 side in the C core, byte for byte against the numpy it
 replaced: the row norms (``_norm``), the CN draws (``_noise``), the
 conjugating reduction of ``inner_product_fp`` and the fp64 entry of the
-kernels (``_enter``) and ``round_input``."""
+kernels (``_rounded``) and ``round_input``."""
 
 import math
 
@@ -13,9 +13,9 @@ from fpmimo.kernels import (
     _NORMAL_SPLIT,
     PrecisionPolicy,
     _dot,
-    _enter,
     _noise,
     _norm,
+    _rounded,
     inner_product_fp,
     round_input,
 )
@@ -204,5 +204,5 @@ def test_fp64_entry_joins_x_into_a_copy_with_numpys_bits():
         _bytes_equal(got, want)
         if np.isfinite(x).all():  # no finite part here is out of fp64's strict range
             for policy in (fp64, strict):
-                _bytes_equal(_enter("matmul_fp", policy, None, x)[0], want)
+                _bytes_equal(_rounded("matmul_fp", policy, None, x)[0], want)
     assert isinstance(round_input(np.array(1 + 2j), fp64), complex)

@@ -6,6 +6,8 @@ a change that alters a result on purpose says so and rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
+which rewrites only the files whose bytes change and prints their names.
+
 Sweeps cover each scenario with fp16 uniform, fp16+fp32 mixed (b=8), MMSE
 channel estimates and fp16 stochastic rounding; ``bounds.txt`` holds the stdout of
 ``fpmimo bounds <name> --samples 2000`` for every evaluator.  The ``cli_*``
@@ -187,15 +189,22 @@ def test_cli_stdout(name):
 
 
 def _write_all() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for name, config in SWEEPS.items():
-        emit_csv(run_sweep(config), GOLDEN / name)
-    (GOLDEN / "bounds.txt").write_text("".join(_bounds_stdout(n) for n in EVALUATORS))
+    """Rewrite each golden whose bytes change, and print its name."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in CLI_SWEEPS.items():
-            (GOLDEN / name).write_bytes(_sweep_config(text, Path(tmp)))
-    for name, argv in CLI_STDOUT.items():
-        (GOLDEN / name).write_text(_stdout(argv))
+        tmp = Path(tmp)
+        outputs = {}
+        for name, config in SWEEPS.items():
+            emit_csv(run_sweep(config), tmp / name)
+            outputs[name] = (tmp / name).read_bytes()
+        outputs["bounds.txt"] = "".join(_bounds_stdout(n) for n in EVALUATORS).encode()
+        outputs.update((name, _sweep_config(text, tmp)) for name, text in CLI_SWEEPS.items())
+        outputs.update((name, _stdout(argv).encode()) for name, argv in CLI_STDOUT.items())
+    GOLDEN.mkdir(exist_ok=True)
+    for name, data in outputs.items():
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            print(name)
 
 
 if __name__ == "__main__":

@@ -340,10 +340,9 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
 def test_paired_runs_pass_over_no_m_entry_operand_beyond_the_rounding(
         monkeypatch, roundings, scenario, rounding):
     """The paired run's rounding (``_rounded``) is its inputs' one pass, and
-    their check.  Beyond it the only passes over an M-entry operand are the
-    stochastic policy run's stage roundings, which take draws; the
-    zero-forcing runs also enter their K-sized stage outputs, the reference
-    run included."""
+    their check, under either rounding mode: no other pass over an M-entry
+    operand follows.  The zero-forcing runs enter their K-sized stage
+    outputs, the reference run included."""
     M = 20
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
     rounded, paired = harness._rounded, set()
@@ -361,24 +360,53 @@ def test_paired_runs_pass_over_no_m_entry_operand_beyond_the_rounding(
         run_sweep(ExperimentConfig(scenario, (M,), policy, K=2, trials=8))
     beyond = [(shape, drawn) for i, (_, shape, drawn) in enumerate(roundings) if i not in paired]
     assert paired
-    assert [shape for shape, drawn in beyond if M in shape and not drawn] == []
+    assert [shape for shape, _ in beyond if M in shape] == []
     assert any(not drawn for _, drawn in beyond) == scenario.startswith("MU")
 
 
 @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
-def test_paired_rejects_a_non_finite_input_once_every_input_is_rounded(rounding):
-    """A NaN in the first input raises under the transceiver's name, with the
-    generator where the rounding of both inputs leaves it."""
+def test_paired_rejects_a_non_finite_input_with_the_generator_untouched(rounding):
+    """A NaN in the first input raises under the transceiver's name, under
+    stochastic rounding before any draw."""
     rng = np.random.default_rng(21)
     a, b = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)) for _ in range(2))
     a[0, 0] = math.nan
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
-    g, want = np.random.default_rng(5), np.random.default_rng(5)
+    g = np.random.default_rng(5)
+    before = g.bit_generator.state
     with pytest.raises(ValueError, match="^mrc_combine requires finite input$"):
         harness._paired("mrc_combine", harness._inner, (a, b), policy, g)
-    if rounding is RoundingMode.STOCHASTIC:
-        want.random(2 * a.size)
-        want.random(2 * b.size)
+    assert g.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "policy", [PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC),
+               PrecisionPolicy.mixed(FP16, FP32, 4, rounding=RoundingMode.STOCHASTIC)],
+    ids=["fp16-stochastic", "fp16+fp32-b4-stochastic"],
+)
+@pytest.mark.parametrize("name", ["mrc_combine", "mrt_precode", "zf_detect_ne", "zf_precode_ne"])
+def test_public_call_equals_the_paired_run(name, policy):
+    """A public transceiver enters its operands as the paired run does and
+    computes in the same core, so its bytes and the generator's end state
+    are those of the paired run's policy run."""
+    rng = np.random.default_rng(23)
+    lanes, M, K = 5, 24, 3
+
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    h = c(lanes, M)
+    inputs = {
+        "mrc_combine": (h, c(lanes, M)),
+        "mrt_precode": (h / np.linalg.norm(h, axis=-1, keepdims=True), c(lanes)),
+        "zf_detect_ne": (c(lanes, M, K), c(lanes, M)),
+        "zf_precode_ne": (c(lanes, M, K), c(lanes, K)),
+    }[name]
+    kw = dict(prenormalized=True) if name == "mrt_precode" else {}
+    g, want = np.random.default_rng(9), np.random.default_rng(9)
+    got = getattr(harness, name)(*inputs, policy, g, **kw)
+    _, out, _ = harness._paired(name, getattr(harness, _CORES[name]), inputs, policy, want)
+    assert (got.dtype, got.shape, got.tobytes()) == (out.dtype, out.shape, out.tobytes())
     assert g.bit_generator.state == want.bit_generator.state
 
 

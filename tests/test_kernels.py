@@ -444,18 +444,25 @@ def test_infinity_rejected_under_the_strict_range(name, call, args, arg, inf, pa
         call(policy, None, *args)
 
 
+@pytest.mark.parametrize(
+    "policy", [POL16, PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)],
+    ids=["fp16", "fp16-stochastic"],
+)
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize("name,call,args,arg", [
     p for p in CHECKED_OPERANDS
-    if p.id != "mrt_precode-arg0"  # the norm of such an h overflows before any rounding
+    # the norm of such an h overflows, which raises its own error before any rounding
+    if p.id != "mrt_precode-arg0"
 ])
-def test_finite_input_that_rounds_to_infinity_rejected(name, call, args, arg, part):
+def test_finite_input_that_rounds_to_infinity_rejected(name, call, args, arg, part, policy):
     """The largest double rounds up to inf in fp16's significand under the
-    unbounded range; the entry raises on it, as the paired run's does."""
+    unbounded range (under stochastic rounding for all but a 2^-42 share of
+    uniforms); the entry raises on it, as the paired run's does, and returns
+    no NaN."""
     args = [a.copy() for a in args]
     getattr(args[arg], part).flat[-1] = np.finfo(np.float64).max
     with pytest.raises(ValueError, match=f"^{name} requires finite input$"):
-        call(POL16, None, *args)
+        call(policy, np.random.default_rng(7), *args)
 
 
 def _split_cases():

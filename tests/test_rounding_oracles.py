@@ -40,7 +40,7 @@ from fpmimo.kernels import (
     CholeskyBreakdownError,
     PolicyMode,
     PrecisionPolicy,
-    _checked,
+    _rounded,
     cholesky_fp,
     inner_product_fp,
     matmul_fp,
@@ -382,17 +382,15 @@ def _complex(rng, shape, scale):
 
 def _zf_gram(H, policy, rng):
     """The zero-forcing Gram as a public zero-forcing call forms it: H entered
-    by ``_checked``, then the factor's ``_upper_gram``."""
-    return _upper_gram(*_checked("zf_detect_ne", policy, H), policy, rng)
+    by ``_rounded``, then the factor's ``_upper_gram``."""
+    return _upper_gram(*_rounded("zf_detect_ne", policy, rng, H), policy, rng)
 
 
 def _oracle_zf_gram(H, policy, rng):
-    """H^T and H rounded in that order, as the stage rounds them; then the
-    reduction of conj(H^T) with H, its upper triangle."""
-    Ht = _oracle_input(np.swapaxes(H, -1, -2), policy, rng)
-    Hr = _oracle_input(H, policy, rng)
-    return np.triu(_oracle_dot(np.conj(Ht)[..., :, None, :],
-                               np.swapaxes(Hr, -1, -2)[..., None, :, :], policy, rng))
+    """H rounded once, as the entry rounds it; then the reduction of
+    conj(H^T) with H, its upper triangle."""
+    Ht = np.swapaxes(_oracle_input(H, policy, rng), -1, -2)
+    return np.triu(_oracle_dot(np.conj(Ht)[..., :, None, :], Ht[..., None, :, :], policy, rng))
 
 
 def _fused_cases(scale):
@@ -538,6 +536,8 @@ def _oracle_mrt(h, x_d, policy, rng=None, prenormalized=False):
         hn = _oracle_input(h, policy, rng)
     else:
         nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        if not np.isfinite(nrm).all():
+            raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
         hn = _oracle_input(h / nrm, policy, rng)

@@ -5,7 +5,7 @@ import pytest
 
 from fpmimo.bounds import c_u, delta_miso, delta_simo
 from fpmimo import kernels
-from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode
+from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode, _round
 from fpmimo.kernels import PrecisionPolicy, round_input
 from fpmimo.transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
@@ -57,6 +57,14 @@ class TestMrt:
     def test_zero_channel_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             mrt_precode(np.zeros(4, dtype=complex), 1.0 + 0j, POL16)
+
+    def test_norm_that_overflows_rejected(self):
+        """A finite h whose norm overflows would divide into a precoder of
+        zeros."""
+        h = np.ones(8, dtype=complex)
+        h[-1] = 1e155
+        with pytest.raises(ValueError, match="^mrt_precode requires a channel whose norm does not overflow$"):
+            mrt_precode(h, 1.0 + 0j, POL16)
 
     def test_error_independent_of_m(self):
         rng = np.random.default_rng(4)
@@ -192,30 +200,25 @@ class TestZfPrecode:
 
 
 class TestZfChannelRounding:
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
-    def test_stochastic_rounds_the_channel_once(self, monkeypatch, zf):
-        """The channel's own entry, the right-hand side, both Gram factors
-        and the precoder's final product all see one rounding of H."""
+    def test_the_channel_is_rounded_once(self, monkeypatch, zf, rounding):
+        """The entry rounds H once; the right-hand side, both Gram factors and
+        the precoder's final product read that rounding, and no rounding of
+        H or of H^T follows."""
         M, K = 32, 4
-        seen = []
+        shapes = []
 
-        def spy(x, policy, rng=None):
-            out = round_input(x, policy, rng)
-            if np.shape(x) == (M, K):
-                seen.append(out)
-            elif np.shape(x) == (K, M):  # H^T, which the reductions conjugate
-                seen.append(out.T)
-            return out
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return _round(x, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "round_input", spy)
+        monkeypatch.setattr(kernels, "_round", spy)
         rng = np.random.default_rng(16)
         H = _channel(rng, M, K)
         y = _channel(rng, M if zf is zf_detect_ne else K)
-        policy = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
-        zf(H, y, policy, np.random.default_rng(1))
-        assert len(seen) == 4
-        for Hq in seen[1:]:
-            np.testing.assert_array_equal(Hq, seen[0])
+        zf(H, y, PrecisionPolicy.uniform(FP16, rounding=rounding), np.random.default_rng(1))
+        assert [s for s in shapes if s in ((M, K), (K, M))] == [(M, K)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
@@ -304,8 +307,8 @@ def test_each_outside_operand_enters_by_one_rounding(roundings, name):
 def test_each_outside_operand_is_checked_once(roundings, monkeypatch, name, rounding):
     """A public transceiver checks each operand it is given once: by its
     ``fp_round`` pass under nearest-even, by one ``np.isfinite`` pass under
-    stochastic rounding, whose ``fp_round`` passes take draws and check
-    nothing.  The normalizing MRT checks h by ``np.isfinite`` before its norm."""
+    stochastic rounding, before the ``fp_round`` passes that take draws.  The
+    normalizing MRT checks h by ``np.isfinite`` before its norm."""
     isfinite, checked = np.isfinite, []
 
     def spy(x, *args, **kwargs):
