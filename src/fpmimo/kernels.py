@@ -22,12 +22,12 @@ check, raising ValueError on a part that is not finite once rounded or,
 under the strict range, before.  Under stochastic rounding ``_rounded``
 first checks every operand by ``np.isfinite``, so a bad one raises before
 any draw.  The call then computes on the entered operands, in a private
-core where another caller needs it (``_inner``; ``transceiver._mrt``,
-``_zf_detect``, ``_zf_precode``).  A core rounds nothing it is given, and
-enters by ``_rounded`` only what its stages compute (the zero-forcing Gram,
-factor, right-hand sides and solution, each K-sized).  The paired run calls
-a core twice on the inputs it rounded; under the fp64 reference policy
-nothing is drawn, and ``fp_dot`` sums in its carrier loop.
+core where another caller needs it (``_inner``, ``_solve``;
+``transceiver._mrt``, ``_zf_detect``, ``_zf_precode``).  A core rounds nothing
+it is given, and each value once: it enters only the zero-forcing Gram and c,
+which may hold high-format sums, and ``_solve`` checks its solution.  The
+paired run calls a core twice on the inputs it rounded; under the fp64
+reference policy nothing is drawn, and ``fp_dot`` sums in its carrier loop.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
@@ -321,11 +321,16 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
     and the ceil(2n/b) partial results are combined sequentially in the
     high format.
     """
+    return _inner_call("inner_product_fp", a, b, policy, rng)
+
+
+def _inner_call(name: str, a, b, policy: PrecisionPolicy, rng=None):
+    """The body of :func:`inner_product_fp`, entering its operands under ``name``."""
     a = _as_cvec(a, "a")
     b = _as_cvec(b, "b")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    out = _inner(*_rounded("inner_product_fp", policy, rng, a, b), policy, rng)
+    out = _inner(*_rounded(name, policy, rng, a, b), policy, rng)
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -419,8 +424,9 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     side="lower-conjugate" solves R^H q = rhs (forward substitution);
     side="upper" solves R x = rhs (back substitution).  Assumes the real
     diagonal produced by :func:`cholesky_fp`; a diagonal entry that is 0 once
-    rounded (a strict-IEEE flush) raises ZeroDivisionError.  The substitution
-    runs in the C core (``fp_trisolve``).
+    rounded (a strict-IEEE flush) raises ZeroDivisionError, and a solution
+    with a part that is not finite (one that overflows) raises ValueError.
+    The substitution runs in the C core (``fp_trisolve``).
     """
     if side not in ("lower-conjugate", "upper"):
         raise ValueError("side must be 'lower-conjugate' or 'upper'")
@@ -429,9 +435,14 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
-    R, rhs = _rounded("trisolve_fp", policy, rng, R, rhs)
+    return _solve(*_rounded("trisolve_fp", policy, rng, R, rhs), side, policy, rng)
+
+
+def _solve(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
+    """The core of :func:`trisolve_fp` on an entered factor and right-hand side."""
     if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
         raise ZeroDivisionError("zero diagonal entry in triangular solve")
+    K = R.shape[-1]
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     lanes = math.prod(batch)
     R = np.ascontiguousarray(np.broadcast_to(R, batch + (K, K)))
@@ -441,4 +452,6 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     _core.lib().fp_trisolve(lanes, K, side == "upper", R.ctypes.data, rhs.ctypes.data,
                             _c_format(policy.working, policy.range_mode),
                             None if u is None else u.ctypes.data, x.ctypes.data)
+    if not np.isfinite(x).all():
+        raise ValueError("trisolve_fp gave a non-finite solution")
     return x

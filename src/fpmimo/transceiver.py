@@ -13,8 +13,8 @@ Each public transceiver enters each operand it is given once, by
 calls its core (MRC's is ``kernels._inner``), which the paired run calls
 directly on the inputs it rounded.  A core rounds none of its operands
 again; the zero-forcing cores conjugate H inside their reductions, forming
-no H^H, and enter by ``_rounded`` only what their stages compute (C, R, c,
-q and e), which under a mixed policy holds sums of the high format.
+no H^H, round only C and c, which under a mixed policy hold sums of the high
+format, and pass R, q and e to ``kernels._solve``, which checks its result.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .kernels import (
     PrecisionPolicy,
     _cmul,
     _dot,
+    _inner_call,
     _rounded,
+    _solve,
     cholesky_fp,
-    inner_product_fp,
-    trisolve_fp,
 )
 
 __all__ = ["mrc_combine", "mrt_precode", "zf_detect_ne", "zf_precode_ne"]
@@ -42,7 +42,7 @@ def mrc_combine(h, z, policy: PrecisionPolicy, rng=None):
     ``h`` and ``z`` have shape (..., M).  Uniform policies reduce
     sequentially; a mixed policy uses the blocked summation architecture.
     """
-    return inner_product_fp(h, z, policy, rng)
+    return _inner_call("mrc_combine", h, z, policy, rng)
 
 
 def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
@@ -101,13 +101,15 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     factorization and forward/back substitution, every operation rounded.
     ``H`` has shape (..., M, K), ``z`` shape (..., M); returns r of shape
     (..., K).  With ``error="mask"`` returns (r, breakdown_mask) instead of
-    raising on a non-positive pivot.  A non-finite ``H`` or ``z`` raises
-    ValueError before any draw or reduction.
+    raising on a non-positive pivot.  A non-finite ``H`` or ``z`` or a bad
+    ``error`` raises ValueError before any draw, an overflowing solution after.
     """
     H = np.asarray(H, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
+    if error not in ("raise", "mask"):
+        raise ValueError("error must be 'raise' or 'mask'")
     H, z = _rounded("zf_detect_ne", policy, rng, H, z)
     return _zf_detect(H, z, policy, rng, error)
 
@@ -116,8 +118,9 @@ def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """The core of :func:`zf_detect_ne` on an entered channel and signal."""
     c = _dot(np.swapaxes(H, -1, -2), z[..., None, :], policy, rng, conj=True)
     R, breakdown = _factor(H, policy, rng, error)
-    q = trisolve_fp(R, c, "lower-conjugate", policy, rng)  # which enters R and c
-    r = trisolve_fp(R, q, "upper", policy, rng)
+    (c,) = _rounded("trisolve_fp", policy, rng, c)  # its sums may be of the high format
+    q = _solve(R, c, "lower-conjugate", policy, rng)
+    r = _solve(R, q, "upper", policy, rng)
     if error == "mask":
         return r, breakdown
     return r
@@ -137,13 +140,18 @@ def zf_precode_ne(
     s = fl(H e).  ``normalize=True`` applies the full-precision power
     normalization sqrt(M - K) (the analytic expectation of the zero-forcing
     precoder's power).  ``H`` is (..., M, K), ``x_d`` is (..., K); returns s
-    of shape (..., M).  A non-finite ``H`` or ``x_d`` raises ValueError
-    before any draw or reduction.
+    of shape (..., M).  A non-finite ``H`` or ``x_d``, a bad ``error`` or M <= K
+    with ``normalize`` raises ValueError before any draw; so does, after
+    them, a solution that overflows.
     """
     H = np.asarray(H, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
     if x_d.shape[-1] != H.shape[-1]:
         raise ValueError("x_d and H disagree on the user count")
+    if error not in ("raise", "mask"):
+        raise ValueError("error must be 'raise' or 'mask'")
+    if normalize and H.shape[-2] <= H.shape[-1]:
+        raise ValueError("power normalization requires M > K")
     H, x_d = _rounded("zf_precode_ne", policy, rng, H, x_d)
     return _zf_precode(H, x_d, policy, rng, error, normalize)
 
@@ -153,13 +161,10 @@ def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
     """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
     M, K = H.shape[-2], H.shape[-1]
     R, breakdown = _factor(H, policy, rng, error)
-    q = trisolve_fp(R, x_d, "lower-conjugate", policy, rng)
-    e = trisolve_fp(R, q, "upper", policy, rng)
-    (e,) = _rounded("matvec_fp", policy, rng, e)
+    q = _solve(R, x_d, "lower-conjugate", policy, rng)
+    e = _solve(R, q, "upper", policy, rng)
     s = _dot(H, e[..., None, :], policy, rng)
     if normalize:
-        if M <= K:
-            raise ValueError("power normalization requires M > K")
         s = math.sqrt(M - K) * s
     if error == "mask":
         return s, breakdown

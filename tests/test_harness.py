@@ -341,8 +341,8 @@ def test_paired_runs_pass_over_no_m_entry_operand_beyond_the_rounding(
         monkeypatch, roundings, scenario, rounding):
     """The paired run's rounding (``_rounded``) is its inputs' one pass, and
     their check, under either rounding mode: no other pass over an M-entry
-    operand follows.  The zero-forcing runs enter their K-sized stage
-    outputs, the reference run included."""
+    operand follows.  The zero-forcing runs round their K-sized Gram, and c
+    in detection, the reference run included."""
     M = 20
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
     rounded, paired = harness._rounded, set()

@@ -18,7 +18,7 @@ from fpmimo.kernels import (
     round_input,
     trisolve_fp,
 )
-from fpmimo.transceiver import mrt_precode, zf_detect_ne, zf_precode_ne
+from fpmimo.transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -333,6 +333,13 @@ class TestTrisolve:
             trisolve_fp(np.diag([1.0, 0.0]), np.ones(2, dtype=complex), "upper", POL16)
 
     @pytest.mark.parametrize("side", ["upper", "lower-conjugate"])
+    def test_overflowing_solution_raises(self, side):
+        """1e300 / 1e-150 overflows the carrier; the solve raises rather than
+        returning inf."""
+        with pytest.raises(ValueError, match="^trisolve_fp gave a non-finite solution$"):
+            trisolve_fp(np.array([[1e-150]]), np.array([1e300]), side, POL16)
+
+    @pytest.mark.parametrize("side", ["upper", "lower-conjugate"])
     def test_diagonal_flushed_to_zero_on_entry(self, side):
         """Strict fp16 flushes a diagonal below x_min to 0 as it rounds R, so
         the check reads the rounded R; an unbounded policy keeps it nonzero."""
@@ -364,8 +371,7 @@ class TestPrecisionOrdering:
 # -- inputs: never written, and checked for finiteness -----------------------
 
 def _entry_cases():
-    """(name, call(policy, rng, *args), args) for each array entry point
-    (``mrc_combine`` is ``inner_product_fp``)."""
+    """(name, call(policy, rng, *args), args) for each array entry point."""
     rng = np.random.default_rng(31)
 
     def cn(*shape):
@@ -386,6 +392,7 @@ def _entry_cases():
         ("trisolve_fp-lower", lambda p, g, R, b: trisolve_fp(R, b, "lower-conjugate", p, g),
          (R, cn(3, 2))),
         ("trisolve_fp-upper", lambda p, g, R, b: trisolve_fp(R, b, "upper", p, g), (R, cn(3, 2))),
+        ("mrc_combine", lambda p, g, h, z: mrc_combine(h, z, p, g), (cn(3, 40), cn(3, 40))),
         ("mrt_precode", lambda p, g, h, x: mrt_precode(h, x, p, g), (cn(3, 50), cn(3))),
         ("mrt_precode-prenormalized",
          lambda p, g, h, x: mrt_precode(h, x, p, g, prenormalized=True), (cn(3, 50), cn(3))),

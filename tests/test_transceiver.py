@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpmimo.bounds import c_u, delta_miso, delta_simo
-from fpmimo import kernels
+from fpmimo import harness, kernels
 from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RoundingMode, _round
 from fpmimo.kernels import PrecisionPolicy, round_input
 from fpmimo.transceiver import mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne
@@ -199,14 +199,23 @@ class TestZfPrecode:
         assert s.shape == (4, 16) and bd.shape == (4,)
 
 
+_ROUNDED_POLICIES = [
+    PrecisionPolicy.uniform(FP16, rounding=rounding) for rounding in RoundingMode
+] + [PrecisionPolicy.mixed(FP16, FP32, 8, rounding=rounding) for rounding in RoundingMode]
+_ROUNDED_IDS = [f"{form}-{m.value}" for form in ("fp16", "fp16+fp32-b8") for m in RoundingMode]
+
+
 class TestZfChannelRounding:
-    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("paired", [False, True], ids=["public", "paired"])
+    @pytest.mark.parametrize("policy", _ROUNDED_POLICIES, ids=_ROUNDED_IDS)
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
-    def test_the_channel_is_rounded_once(self, monkeypatch, zf, rounding):
-        """The entry rounds H once; the right-hand side, both Gram factors and
-        the precoder's final product read that rounding, and no rounding of
-        H or of H^T follows."""
-        M, K = 32, 4
+    def test_each_value_is_rounded_once(self, monkeypatch, zf, policy, paired):
+        """A zero-forcing call rounds each value into the working format once:
+        H and the right-hand side as they enter, the Gram C as the factor takes
+        it and, in detection, c, whose sums may be of the high format.  R, q, e
+        and the entered x_d go on unrounded.  The paired run's reference run
+        rounds only C, and c in detection."""
+        lanes, M, K = 3, 16, 4
         shapes = []
 
         def spy(x, *args, **kwargs):
@@ -215,10 +224,16 @@ class TestZfChannelRounding:
 
         monkeypatch.setattr(kernels, "_round", spy)
         rng = np.random.default_rng(16)
-        H = _channel(rng, M, K)
-        y = _channel(rng, M if zf is zf_detect_ne else K)
-        zf(H, y, PrecisionPolicy.uniform(FP16, rounding=rounding), np.random.default_rng(1))
-        assert [s for s in shapes if s in ((M, K), (K, M))] == [(M, K)]
+        detect = zf is zf_detect_ne
+        H = _channel(rng, lanes, M, K)
+        y = _channel(rng, lanes, M if detect else K)
+        stages = [(lanes, K, K), (lanes, K)] if detect else [(lanes, K, K)]
+        if paired:
+            core = harness._zf_detect if detect else harness._zf_precode
+            harness._paired(zf.__name__, core, (H, y), policy, np.random.default_rng(1), error="mask")
+        else:
+            zf(H, y, policy, np.random.default_rng(1))
+        assert shapes == [H.shape, y.shape] + stages * (2 if paired else 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
@@ -294,7 +309,8 @@ def test_each_outside_operand_enters_by_one_rounding(roundings, name):
     """Under nearest-even a public transceiver enters each operand it is
     given by one ``fp_round`` pass, which is also its check, and makes no
     other pass over an M-entry operand (H^T, the normalized channel); the
-    zero-forcing ones also enter their K-sized stage outputs."""
+    zero-forcing ones round only their K-sized Gram, and c in detection
+    (see ``test_each_value_is_rounded_once``)."""
     call, operands, as_given = _entry_cases()[name]
     call(POL16)
     for x in as_given:
@@ -322,3 +338,50 @@ def test_each_outside_operand_is_checked_once(roundings, monkeypatch, name, roun
     rounded = [address for address, _, drawn in roundings if not drawn]
     for x in operands:
         assert checked.count(x.ctypes.data) + rounded.count(x.ctypes.data) == 1
+
+
+class TestZfKeywords:
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("case", ["detect-error", "precode-error", "precode-m-le-k"])
+    def test_bad_keyword_raises_before_any_rounding_or_draw(self, roundings, case, rounding):
+        """A bad ``error``, or power normalization with M <= K, raises before
+        H is rounded or the generator moves."""
+        rng = np.random.default_rng(24)
+        M = 3 if case == "precode-m-le-k" else 8
+        H, x = _channel(rng, 2, M, 3), _channel(rng, 2, 3)
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+        call, message = {
+            "detect-error": (lambda g: zf_detect_ne(H, _channel(rng, 2, M), policy, g, error="bogus"),
+                             "error must be 'raise' or 'mask'"),
+            "precode-error": (lambda g: zf_precode_ne(H, x, policy, g, error="bogus"),
+                              "error must be 'raise' or 'mask'"),
+            "precode-m-le-k": (lambda g: zf_precode_ne(H, x, policy, g, error="mask"),
+                               "power normalization requires M > K"),
+        }[case]
+        g = np.random.default_rng(3)
+        before = g.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(g)
+        assert roundings == []
+        assert g.bit_generator.state == before
+
+
+class TestZfOverflow:
+    @pytest.mark.parametrize("paired", [False, True], ids=["public", "paired"])
+    @pytest.mark.parametrize("error", ["raise", "mask"])
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_overflowing_solution_raises(self, zf, rounding, error, paired):
+        """With K = 1, M = 4 and h = 1e-150, a signal of 1e300 gives a solution
+        past the carrier's range; the solve's check raises on it."""
+        detect = zf is zf_detect_ne
+        H = np.full((4, 1), 1e-150, dtype=complex)
+        y = np.full(4 if detect else 1, 1e300, dtype=complex)
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+        g = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="^trisolve_fp gave a non-finite solution$"):
+            if paired:
+                core = harness._zf_detect if detect else harness._zf_precode
+                harness._paired(zf.__name__, core, (H, y), policy, g, error=error)
+            else:
+                zf(H, y, policy, g, error=error)
