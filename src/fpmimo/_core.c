@@ -13,16 +13,17 @@
  *
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
- * and so with its bits, for the rate analysis of the harness and the
- * condition numbers of the bounds; fp_norm computes the row norms of
- * numpy.linalg's norm(x, axis=-1), with its bits, for the harness.  fp_normal
- * draws the standard normals of numpy's Generator.standard_normal on a PCG64,
- * bit for bit and to the same end state, with numpy's own ziggurat
- * (random_standard_normal of libnpyrandom.a), splitting the draws across
- * threads by decoding pieces of the stream from their first word and joining
- * them where the true chain of samples meets them, into an output of any
- * stride; fp_cn then makes CN(0, 1) samples of the real and imaginary parts
- * so drawn in place, with the bits of numpy's (1j*im + re) / d.
+ * and so with its bits on numbers, for the rate analysis of the harness and
+ * the condition numbers of the bounds; fp_norm computes the norms of
+ * contiguous complex rows with the bits of numpy.linalg's norm(x, axis=-1),
+ * the package's one fp64 norm.  fp_normal draws the standard normals of
+ * numpy's Generator.standard_normal on a PCG64, bit for bit and to the same
+ * end state, with numpy's own ziggurat (random_standard_normal of
+ * libnpyrandom.a), splitting the draws across threads by decoding pieces of
+ * the stream from their first word and joining them where the true chain of
+ * samples meets them, into an output of any stride; fp_cn then makes
+ * CN(0, 1) samples of the real and imaginary parts so drawn in place, with
+ * the bits of numpy's (1j*im + re) / d.
  * fpmimo/_core.py compiles this file on first use, with numpy's include
  * directory and linked to libnpyrandom.a, and loads it with ctypes; it must
  * be built with -ffp-contract=off, so that no product and sum fuse into one
@@ -280,9 +281,6 @@ typedef struct {
     int64_t *found;
 } elem_t;
 
-/* What fp_round finds: a part that is not finite. */
-enum { NONFINITE = 1 };
-
 /* The lanes [lo, hi) rounded into out, with fp_round's check unless found is
  * NULL.  Under the strict range, which clamps an infinity to x_max, it reads
  * x; else out, which is not finite where x is not.  It costs a rounding pass
@@ -316,8 +314,8 @@ ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int6
                 bad |= strict ? !(isfinite(xr) & isfinite(xi)) : !isfinite(out[2 * i]);
         }
     }
-    if (bad && m->found)
-        __atomic_fetch_or(m->found, NONFINITE, __ATOMIC_RELAXED);
+    if (bad)
+        __atomic_store_n(m->found, 1, __ATOMIC_RELAXED);
 }
 
 /* four copies, so that each has only its own branches */
@@ -341,32 +339,25 @@ static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
     round_lanes(job, ((const elem_t *)job)->u, 2, lo, hi);
 }
 
-/* fn over the n entries of an ndim-dimensional array x in C order; geom holds
- * its shape (ndim entries), then its byte strides. */
-static void each_entry(int64_t ndim, const int64_t *geom, const char *x, double *out,
-                       const fmt_t *f, const double *u, int64_t *found, range_fn fn)
-{
-    elem_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
-                .n = 1, .r = rounder(f), .u = u, .out = out, .found = found};
-    for (int64_t k = 0; k < ndim; k++)
-        m.n *= geom[k];
-    split_lanes(m.n, m.n, fn, &m);
-}
-
 /* out = fl(x) entry by entry, for the n entries of an ndim-dimensional array
- * x (geom as each_entry's) of float64 (parts = 1) or complex128 (parts = 2),
- * into the C-contiguous out of the same type.  A complex entry is
- * fl(Re x_i) + i fl(Im x_i), joined by join_to.  u is NULL for nearest-even,
- * else it holds parts * n uniforms: one per part, the real parts taking the
- * first n and any imaginary parts the last n.  Unless found is NULL, NONFINITE
- * is or'ed into *found if some part of out, or under the strict range of x,
- * is not finite, so that one pass rounds an operand and checks it. */
+ * x of float64 (parts = 1) or complex128 (parts = 2), walked in C order, into
+ * the C-contiguous out of the same type; geom holds x's shape (ndim entries),
+ * then its byte strides.  A complex entry is fl(Re x_i) + i fl(Im x_i),
+ * joined by join_to.  u is NULL for nearest-even, else it holds parts * n
+ * uniforms: one per part, the real parts taking the first n and any
+ * imaginary parts the last n.  Unless found is NULL, *found is set to 1 if
+ * some part of out, or under the strict range of x, is not finite, so that
+ * one pass rounds an operand and checks it. */
 void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, double *out,
               const fmt_t *f, const double *u, int64_t *found)
 {
     const range_fn fn = parts == 1 ? (u ? round_real_stochastic : round_real_nearest)
                                    : (u ? round_complex_stochastic : round_complex_nearest);
-    each_entry(ndim, geom, x, out, f, u, found, fn);
+    elem_t m = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim}, .x = x,
+                .n = 1, .r = rounder(f), .u = u, .out = out, .found = found};
+    for (int64_t k = 0; k < ndim; k++)
+        m.n *= geom[k];
+    split_lanes(m.n, m.n, fn, &m);
 }
 
 /* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */
@@ -745,34 +736,6 @@ typedef struct {
     double *g;
 } gram_t;
 
-/* Entry (k, n) of the lane at A, B, for an entry with a NaN part: the sums
- * of gram_range again, in the operand order of numpy's loops (see fp_gram).
- * The compiler may fold the negation of Im a into the operations that use it,
- * which moves the sign of a NaN, so ai is read back through a volatile. */
-static __attribute__((noinline)) void gram_nan(const gram_t *j, const double *A,
-                                               const double *B, int64_t k, int64_t n,
-                                               double *out)
-{
-    double re = 0.0, im = 0.0;
-    for (int64_t m = 0; m < j->M; m++) {
-        volatile double neg = -A[2 * (j->K * m + k) + 1];
-        const double ar = A[2 * (j->K * m + k)], ai = neg;
-        const double br = B[2 * (j->N * m + n)], bi = B[2 * (j->N * m + n) + 1];
-        const double rr = nan_first(br, ar, br * ar), ii = nan_first(ai, bi, ai * bi);
-        const double ri = nan_first(ar, bi, ar * bi), ir = nan_first(ai, br, ai * br);
-        const double d = nan_first(rr, ii, rr - ii), s = nan_first(ri, ir, ri + ir);
-        if (j->K * j->N == 1) {
-            re = nan_first(re, d, re + d);
-            im = nan_first(im, s, im + s);
-        } else {
-            re = nan_first(d, re, d + re);
-            im = nan_first(s, im, s + im);
-        }
-    }
-    out[0] = re;
-    out[1] = im;
-}
-
 static void gram_range(const void *job, int64_t lo, int64_t hi)
 {
     const gram_t *j = job;
@@ -794,9 +757,6 @@ static void gram_range(const void *job, int64_t lo, int64_t hi)
                 }
             }
         }
-        for (int64_t i = 0; i < K * N; i++)
-            if (isnan(G[2 * i]) || isnan(G[2 * i + 1]))
-                gram_nan(j, A, B, i / N, i % N, G + 2 * i);
     }
 }
 
@@ -806,12 +766,11 @@ static void gram_range(const void *job, int64_t lo, int64_t hi)
  * "...mk,...ml->...kl" of a.conj() and b.  Entry (k, n) starts from
  * re = im = 0.0; then for m in order, with ar = Re a_mk, ai = -Im a_mk,
  * br = Re b_mn and bi = Im b_mn, re = re + (ar br - ai bi) and
- * im = im + (ar bi + ai br).  Where two NaN operands meet, x86-64 returns the
- * first one, so the sign and payload of a NaN entry follow the operand order
- * of numpy's compiled loops: br ar, ai bi, ar bi and ai br, and sum + term
- * when a block is 1 x 1 but term + sum otherwise.  gram_range's operand order
- * is the compiler's, so gram_nan redoes each entry with a NaN part in numpy's.
- * The lanes split like fp_dot's, with work L M K N. */
+ * im = im + (ar bi + ai br).  A NaN operand gives a NaN entry, but its sign
+ * and payload are the compiler's, not numpy's: no caller passes a NaN (the
+ * channels are drawn, and a transceiver's operands are checked on entry),
+ * and a CSV prints any NaN as nan.  The lanes split like fp_dot's, with work
+ * L M K N. */
 void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const double *b,
              double *g)
 {
@@ -822,77 +781,65 @@ void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const 
 /* |x|^2 of the complex128 at p as (x.conj() * x).real has it where numpy's
  * complex multiply fuses a product into its sum, as on x86-64 with FMA:
  * Re x Re x less (-Im x) Im x, in one rounding. */
-ALWAYS_INLINE double abs2(const char *p)
+ALWAYS_INLINE double abs2(const double *p)
 {
-    const double re = load(p, 0), im = load(p, 8);
-    return fma(re, re, im * im);
+    return fma(p[0], p[0], p[1] * p[1]);
 }
 
-/* The sum of abs2 over n entries s bytes apart, in the order of numpy's
+/* The sum of abs2 over the n complex128 entries at p, in the order of numpy's
  * pairwise add.reduce (pairwise_sum of its loops): fewer than 8 terms in
  * order from 0.0; at most 128 in 8 running sums r_j over the terms j mod 8
  * of the whole groups of 8, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
  * (r6 + r7)), then the rest in order; more, the halves split at n / 2
  * rounded down to a multiple of 8, added. */
-static double pairwise_abs2(const char *p, int64_t n, int64_t s)
+static double pairwise_abs2(const double *p, int64_t n)
 {
     if (n < 8) {
         double res = 0.0;
         for (int64_t i = 0; i < n; i++)
-            res += abs2(p + i * s);
+            res += abs2(p + 2 * i);
         return res;
     }
     if (n <= 128) {
         double r[8];
         int64_t i;
         for (int64_t j = 0; j < 8; j++)
-            r[j] = abs2(p + j * s);
+            r[j] = abs2(p + 2 * j);
         for (i = 8; i < n - n % 8; i += 8)
             for (int64_t j = 0; j < 8; j++)
-                r[j] += abs2(p + (i + j) * s);
+                r[j] += abs2(p + 2 * (i + j));
         double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            res += abs2(p + i * s);
+            res += abs2(p + 2 * i);
         return res;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise_abs2(p, n2, s) + pairwise_abs2(p + n2 * s, n - n2, s);
+    return pairwise_abs2(p, n2) + pairwise_abs2(p + 2 * n2, n - n2);
 }
 
-/* The arguments of an fp_norm call: its lanes walk x. */
+/* The arguments of an fp_norm call. */
 typedef struct {
-    walk_t w;
     int64_t n;
-    const char *x;
+    const double *x;
     double *out;
 } norm_t;
 
 static void norm_range(const void *job, int64_t lo, int64_t hi)
 {
     const norm_t *j = job;
-    const int64_t step = j->w.sa[j->w.ndim];
-    walk_t w = j->w;
-    walk_to(&w, lo);
-    for (int64_t l = lo; l < hi; l++, walk_by(&w, 1))
-        j->out[l] = sqrt(0.0 + pairwise_abs2(j->x + w.oa, j->n, step));
+    for (int64_t l = lo; l < hi; l++)
+        j->out[l] = sqrt(0.0 + pairwise_abs2(j->x + 2 * j->n * l, j->n));
 }
 
-/* out[l] = the 2-norm of lane l of an ndim-dimensional array of lanes of n
- * complex128 terms, with the bits of numpy.linalg's norm(x, axis=-1), which is
+/* out[l] = the 2-norm of lane l of L C-contiguous lanes of n complex128
+ * terms, with the bits of numpy.linalg's norm(x, axis=-1) on them, which is
  * sqrt(add.reduce((x.conj() * x).real, axis=-1)): 0.0 plus the pairwise sum
- * of abs2 along the lane (pairwise_abs2), then sqrt.  That is numpy's order
- * when its reduction runs along the lanes, as it does when the term axis has
- * the smallest stride; across the lanes it sums in another.  geom holds the
- * lane shape (ndim entries), then x's byte strides (ndim + 1, the term axis
- * last).  The lanes split like fp_gram's, with work L n. */
-void fp_norm(int64_t ndim, const int64_t *geom, int64_t n, const char *x, double *out)
+ * of abs2 along the lane (pairwise_abs2), then sqrt.  The lanes split like
+ * fp_gram's, with work L n. */
+void fp_norm(int64_t L, int64_t n, const double *x, double *out)
 {
-    norm_t job = {.w = {.ndim = ndim, .shape = geom, .sa = geom + ndim, .sd = geom + ndim},
-                  .n = n, .x = x, .out = out};
-    int64_t L = 1;
-    for (int64_t k = 0; k < ndim; k++)
-        L *= geom[k];
+    const norm_t job = {n, x, out};
     split_lanes(L, L * n, norm_range, &job);
 }
 

@@ -145,13 +145,13 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, 
     into ``x``.  The result is a fresh array (a scalar for a 0-d input,
     except a real one under the strict range), except on the real fp64
     nearest-even unbounded passthrough, which returns ``x`` itself.  With
-    ``found``, a one-entry int64 array, the C pass also ors the finding
-    ``kernels._NONFINITE`` into ``found[0]`` if some part of the result is
-    not finite or, under the strict range, which clamps an infinity, some
-    part of ``x``, so that one pass rounds and checks; the passthrough makes
-    no pass and finds nothing.  Stochastic rounding takes one draw per part
-    per call, all real parts' before the imaginary ones, so callers must keep
-    the order of their calls to reproduce a stream.
+    ``found``, a one-entry int64 array, the C pass also sets ``found[0]``
+    to 1 if some part of the result is not finite or, under the strict
+    range, which clamps an infinity, some part of ``x``, so that one pass
+    rounds and checks; the passthrough makes no pass and sets nothing.
+    Stochastic rounding takes one draw per part per call, all real parts'
+    before the imaginary ones, so callers must keep the order of their calls
+    to reproduce a stream.
     """
     parts = 2 if np.iscomplexobj(x) else 1
     if (parts == 1 and fmt.is_carrier and mode is RoundingMode.NEAREST_EVEN

@@ -22,18 +22,20 @@ check, raising ValueError on a part that is not finite once rounded or,
 under the strict range, before.  Under stochastic rounding ``_rounded``
 first checks every operand by ``np.isfinite``, so a bad one raises before
 any draw.  The call then computes on the entered operands, in a private
-core where another caller needs it (``_inner``, ``_solve``;
+core where another caller needs it (``_inner``, ``_chol``, ``_solve``;
 ``transceiver._mrt``, ``_zf_detect``, ``_zf_precode``).  A core rounds nothing
 it is given, and each value once: it enters only the zero-forcing Gram and c,
-which may hold high-format sums, and ``_solve`` checks its solution.  The
-paired run calls a core twice on the inputs it rounded; under the fp64
-reference policy nothing is drawn, and ``fp_dot`` sums in its carrier loop.
+which may hold high-format sums, under the transceiver's name, and ``_solve``
+checks its solution.  The paired run calls a core twice on the inputs it
+rounded; under the fp64 reference policy nothing is drawn, and ``fp_dot``
+sums in its carrier loop.
 
 The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
 of the harness's rate analysis and the bounds' condition-number sampler, in
 the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
-``B``.  ``_norm`` is ``fp_norm``: numpy.linalg's ``norm(x, axis=-1)``, each
+``B``, on numbers.  ``_norm`` is ``fp_norm``, the package's one fp64 norm:
+numpy.linalg's ``norm(x, axis=-1)`` on the C-contiguous copy of ``x``, each
 term ``fma(re, re, im*im)`` as numpy's fused complex multiply forms it, the
 row summed in numpy's pairwise order.  Every Gaussian draw of the package
 goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
@@ -119,7 +121,8 @@ class CholeskyBreakdownError(ArithmeticError):
 
 def _gram(A, B):
     """A^H B in fp64 with the bits of numpy's contraction ``"...mk,...ml->...kl"``
-    of ``A.conj()`` and ``B``, in the C core (``fp_gram``).
+    of ``A.conj()`` and ``B``, in the C core (``fp_gram``).  A NaN operand
+    gives a NaN entry, of the C core's sign and payload, not numpy's.
 
     A has shape (..., M, K) and B (..., M, N), with the same batch shape; each
     entry is summed over m in order.  An inner product a^H b over the last
@@ -137,22 +140,20 @@ def _gram(A, B):
 
 
 def _norm(x):
-    """numpy.linalg's ``norm(x, axis=-1)`` of a complex ``x``, with its bits,
-    in the C core (``fp_norm``), with no temporary array.
+    """The 2-norms of the rows of a complex ``x`` (its last axis), in the C
+    core (``fp_norm``): the package's one fp64 norm.
 
-    numpy sums each row in its pairwise order only when its reduction runs
-    along the rows, so the last axis of ``x`` must have the smallest stride
-    of the axes longer than one; else ValueError.
+    They have the bits of numpy.linalg's ``norm(x, axis=-1)`` on the
+    C-contiguous copy of ``x``, whatever the layout of ``x``; a C-contiguous
+    ``x`` is read in place.  A 0-d ``x`` raises ValueError.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim < 1:
+    if x.ndim < 1:  # before ascontiguousarray, which makes a 0-d array 1-d
         raise ValueError("a norm needs at least one dimension")
+    x = np.ascontiguousarray(x)
     *lanes, n = x.shape
-    if n > 1 and any(m > 1 and abs(s) <= abs(x.strides[-1]) for m, s in zip(lanes, x.strides)):
-        raise ValueError(f"rows must run along the innermost axis; strides are {x.strides}")
     out = np.empty(lanes)
-    geom = np.array([*lanes, *x.strides], dtype=np.int64)
-    _core.lib().fp_norm(len(lanes), geom.ctypes.data, n, x.ctypes.data, out.ctypes.data)
+    _core.lib().fp_norm(out.size, n, x.ctypes.data, out.ctypes.data)
     return out if out.ndim else out[()]
 
 
@@ -226,10 +227,6 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
     return z
 
 
-# What fp_round finds: a part that is not finite.
-_NONFINITE = 1
-
-
 def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
     """The operands of a call entered: each rounded into a fresh array by
     ``_round`` under the policy, in order, as ``round_input`` rounds it; then
@@ -244,7 +241,7 @@ def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
     found = np.zeros(1, dtype=np.int64)
     out = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found)
            for x in operands]
-    if found[0] & _NONFINITE:
+    if found[0]:
         raise ValueError(f"{name} requires finite input")
     return out
 
@@ -394,10 +391,14 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
     C = np.asarray(C, dtype=np.complex128)
-    K = C.shape[-1]
-    if C.shape[-2] != K:
+    if C.shape[-2] != C.shape[-1]:
         raise ValueError("C must be square")
-    (C,) = _rounded("cholesky_fp", policy, rng, C)
+    return _chol(*_rounded("cholesky_fp", policy, rng, C), policy, rng, error)
+
+
+def _chol(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
+    """The core of :func:`cholesky_fp` on an entered C."""
+    K = C.shape[-1]
     batch, lanes = C.shape[:-2], math.prod(C.shape[:-2])
     R, breakdown = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=bool)
     stop = np.empty(2, dtype=np.int64)

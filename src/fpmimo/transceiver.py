@@ -14,7 +14,8 @@ calls its core (MRC's is ``kernels._inner``), which the paired run calls
 directly on the inputs it rounded.  A core rounds none of its operands
 again; the zero-forcing cores conjugate H inside their reductions, forming
 no H^H, round only C and c, which under a mixed policy hold sums of the high
-format, and pass R, q and e to ``kernels._solve``, which checks its result.
+format, under their own name, factor C by ``kernels._chol`` and pass R, q
+and e to ``kernels._solve``, which checks its result.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import numpy as np
 
 from .kernels import (
     PrecisionPolicy,
+    _chol,
     _cmul,
     _dot,
     _inner_call,
+    _norm,
     _rounded,
     _solve,
-    cholesky_fp,
 )
 
 __all__ = ["mrc_combine", "mrt_precode", "zf_detect_ne", "zf_precode_ne"]
@@ -48,10 +50,11 @@ def mrc_combine(h, z, policy: PrecisionPolicy, rng=None):
 def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     """Matched-filter precoding s = (h/||h||) * x_d, shape (..., M).
 
-    The norm and the division are carried in full precision; only the
-    per-entry complex scalar products run at the working format (4 rounded
-    real multiplies + 2 rounded additions per entry), so the error does not
-    grow with M.  ``prenormalized=True`` skips the norm division (the caller
+    The norm (``kernels._norm``, the harness's, with bits that do not depend
+    on the layout of ``h``) and the division are carried in full precision;
+    only the per-entry complex scalar products run at the working format (4
+    rounded real multiplies + 2 rounded additions per entry), so the error
+    does not grow with M.  ``prenormalized=True`` skips the norm division (the caller
     already passes a unit-norm direction), which lets a full-precision rerun
     consume bit-identical inputs.  Non-finite ``h`` or ``x_d``, or a norm
     of ``h`` that overflows, raises ValueError.
@@ -61,8 +64,7 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     if not prenormalized:
         if not np.isfinite(h).all():  # before the norm, which would turn a bad h into NaN
             raise ValueError("mrt_precode requires finite input")
-        with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        nrm = _norm(h)[..., None]
         if not np.isfinite(nrm).all():  # else h / nrm would be a precoder of zeros
             raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
@@ -76,14 +78,14 @@ def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
     return _cmul(hn, x_d[..., None], policy, rng)
 
 
-def _factor(H, policy: PrecisionPolicy, rng, error: str):
+def _factor(name: str, H, policy: PrecisionPolicy, rng, error: str):
     """The Cholesky factor R of H^H H from the entered H, and the breakdown
-    mask (None unless ``error="mask"``).
+    mask (None unless ``error="mask"``).  The Gram, which may hold sums of
+    the high format, is entered under the transceiver's ``name``.
 
-    A broken lane keeps the unit pivots ``cholesky_fp`` gave it, so it stays
-    solvable; its result is discarded upstream."""
-    # the factor enters C as it takes it
-    out = cholesky_fp(_upper_gram(H, policy, rng), policy, rng, error=error)
+    A broken lane keeps the unit pivots ``kernels._chol`` gave it, so it
+    stays solvable; its result is discarded upstream."""
+    out = _chol(*_rounded(name, policy, rng, _upper_gram(H, policy, rng)), policy, rng, error)
     return out if error == "mask" else (out, None)
 
 
@@ -117,8 +119,8 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
 def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """The core of :func:`zf_detect_ne` on an entered channel and signal."""
     c = _dot(np.swapaxes(H, -1, -2), z[..., None, :], policy, rng, conj=True)
-    R, breakdown = _factor(H, policy, rng, error)
-    (c,) = _rounded("trisolve_fp", policy, rng, c)  # its sums may be of the high format
+    R, breakdown = _factor("zf_detect_ne", H, policy, rng, error)
+    (c,) = _rounded("zf_detect_ne", policy, rng, c)  # its sums may be of the high format
     q = _solve(R, c, "lower-conjugate", policy, rng)
     r = _solve(R, q, "upper", policy, rng)
     if error == "mask":
@@ -160,7 +162,7 @@ def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
                 normalize: bool = True):
     """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
     M, K = H.shape[-2], H.shape[-1]
-    R, breakdown = _factor(H, policy, rng, error)
+    R, breakdown = _factor("zf_precode_ne", H, policy, rng, error)
     q = _solve(R, x_d, "lower-conjugate", policy, rng)
     e = _solve(R, q, "upper", policy, rng)
     s = _dot(H, e[..., None, :], policy, rng)

@@ -102,6 +102,14 @@ def test_every_entry_point_is_declared():
         assert fn.restype is None, name
 
 
+def test_no_module_calls_numpys_norm():
+    """``kernels._norm`` is the package's one fp64 norm: numpy's depends on the
+    array's layout."""
+    calls = [f"{py.name}:{i}" for py in sorted(_core.SOURCE.parent.glob("*.py"))
+             for i, line in enumerate(py.read_text().splitlines(), 1) if "linalg.norm" in line]
+    assert calls == []
+
+
 def test_thread_count_stays_within_affinity():
     assert 1 <= _core.threads() <= min(len(os.sched_getaffinity(0)), 8)
 

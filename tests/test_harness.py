@@ -19,7 +19,7 @@ from fpmimo.harness import (
     run_sweep,
     verify_bounds,
 )
-from fpmimo.kernels import PrecisionPolicy, _noise
+from fpmimo.kernels import PrecisionPolicy, _noise, _norm
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -411,17 +411,35 @@ def test_public_call_equals_the_paired_run(name, policy):
 
 
 @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+def test_normalizing_mrt_equals_the_slab_path(rounding):
+    """``mrt_precode`` normalizes h as ``_slab_miso`` does, by ``_norm``, so
+    the public call gives the bytes and generator end state of the slab's
+    path: h / _norm(h), then the paired run's policy run."""
+    rng = np.random.default_rng(24)
+    h = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+    x = np.exp(2j * np.pi * rng.random(6))
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    g, want = np.random.default_rng(9), np.random.default_rng(9)
+    got = harness.mrt_precode(h, x, policy, g)
+    _, out, _ = harness._paired("mrt_precode", harness._mrt, (h / _norm(h)[:, None], x),
+                                policy, want)
+    assert (got.dtype, got.shape, got.tobytes()) == (out.dtype, out.shape, out.tobytes())
+    assert g.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", ["zf_detect_ne", "zf_precode_ne"])
 def test_paired_overflowing_gram_raises_at_the_factor(name, rounding):
     """With H near 1e154 the Gram overflows the carrier; the factor's check
-    of it raises in the paired run as in the public transceiver."""
+    of it raises under the transceiver's name in the paired run as in the
+    public transceiver."""
     rng = np.random.default_rng(22)
     lanes, M, K = 3, 16, 2
     H = 1e154 * (rng.standard_normal((lanes, M, K)) + 1j * rng.standard_normal((lanes, M, K)))
     y = rng.standard_normal((lanes, M if name == "zf_detect_ne" else K)) + 0.5j
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
     core = getattr(harness, _CORES[name])
-    with pytest.raises(ValueError, match="^cholesky_fp requires finite input$"):
+    with pytest.raises(ValueError, match=f"^{name} requires finite input$"):
         harness._paired(name, core, (H, y), policy, np.random.default_rng(3), error="mask")
 
 

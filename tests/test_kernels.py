@@ -614,8 +614,9 @@ GRAM_FORMS = {
     "cm,cm->c": (lambda a, b: np.einsum("...m,...m->...", a[..., 0].conj(), b[..., 0]),
                  lambda a, b: _gram(a[..., :1], b[..., :1])[..., 0, 0]),
 }
-# every sign of zero and infinity, NaN, and entries whose products overflow
-SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+# every sign of zero and infinity, and entries whose products overflow; a NaN
+# entry's sign and payload are the C core's (test_gram_of_a_nan_operand_is_nan)
+SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308])
 
 
 def _cn(rng, shape):
@@ -660,6 +661,21 @@ def test_gram_split_over_threads_matches_numpy_bits(L, M, K, N, form):
     a, b = _salted(rng, _cn(rng, (L, M, K))), _salted(rng, _cn(rng, (L, M, N)))
     want, got = GRAM_FORMS[form]
     _assert_same_bits(got(a, b), want(a, b))
+
+
+@pytest.mark.parametrize("form", GRAM_FORMS)
+def test_gram_of_a_nan_operand_is_nan(form):
+    """An entry that sums over a NaN part is NaN, as numpy's is; the others
+    keep numpy's bits."""
+    rng = np.random.default_rng(25)
+    a, b = _cn(rng, (3, 7, 4)), _cn(rng, (3, 7, 4))
+    a.imag[1, 2, 0] = b.real[2, 6, 0] = math.nan
+    want, got = GRAM_FORMS[form]
+    with np.errstate(invalid="ignore"):
+        w, g = want(a, b), got(a, b)
+    nan = np.isnan(w)
+    assert nan.any() and np.array_equal(np.isnan(g), nan)
+    np.testing.assert_array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
 
 
 def test_gram_rejects_mismatched_shapes():

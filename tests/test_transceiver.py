@@ -66,6 +66,14 @@ class TestMrt:
         with pytest.raises(ValueError, match="^mrt_precode requires a channel whose norm does not overflow$"):
             mrt_precode(h, 1.0 + 0j, POL16)
 
+    def test_fp64_norm_does_not_depend_on_the_layout(self):
+        """The norm is ``kernels._norm`` of h's C-contiguous copy, so h in C
+        and in Fortran order gives the same bytes."""
+        h = _channel(np.random.default_rng(5), 64, 300)
+        x = _channel(np.random.default_rng(6), 64)
+        got = mrt_precode(np.asfortranarray(h), x, POL64)
+        assert got.tobytes() == mrt_precode(h, x, POL64).tobytes()
+
     def test_error_independent_of_m(self):
         rng = np.random.default_rng(4)
         bound = delta_miso(FP16.unit_roundoff, 3.0)
@@ -257,13 +265,13 @@ class TestZfChannelRounding:
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
     def test_overflowing_gram_raises_at_the_factor(self, zf, rounding):
         """With H near 1e154 the Gram overflows the carrier, and the check of
-        the Gram as the factor takes it raises."""
+        the Gram as the factor takes it raises under the transceiver's name."""
         rng = np.random.default_rng(20)
         lanes, M, K = 3, 16, 2
         H = 1e154 * _channel(rng, lanes, M, K)
         y = _channel(rng, lanes, M if zf is zf_detect_ne else K)
         policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
-        with pytest.raises(ValueError, match="^cholesky_fp requires finite input$"):
+        with pytest.raises(ValueError, match=f"^{zf.__name__} requires finite input$"):
             zf(H, y, policy, np.random.default_rng(3))
 
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
@@ -385,3 +393,20 @@ class TestZfOverflow:
                 harness._paired(zf.__name__, core, (H, y), policy, g, error=error)
             else:
                 zf(H, y, policy, g, error=error)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["public", "paired"])
+    @pytest.mark.parametrize("error", ["raise", "mask"])
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    def test_overflowing_right_hand_side_raises_under_the_transceivers_name(
+            self, rounding, error, paired):
+        """With H = 100 and a signal of 1e307 over M = 4, c = H^H z overflows
+        the carrier; it is entered under the name of the transceiver."""
+        H = np.full((4, 1), 100, dtype=complex)
+        z = np.full(4, 1e307, dtype=complex)
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+        g = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="^zf_detect_ne requires finite input$"):
+            if paired:
+                harness._paired("zf_detect_ne", harness._zf_detect, (H, z), policy, g, error=error)
+            else:
+                zf_detect_ne(H, z, policy, g, error=error)
