@@ -15,8 +15,8 @@
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
  * and so with its bits on numbers, for the rate analysis of the harness and
  * the condition numbers of the bounds; fp_norm computes the norms of
- * contiguous complex rows with the bits of numpy.linalg's norm(x, axis=-1),
- * the package's one fp64 norm.  fp_normal draws the standard normals of
+ * contiguous complex rows in fused form, the package's one fp64 norm, with
+ * the bits of numpy.linalg's norm(x, axis=-1) where numpy fuses.  fp_normal draws the standard normals of
  * numpy's Generator.standard_normal on a PCG64, bit for bit and to the same
  * end state, with numpy's own ziggurat (random_standard_normal of
  * libnpyrandom.a), splitting the draws across threads by decoding pieces of
@@ -564,10 +564,10 @@ void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
 /* The uniforms of a factorization or a solve over L lanes: one block of L per
  * rounding step, the blocks in the order of the steps, lane l reading entry l
  * of each.  u points at the lane's entry of the next block, or is NULL for
- * nearest-even; steps counts the steps taken. */
+ * nearest-even. */
 typedef struct {
     const double *u;
-    int64_t L, steps;
+    int64_t L;
 } draws_t;
 
 /* fl(x), one step */
@@ -576,7 +576,6 @@ ALWAYS_INLINE double fl(double x, const rounder_t *r, draws_t *s)
     const double *u = s->u;
     if (u)
         s->u += s->L;
-    s->steps++;
     return round_to(x, r, u);
 }
 
@@ -618,16 +617,14 @@ ALWAYS_INLINE void div_to(double tr, double ti, double d, const rounder_t *r,
 #define IM(m, i, k) ((m)[2 * ((i) * K + (k)) + 1])
 
 ALWAYS_INLINE void chol_lanes(int64_t L, int64_t K, const double *c, const rounder_t *r,
-                              const double *u, double *rr, uint8_t *bad, int64_t *stop)
+                              const double *u, double *rr, int64_t *broken)
 {
-    stop[0] = K;
-    stop[1] = 0;
     for (int64_t l = 0; l < L; l++) {
         const double *C = c + 2 * K * K * l;
         double *R = rr + 2 * K * K * l, p[2];
-        draws_t s = {u ? u + l : NULL, L, 0};
+        draws_t s = {u ? u + l : NULL, L};
         memset(R, 0, 2 * K * K * sizeof *R);
-        bad[l] = 0;
+        broken[l] = K;
         for (int64_t j = 0; j < K; j++) {
             double acc = RE(C, j, j);
             for (int64_t k = 0; k < j; k++) {
@@ -636,11 +633,8 @@ ALWAYS_INLINE void chol_lanes(int64_t L, int64_t K, const double *c, const round
                 acc = fl(acc - fl(re2 + im2, r, &s), r, &s);
             }
             if (acc <= 0) {
-                bad[l] = 1;
-                if (j < stop[0]) {
-                    stop[0] = j;
-                    stop[1] = s.steps;
-                }
+                if (broken[l] == K)
+                    broken[l] = j;
                 acc = 1.0;
             }
             double rjj = fl(sqrt(acc), r, &s);
@@ -664,25 +658,23 @@ ALWAYS_INLINE void chol_lanes(int64_t L, int64_t K, const double *c, const round
  *
  * Row j's pivot starts from acc = Re C_jj; for k < j in order, with
  * (a, b) = R_kj, acc = fl(acc - fl(fl(a a) + fl(b b))); R_jj = fl(sqrt(acc)).
- * A lane whose acc is not positive gets bad[l] = 1 and the pivot
- * fl(sqrt(1.0)), else bad[l] = 0.  Then for i > j, t = C_ji, less
- * conj(R_kj) R_ki for k < j in order (cmul_to, then sub_to), and
- * R_ji = fl(t / R_jj) by parts (div_to).  stop[0] is the first column whose
- * pivot check fails in some lane (K if none), and stop[1] the steps each lane
- * took before that check.
+ * A pivot whose acc is not positive is fl(sqrt(1.0)), and broken[l] is the
+ * first column of lane l where that happened, K if none.  Then for i > j,
+ * t = C_ji, less conj(R_kj) R_ki for k < j in order (cmul_to, then sub_to),
+ * and R_ji = fl(t / R_jj) by parts (div_to).
  *
  * u is NULL for nearest-even.  Else it holds a block of L uniforms for each
  * step, in the order just given: for row j, the four steps of each k of
  * acc, then the pivot's one, then for each i > j the eight of each k (six
  * for the product, two for the difference) and the two of the quotient. */
 void fp_chol(int64_t L, int64_t K, const double *c, const fmt_t *f,
-             const double *u, double *r, uint8_t *bad, int64_t *stop)
+             const double *u, double *r, int64_t *broken)
 {
     const rounder_t rd = rounder(f);
     if (u)
-        chol_lanes(L, K, c, &rd, u, r, bad, stop);
+        chol_lanes(L, K, c, &rd, u, r, broken);
     else
-        chol_lanes(L, K, c, &rd, NULL, r, bad, stop);
+        chol_lanes(L, K, c, &rd, NULL, r, broken);
 }
 
 ALWAYS_INLINE void trisolve_lanes(int64_t L, int64_t K, int upper, const double *rr,
@@ -692,7 +684,7 @@ ALWAYS_INLINE void trisolve_lanes(int64_t L, int64_t K, int upper, const double 
     for (int64_t l = 0; l < L; l++) {
         const double *R = rr + 2 * K * K * l, *B = b + 2 * K * l;
         double *X = x + 2 * K * l, p[2];
-        draws_t s = {u ? u + l : NULL, L, 0};
+        draws_t s = {u ? u + l : NULL, L};
         for (int64_t n = 0; n < K; n++) {
             int64_t i = upper ? K - 1 - n : n;
             double tr = 0.0 + B[2 * i], ti = 0.0 + B[2 * i + 1];
@@ -833,10 +825,10 @@ static void norm_range(const void *job, int64_t lo, int64_t hi)
 }
 
 /* out[l] = the 2-norm of lane l of L C-contiguous lanes of n complex128
- * terms, with the bits of numpy.linalg's norm(x, axis=-1) on them, which is
- * sqrt(add.reduce((x.conj() * x).real, axis=-1)): 0.0 plus the pairwise sum
- * of abs2 along the lane (pairwise_abs2), then sqrt.  The lanes split like
- * fp_gram's, with work L n. */
+ * terms in fused form: 0.0 plus the pairwise sum of abs2 along the lane
+ * (pairwise_abs2), then sqrt.  numpy.linalg's norm(x, axis=-1),
+ * sqrt(add.reduce((x.conj() * x).real, axis=-1)), has these bits where its
+ * complex multiply fuses.  The lanes split like fp_gram's, with work L n. */
 void fp_norm(int64_t L, int64_t n, const double *x, double *out)
 {
     const norm_t job = {n, x, out};

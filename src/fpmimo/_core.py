@@ -116,7 +116,7 @@ def lib() -> ctypes.CDLL:
         (so.fp_round, [i64, ptr, i64, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_cn, [i64, ptr, f64]),
         (so.fp_dot, [i64, ptr, i64, ptr, ptr, fmt, fmt, i64, ptr, flag, flag, ptr]),
-        (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr, ptr]),
+        (so.fp_chol, [i64, i64, ptr, fmt, ptr, ptr, ptr]),
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),

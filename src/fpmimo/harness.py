@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .formats import FP16, FP64, PRESETS, FloatFormat, RangeMode, RoundingMode, get_format
-from .kernels import PolicyMode, PrecisionPolicy, _gram, _inner, _noise, _norm, _rounded
+from .kernels import PolicyMode, PrecisionPolicy, _gram, _inner, _noise, _norm, _rounded, _settled
 from .transceiver import (  # the public four stay here: bench/tracing.py wraps them by name
     _mrt, _zf_detect, _zf_precode, mrc_combine, mrt_precode, zf_detect_ne, zf_precode_ne,
 )
@@ -276,20 +276,21 @@ def _pilot_factor(config: ExperimentConfig) -> float:
     return 1.0
 
 
-def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round, **kw):
+def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round):
     """Round ``inputs`` once, in order, and run the transceiver ``name`` on
     them twice, through its ``core``.
 
     The rounding (``kernels._rounded``) is the public transceiver's entry,
     and its C pass is also the check: a part that is not finite raises
     ValueError under ``name``, under stochastic rounding before any draw.
-    The first run is under ``policy`` with the keywords ``kw``, and gives
-    the bytes and generator end state of the public call; the second is
-    under ``_reference_policy(policy)``, which rounds no input and draws
-    nothing.  Returns the rounded inputs and the two outputs.
+    The first run is under ``policy``, and gives the bytes and generator
+    end state of the public call; the second is under
+    ``_reference_policy(policy)``, which rounds no input and draws nothing.
+    Returns the rounded inputs and the two results, as the core returns
+    them.
     """
     q = _rounded(name, policy, rng_round, *inputs)
-    return q, core(*q, policy, rng_round, **kw), core(*q, _reference_policy(policy))
+    return q, core(*q, policy, rng_round), core(*q, _reference_policy(policy))
 
 
 def _trials(draw, run, trials: int, chunk: int, policy: PrecisionPolicy) -> dict:
@@ -385,17 +386,15 @@ def _gain_powers(Geff):
     return diag, np.sum(np.abs(Geff) ** 2, axis=-1) - diag
 
 
-def _zf_result(sinr, d, out_ref, G, breakdown) -> dict:
-    """Per-trial dict of a zero-forcing slab, with the reference norm as ``scale``."""
+def _zf_result(sinr, d, ref_norm, kappa, breakdown, scale) -> dict:
+    """Per-trial dict of a zero-forcing slab, with the bound's ``scale``."""
     err = _norm(d)
-    ref_norm = _norm(out_ref)
     return {
         "rate": np.sum(np.log2(1.0 + sinr), axis=-1),
         "rel_err": err / ref_norm,
         "err_abs": err,
-        "scale": ref_norm,
-        "kappa": np.linalg.cond(G, 2),
-        "ref_norm": ref_norm,
+        "scale": scale,
+        "kappa": kappa,
         "breakdown": breakdown,
     }
 
@@ -404,9 +403,8 @@ def _slab_mu_simo(H, x, noise, Hc, rho, config, rng_round):
     z = np.einsum("cmk,ck->cm", H, x)
     np.multiply(math.sqrt(rho), z, out=z)
     z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
-    (Hq, _), (r_fp, breakdown), r_ref = _paired(
-        "zf_detect_ne", _zf_detect, (Hc, z), config.policy, rng_round, error="mask"
-    )
+    (Hq, _), low, ref = _paired("zf_detect_ne", _zf_detect, (Hc, z), config.policy, rng_round)
+    (r_fp, breakdown), r_ref = _settled(low, config.K, "mask"), _settled(ref, config.K, "raise")
     dr = r_fp - r_ref
     G = _gram(Hq, Hq)
     dinv = np.diagonal(np.linalg.inv(G), axis1=-2, axis2=-1).real
@@ -415,15 +413,14 @@ def _slab_mu_simo(H, x, noise, Hc, rho, config, rng_round):
     else:
         diag, cross = _gain_powers(np.linalg.solve(G, _gram(Hq, H)))
         sinr = rho * diag / (rho * cross + dinv + np.abs(dr) ** 2)
-    out = _zf_result(sinr, dr, r_ref, G, breakdown)
-    out["scale"] = out["kappa"] * out["ref_norm"]  # the bound constant c_u carries no kappa
-    return out
+    ref_norm, kappa = _norm(r_ref), np.linalg.cond(G, 2)
+    # the scale carries kappa, since the bound constant c_u does not
+    return _zf_result(sinr, dr, ref_norm, kappa, breakdown, kappa * ref_norm)
 
 
 def _slab_mu_miso(H, x, Hc, rho, config, rng_round):
-    (Hq, _), (s_fp, breakdown), s_ref = _paired(
-        "zf_precode_ne", _zf_precode, (Hc, x), config.policy, rng_round, error="mask"
-    )
+    (Hq, _), low, ref = _paired("zf_precode_ne", _zf_precode, (Hc, x), config.policy, rng_round)
+    (s_fp, breakdown), s_ref = _settled(low, config.K, "mask"), _settled(ref, config.K, "raise")
     ds = s_fp - s_ref
     beta = H.shape[-2] - config.K
     leak = rho * np.abs(_gram(H, ds[..., None])[..., 0]) ** 2
@@ -435,7 +432,8 @@ def _slab_mu_miso(H, x, Hc, rho, config, rng_round):
         S = np.linalg.solve(G, _gram(Hq, H))
         diag, cross = _gain_powers(np.swapaxes(S, -1, -2).conj())
         sinr = rho * beta * diag / (rho * beta * cross + leak + 1.0)
-    return _zf_result(sinr, ds, s_ref, G, breakdown)  # the bound constant c_d carries kappa
+    ref_norm = _norm(s_ref)  # the scale: the bound constant c_d carries kappa
+    return _zf_result(sinr, ds, ref_norm, np.linalg.cond(G, 2), breakdown, ref_norm)
 
 
 _SLABS = {

@@ -34,10 +34,10 @@ The harness's fp64 side runs in the C core too, with numpy's bits and no
 full-size temporary.  ``_gram`` is ``fp_gram``: the fp64 Gram products A^H B
 of the harness's rate analysis and the bounds' condition-number sampler, in
 the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
-``B``, on numbers.  ``_norm`` is ``fp_norm``, the package's one fp64 norm:
-numpy.linalg's ``norm(x, axis=-1)`` on the C-contiguous copy of ``x``, each
-term ``fma(re, re, im*im)`` as numpy's fused complex multiply forms it, the
-row summed in numpy's pairwise order.  Every Gaussian draw of the package
+``B``, on numbers.  ``_norm`` is ``fp_norm``, the package's one fp64 norm, in
+fused form: each term ``fma(re, re, im*im)``, the row summed in numpy's
+pairwise order; numpy.linalg's ``norm(x, axis=-1)`` gives these bits where
+its complex multiply fuses.  Every Gaussian draw of the package
 goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
 same end state, which hands large draws from a PCG64 to the C core's
 ``fp_normal``, split across its threads, with numpy's own ziggurat (from
@@ -143,9 +143,12 @@ def _norm(x):
     """The 2-norms of the rows of a complex ``x`` (its last axis), in the C
     core (``fp_norm``): the package's one fp64 norm.
 
-    They have the bits of numpy.linalg's ``norm(x, axis=-1)`` on the
-    C-contiguous copy of ``x``, whatever the layout of ``x``; a C-contiguous
-    ``x`` is read in place.  A 0-d ``x`` raises ValueError.
+    Each is sqrt(0.0 + the sum of fma(re, re, im*im) over the row, in the
+    pairwise order of numpy's ``add.reduce``), on the C-contiguous copy of
+    ``x``, so the bits do not depend on its layout; a C-contiguous ``x`` is
+    read in place.  numpy.linalg's ``norm(x, axis=-1)`` of that copy gives
+    them where numpy's complex multiply fuses a product into its sum (x86-64
+    with FMA).  A 0-d ``x`` raises ValueError.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 1:  # before ascontiguousarray, which makes a 0-d array 1-d
@@ -381,42 +384,47 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     sequential.  Only the upper triangle of ``C`` and the real part of its
     diagonal are read, though all of ``C`` is checked and rounded on entry.
 
-    ``error="raise"`` raises :class:`CholeskyBreakdownError` on a
-    non-positive pivot; ``error="mask"`` returns ``(R, breakdown)`` where
-    ``breakdown`` is a boolean array over the batch.  A broken lane's
-    non-positive pivots become 1.0, so its (meaningless) R stays solvable.
-    A stochastic raise leaves the rng where the draws up to the broken
-    pivot's check leave it.
+    A non-positive pivot becomes 1.0, so a broken lane's (meaningless) R
+    stays solvable, and the factorization runs to its end in every lane.
+    Then ``error="mask"`` returns ``(R, breakdown)``, ``breakdown`` a
+    boolean array over the batch, and ``error="raise"`` raises
+    :class:`CholeskyBreakdownError` at the smallest column that broke down
+    in any lane, leaving the rng where the mask call leaves it.
     """
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
     C = np.asarray(C, dtype=np.complex128)
     if C.shape[-2] != C.shape[-1]:
         raise ValueError("C must be square")
-    return _chol(*_rounded("cholesky_fp", policy, rng, C), policy, rng, error)
+    (C,) = _rounded("cholesky_fp", policy, rng, C)
+    return _settled(_chol(C, policy, rng), C.shape[-1], error)
 
 
-def _chol(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
-    """The core of :func:`cholesky_fp` on an entered C."""
+def _chol(C, policy: PrecisionPolicy, rng=None):
+    """The core of :func:`cholesky_fp` on an entered C: R and, for each lane,
+    the first column whose pivot was not positive, or K (see ``_settled``)."""
     K = C.shape[-1]
     batch, lanes = C.shape[:-2], math.prod(C.shape[:-2])
-    R, breakdown = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=bool)
-    stop = np.empty(2, dtype=np.int64)
-    stochastic = policy.rounding is RoundingMode.STOCHASTIC
-    state = rng.bit_generator.state if stochastic and error == "raise" else None
+    R, broken = np.empty(C.shape, dtype=np.complex128), np.empty(batch, dtype=np.int64)
     steps = K + 3 * K * (K - 1) + 4 * K * (K - 1) * (K - 2) // 3  # fp_chol's, per lane
     u = _uniforms(policy.rounding, rng, lanes * steps)
     _core.lib().fp_chol(lanes, K, C.ctypes.data, _c_format(policy.working, policy.range_mode),
-                        None if u is None else u.ctypes.data, R.ctypes.data,
-                        breakdown.ctypes.data, stop.ctypes.data)
+                        None if u is None else u.ctypes.data, R.ctypes.data, broken.ctypes.data)
+    return R, broken
+
+
+def _settled(result, K: int, error: str):
+    """A factoring core's ``(out, broken)``, ``broken`` per lane the first
+    column whose pivot was not positive or K, as its public call returns it:
+    ``(out, broken < K)`` under ``error="mask"``; else ``out``, or
+    :class:`CholeskyBreakdownError` at the smallest broken column."""
+    out, broken = result
+    mask = broken < K
     if error == "mask":
-        return R, breakdown
-    if stop[0] < K:
-        if state is not None:  # take back the draws of the steps after the check
-            rng.bit_generator.state = state
-            rng.random(int(stop[1]) * lanes)
-        raise CholeskyBreakdownError(int(stop[0]))
-    return R
+        return out, mask
+    if mask.any():
+        raise CholeskyBreakdownError(int(broken.min()))
+    return out
 
 
 def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
@@ -425,9 +433,10 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     side="lower-conjugate" solves R^H q = rhs (forward substitution);
     side="upper" solves R x = rhs (back substitution).  Assumes the real
     diagonal produced by :func:`cholesky_fp`; a diagonal entry that is 0 once
-    rounded (a strict-IEEE flush) raises ZeroDivisionError, and a solution
-    with a part that is not finite (one that overflows) raises ValueError.
-    The substitution runs in the C core (``fp_trisolve``).
+    rounded (a strict-IEEE flush) raises ZeroDivisionError before the
+    solve's draws, and a solution with a part that is not finite (one that
+    overflows) raises ValueError.  The substitution runs in the C core
+    (``fp_trisolve``).
     """
     if side not in ("lower-conjugate", "upper"):
         raise ValueError("side must be 'lower-conjugate' or 'upper'")
@@ -436,13 +445,15 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")
-    return _solve(*_rounded("trisolve_fp", policy, rng, R, rhs), side, policy, rng)
+    R, rhs = _rounded("trisolve_fp", policy, rng, R, rhs)
+    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
+        raise ZeroDivisionError("zero diagonal entry in triangular solve")
+    return _solve(R, rhs, side, policy, rng)
 
 
 def _solve(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
-    """The core of :func:`trisolve_fp` on an entered factor and right-hand side."""
-    if np.any(np.diagonal(R, axis1=-2, axis2=-1).real == 0):
-        raise ZeroDivisionError("zero diagonal entry in triangular solve")
+    """The core of :func:`trisolve_fp` on an entered factor and right-hand
+    side, whose diagonal has no 0 (``_chol``'s pivots are positive)."""
     K = R.shape[-1]
     batch = np.broadcast_shapes(R.shape[:-2], rhs.shape[:-1])
     lanes = math.prod(batch)

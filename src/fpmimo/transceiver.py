@@ -15,7 +15,8 @@ directly on the inputs it rounded.  A core rounds none of its operands
 again; the zero-forcing cores conjugate H inside their reductions, forming
 no H^H, round only C and c, which under a mixed policy hold sums of the high
 format, under their own name, factor C by ``kernels._chol`` and pass R, q
-and e to ``kernels._solve``, which checks its result.
+and e to ``kernels._solve``, which checks its result.  They return the
+factor's breakdown per lane, which the public call settles, after the solves.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .kernels import (
     _inner_call,
     _norm,
     _rounded,
+    _settled,
     _solve,
 )
 
@@ -78,15 +80,12 @@ def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
     return _cmul(hn, x_d[..., None], policy, rng)
 
 
-def _factor(name: str, H, policy: PrecisionPolicy, rng, error: str):
-    """The Cholesky factor R of H^H H from the entered H, and the breakdown
-    mask (None unless ``error="mask"``).  The Gram, which may hold sums of
-    the high format, is entered under the transceiver's ``name``.
-
-    A broken lane keeps the unit pivots ``kernels._chol`` gave it, so it
+def _factor(name: str, H, policy: PrecisionPolicy, rng):
+    """``kernels._chol`` of H^H H from the entered H: R and its breakdown per
+    lane.  The Gram, which may hold sums of the high format, is entered under
+    the transceiver's ``name``.  A broken lane keeps its unit pivots, so it
     stays solvable; its result is discarded upstream."""
-    out = _chol(*_rounded(name, policy, rng, _upper_gram(H, policy, rng)), policy, rng, error)
-    return out if error == "mask" else (out, None)
+    return _chol(*_rounded(name, policy, rng, _upper_gram(H, policy, rng)), policy, rng)
 
 
 def _upper_gram(H, policy: PrecisionPolicy, rng):
@@ -102,9 +101,11 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     Computes c = fl(H^H z), C = fl(H^H H), then solves C r = c by Cholesky
     factorization and forward/back substitution, every operation rounded.
     ``H`` has shape (..., M, K), ``z`` shape (..., M); returns r of shape
-    (..., K).  With ``error="mask"`` returns (r, breakdown_mask) instead of
-    raising on a non-positive pivot.  A non-finite ``H`` or ``z`` or a bad
-    ``error`` raises ValueError before any draw, an overflowing solution after.
+    (..., K).  A lane whose factor breaks down is solved on its unit pivots
+    (see :func:`~fpmimo.kernels.cholesky_fp`); then ``error="mask"`` returns
+    (r, breakdown_mask), and ``error="raise"`` raises CholeskyBreakdownError.
+    A non-finite ``H`` or ``z`` or a bad ``error`` raises ValueError before
+    any draw, an overflowing solution after, before any breakdown raises.
     """
     H = np.asarray(H, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -113,19 +114,17 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
     H, z = _rounded("zf_detect_ne", policy, rng, H, z)
-    return _zf_detect(H, z, policy, rng, error)
+    return _settled(_zf_detect(H, z, policy, rng), H.shape[-1], error)
 
 
-def _zf_detect(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
-    """The core of :func:`zf_detect_ne` on an entered channel and signal."""
+def _zf_detect(H, z, policy: PrecisionPolicy, rng=None):
+    """The core of :func:`zf_detect_ne` on an entered channel and signal: r,
+    and the factor's breakdown per lane (see ``kernels._settled``)."""
     c = _dot(np.swapaxes(H, -1, -2), z[..., None, :], policy, rng, conj=True)
-    R, breakdown = _factor("zf_detect_ne", H, policy, rng, error)
+    R, broken = _factor("zf_detect_ne", H, policy, rng)
     (c,) = _rounded("zf_detect_ne", policy, rng, c)  # its sums may be of the high format
     q = _solve(R, c, "lower-conjugate", policy, rng)
-    r = _solve(R, q, "upper", policy, rng)
-    if error == "mask":
-        return r, breakdown
-    return r
+    return _solve(R, q, "upper", policy, rng), broken
 
 
 def zf_precode_ne(
@@ -142,9 +141,10 @@ def zf_precode_ne(
     s = fl(H e).  ``normalize=True`` applies the full-precision power
     normalization sqrt(M - K) (the analytic expectation of the zero-forcing
     precoder's power).  ``H`` is (..., M, K), ``x_d`` is (..., K); returns s
-    of shape (..., M).  A non-finite ``H`` or ``x_d``, a bad ``error`` or M <= K
-    with ``normalize`` raises ValueError before any draw; so does, after
-    them, a solution that overflows.
+    of shape (..., M).  A breakdown is handled as in :func:`zf_detect_ne`.
+    A non-finite ``H`` or ``x_d``, a bad ``error`` or M <= K with
+    ``normalize`` raises ValueError before any draw; so does, after them and
+    before any breakdown raises, a solution that overflows.
     """
     H = np.asarray(H, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
@@ -155,19 +155,17 @@ def zf_precode_ne(
     if normalize and H.shape[-2] <= H.shape[-1]:
         raise ValueError("power normalization requires M > K")
     H, x_d = _rounded("zf_precode_ne", policy, rng, H, x_d)
-    return _zf_precode(H, x_d, policy, rng, error, normalize)
+    return _settled(_zf_precode(H, x_d, policy, rng, normalize), H.shape[-1], error)
 
 
-def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, error: str = "raise",
-                normalize: bool = True):
-    """The core of :func:`zf_precode_ne` on an entered channel and symbols."""
+def _zf_precode(H, x_d, policy: PrecisionPolicy, rng=None, normalize: bool = True):
+    """The core of :func:`zf_precode_ne` on an entered channel and symbols:
+    s, and the factor's breakdown per lane (see ``kernels._settled``)."""
     M, K = H.shape[-2], H.shape[-1]
-    R, breakdown = _factor("zf_precode_ne", H, policy, rng, error)
+    R, broken = _factor("zf_precode_ne", H, policy, rng)
     q = _solve(R, x_d, "lower-conjugate", policy, rng)
     e = _solve(R, q, "upper", policy, rng)
     s = _dot(H, e[..., None, :], policy, rng)
     if normalize:
         s = math.sqrt(M - K) * s
-    if error == "mask":
-        return s, breakdown
-    return s
+    return s, broken

@@ -1,9 +1,15 @@
-"""The harness's fp64 side in the C core, byte for byte against the numpy it
-replaced: the row norms (``_norm``), the CN draws (``_noise``), the
-conjugating reduction of ``inner_product_fp`` and the fp64 entry of the
-kernels (``_rounded``) and ``round_input``."""
+"""The harness's fp64 side in the C core, byte for byte: the row norms
+(``_norm``) against their definition written out (``_oracle_norm``), and
+against the numpy they replaced the CN draws (``_noise``), the conjugating
+reduction of ``inner_product_fp`` and the fp64 entry of the kernels
+(``_rounded``) and ``round_input``."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,10 +50,138 @@ def _equal_states(a, b):
 
 # -- _norm ---------------------------------------------------------------------
 
+def _fused_term(re, im):
+    """fma(re, re, im*im) by its definition: re^2 + fl(im*im) in exact rational
+    arithmetic, rounded once to the nearest float64 (inf past the range)."""
+    c = im * im
+    if not (math.isfinite(re) and math.isfinite(c)):
+        return re * re + c  # inf or NaN, as fma gives it
+    try:
+        return float(Fraction(re) ** 2 + Fraction(c))
+    except OverflowError:
+        return math.inf
+
+
+def _fused_terms(re, im):
+    """``_fused_term`` of each pair of the float64 arrays re and im, in IEEE
+    float64 operations, each rounded as written whatever numpy's dispatch.
+
+    For 2^-480 <= |re| <= 2^500 and fl(im*im) <= 2^1000 it is Boldo and
+    Melquiond's emulated FMA (IEEE Trans. Comput. 57(4), 2008): Dekker's
+    exact square re^2 = p + e, Knuth's exact sum p + c = y + f, then
+    fl(y + ro(f + e)), ro rounding to odd.  Outside that range, a finite
+    re^2 of at least 2^1024 gives inf, one below 2^-1200 (less than half of
+    any ulp) gives c, and what remains goes to ``_fused_term``."""
+    c = im * im
+    a = np.abs(re)
+    finite = np.isfinite(re) & np.isfinite(c)
+    out = np.where(finite, np.where(a < 2.0**-600, c, np.inf), re * re + c)
+    fast = finite & (a >= 2.0**-480) & (a <= 2.0**500) & (c <= 2.0**1000)
+    x, c_fast = re[fast], c[fast]
+    p = x * x
+    t = x * 134217729.0  # Veltkamp's split by 2^27 + 1
+    hi = t - (t - x)
+    lo = x - hi
+    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    y = p + c_fast
+    z = y - p
+    f = (p - (y - z)) + (c_fast - z)
+    v = f + e
+    w = v - f
+    g = (f - (v - w)) + (e - w)  # f + e = v + g exactly
+    inexact_even = (g != 0) & ((v.view(np.uint64) & 1) == 0)
+    v[inexact_even] = np.nextafter(v, np.copysign(np.inf, g))[inexact_even]  # round to odd
+    out[fast] = y + v
+    rest = finite & ~fast & (a >= 2.0**-600) & (a < 2.0**512)
+    out[rest] = [_fused_term(r, i) for r, i in zip(re[rest], im[rest])]
+    return out
+
+
+def _pairwise(t):
+    """The sums over the last axis of t in numpy's pairwise ``add.reduce``
+    order (as ``fp_norm``'s comment in ``_core.c`` sets it out)."""
+    n = t.shape[-1]
+    if n < 8:
+        res = np.zeros(t.shape[:-1])
+        for i in range(n):
+            res = res + t[..., i]
+        return res
+    if n <= 128:
+        r = t[..., :8]
+        for i in range(8, n - n % 8, 8):
+            r = r + t[..., i:i + 8]
+        res = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
+            + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+        for i in range(n - n % 8, n):
+            res = res + t[..., i]
+        return res
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise(t[..., :n2]) + _pairwise(t[..., n2:])
+
+
+def _oracle_norm(x):
+    """``_norm``'s definition, which numpy.linalg's ``norm(x, axis=-1)`` meets
+    where numpy's complex multiply fuses a product into its sum: the fused
+    terms fma(re, re, im*im), summed in numpy's pairwise order from 0.0, and
+    the square root, in IEEE float64 operations, not numpy's dispatch."""
+    x = np.asarray(x, dtype=np.complex128)
+    re, im, step = x.real.reshape(-1), x.imag.reshape(-1), 1 << 16
+    terms = np.empty(re.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge and NaN terms
+        for i in range(0, re.size, step):  # in pieces, which keeps the temporaries small
+            terms[i:i + step] = _fused_terms(re[i:i + step], im[i:i + step])
+        return np.sqrt(0.0 + _pairwise(terms.reshape(x.shape)))
+
+
 def _check_norm(x):
-    with np.errstate(over="ignore"):
-        want = np.linalg.norm(x, axis=-1)
-    _bytes_equal(_norm(x), want)
+    _bytes_equal(_norm(x), _oracle_norm(x))
+
+
+def _midpoint_cases(rng):
+    """Pairs whose f + e rounds to the midpoint ulp(p)/2 from below, so that
+    fl(y + fl(f + e)) would round a tie where ``_fused_terms`` rounds to odd.
+
+    re = m 2^(s - 52), with u = 2^(s - 52) and m^2 in [2^104, 2^105) equal
+    to 2^51 - q modulo 2^52 (q = 7 mod 8; m from a square root of 2^51 - q
+    modulo 2^52, by Hensel's lifting), so that e = ulp(p)/2 - q u^2; and
+    im^2 = (q - 0.05) u^2."""
+    re, im = [], []
+    for q in range(7, 512, 8):
+        r = 1
+        for i in range(3, 52):
+            if (r * r - (2**51 - q)) % 2 ** (i + 1):
+                r += 2 ** (i - 1)
+        for root in (r, 2**52 - r, (r + 2**51) % 2**52, (2**51 - r) % 2**52):
+            m, s = 2**52 + root, int(rng.integers(-200, 200))
+            if m * m < 2**105:
+                re.append(math.ldexp(m, s - 52))
+                im.append(math.sqrt(q - 0.05) * 2.0 ** (s - 52))
+    return np.array(re), np.array(im)
+
+
+def test_fused_terms_are_the_exact_rational():
+    """The vectorized fused term is the exact rational one: on random bit
+    patterns, over every exponent; on specials and the edges of its ranges;
+    on re^2 and im^2 of one size; on sums p + c that lie on a midpoint (c
+    half an ulp of p) or next to one, where the low part of re^2 decides;
+    and where only the rounding to odd gets it (``_midpoint_cases``)."""
+    rng = np.random.default_rng(31)
+    n = 40000
+    bits = rng.integers(0, 1 << 64, size=(2, n), dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, 5e-324, 2.0**-600, 2.0**-480, 2.0**500, 2.0**512, 1e308,
+                         np.inf, -np.inf, np.nan])
+    sre, sim = np.meshgrid(specials, specials)
+    x = rng.standard_normal(n) * 2.0 ** rng.integers(-470, 490, n)
+    j = rng.integers(-220, 220, n)
+    mid = np.sqrt(rng.uniform(2.0, 4.0, n)) * 2.0 ** (j + 26)  # mid^2 in [2^(2j+53), 2^(2j+54))
+    cases = [bits, (sre.ravel(), sim.ravel()), (x, x * rng.uniform(0.5, 2.0, n))]
+    cases += [(mid, 2.0 ** j * k) for k in (1.0, 1.0 + 2.0**-26, 1.0 - 2.0**-26, 1.5)]
+    cases += [_midpoint_cases(rng)]
+    for re, im in cases:
+        with np.errstate(all="ignore"):
+            got = _fused_terms(re, im)
+            want = np.array([_fused_term(r, i) for r, i in zip(re, im)])
+        _bytes_equal(got, want)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310], ids=str)
@@ -98,7 +232,7 @@ def test_norm_of_any_layout_is_the_norm_of_its_contiguous_copy():
     x = _complex(np.random.default_rng(3), (4, 5))
     f = np.asfortranarray(_complex(np.random.default_rng(3), (2, 3, 4)))
     for y in (x.T, f, x.T[::-1, ::2], x.T[:1], x.T[:, :1]):
-        _bytes_equal(_norm(y), np.linalg.norm(np.ascontiguousarray(y), axis=-1))
+        _bytes_equal(_norm(y), _oracle_norm(np.ascontiguousarray(y)))
     with pytest.raises(ValueError, match="dimension"):
         _norm(x[0, 0])
 
@@ -206,3 +340,29 @@ def test_fp64_entry_joins_x_into_a_copy_with_numpys_bits():
             for policy in (fp64, strict):
                 _bytes_equal(_rounded("matmul_fp", policy, None, x)[0], want)
     assert isinstance(round_input(np.array(1 + 2j), fp64), complex)
+
+
+# -- the oracles at numpy's X86_V2 baseline --------------------------------------
+
+_X86_V2 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_oracles_hold_at_numpys_x86_v2_baseline():
+    """The norm, MRT and join oracles are written in IEEE operations, not in
+    numpy's dispatch, so the tests that compare with them pass with numpy
+    held at its X86_V2 baseline (no AVX2, no FMA), as on a host without
+    them: rerun in a child process with ``NPY_DISABLE_CPU_FEATURES`` set."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _X86_V2}
+    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"],
+                           env=env, capture_output=True, text=True)
+    if probe.returncode:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={_X86_V2!r}: "
+                    + " ".join(probe.stderr.strip().splitlines()[-3:]))
+    tests = Path(__file__).parent
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_fp64_side.py"), str(tests / "test_rounding_oracles.py"),
+         "-k", "_norm_ or fused_terms or join_matches or (complex_multiply and fp64)"],
+        env=env, cwd=tests.parent, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stdout[-4000:]  # 5 if it selects no test

@@ -19,12 +19,14 @@ elementwise roundings it replaced.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpmimo import kernels
 from fpmimo.formats import (
     BFLOAT16,
     FP16,
@@ -49,6 +51,7 @@ from fpmimo.kernels import (
     trisolve_fp,
 )
 from fpmimo.transceiver import _upper_gram, mrt_precode
+from test_fp64_side import _oracle_norm
 
 
 def _assert_bits_equal(got, want):
@@ -277,14 +280,26 @@ def _pairs(values):
     return re.ravel(), im.ravel()
 
 
+def _ieee_join(re, im):
+    """re + i im as numpy's ``1j*im + re`` forms it, in IEEE operations on
+    Python floats, each rounded as written: (0 + 1i)(im + 0i), with its
+    complex multiply unfused, then + (re + 0i).  The real sum is the only
+    one whose operands may both be NaN (0 * inf is one); it takes the NaN of
+    its first operand, as numpy does."""
+    t = 0.0 * im - 1.0 * 0.0
+    real = t if math.isnan(t) else re if math.isnan(re) else t + re
+    return real, (0.0 * 0.0 + 1.0 * im) + 0.0
+
+
 def test_join_matches_numpy_on_signed_zeros_and_specials():
     """Under the fp64 policy nothing rounds, so a copy is join_to of the parts
     as they are; these pairs move under it, so round_input copies."""
     re, im = _pairs(JOIN_VALUES)
     x = np.empty(re.shape, dtype=np.complex128)
     x.real, x.imag = re, im  # every sign pair, which no join would give
-    with np.errstate(invalid="ignore"):  # 0 * inf
-        got, want = round_input(x, PrecisionPolicy.uniform(FP64)), _oracle_join(re, im)
+    want = np.empty(re.shape, dtype=np.complex128)
+    want.real, want.imag = np.array([_ieee_join(float(r), float(i)) for r, i in zip(re, im)]).T
+    got = round_input(x, PrecisionPolicy.uniform(FP64))
     assert got is not x
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.flags.owndata  # not a view, so numpy can reuse it as a temporary
@@ -458,6 +473,8 @@ def _oracle_cmul(ar, ai, br, bi, rnd):
 
 
 def _oracle_cholesky(C, policy, rng=None, error="raise"):
+    """The whole factorization, a non-positive pivot taken as 1.0; then the
+    mask, or a raise at the smallest column that broke down in any lane."""
     C = np.asarray(C, dtype=np.complex128)
     K = C.shape[-1]
     _oracle_require_finite("cholesky_fp", C)
@@ -468,17 +485,17 @@ def _oracle_cholesky(C, policy, rng=None, error="raise"):
     Rr = np.zeros(batch + (K, K))
     Ri = np.zeros(batch + (K, K))
     breakdown = np.zeros(batch, dtype=bool)
+    first = None
     for j in range(K):
         acc = np.ascontiguousarray(C[..., j, j].real)
         for k in range(j):
             m2 = rnd(rnd(Rr[..., k, j] ** 2) + rnd(Ri[..., k, j] ** 2))
             acc = rnd(acc - m2)
         bad = acc <= 0
-        if np.any(bad):
-            if error == "raise":
-                raise CholeskyBreakdownError(j)
-            breakdown |= bad
-            acc = np.where(bad, 1.0, acc)
+        if first is None and np.any(bad):
+            first = j
+        breakdown |= bad
+        acc = np.where(bad, 1.0, acc)
         rjj = rnd(np.sqrt(acc))
         Rr[..., j, j] = rjj
         for i in range(j + 1, K):
@@ -495,6 +512,8 @@ def _oracle_cholesky(C, policy, rng=None, error="raise"):
     R = _oracle_join(Rr, Ri)
     if error == "mask":
         return R, breakdown
+    if first is not None:
+        raise CholeskyBreakdownError(first)
     return R
 
 
@@ -535,7 +554,7 @@ def _oracle_mrt(h, x_d, policy, rng=None, prenormalized=False):
     if prenormalized:
         hn = _oracle_input(h, policy, rng)
     else:
-        nrm = np.linalg.norm(h, axis=-1, keepdims=True)
+        nrm = _oracle_norm(h)[..., None]
         if not np.isfinite(nrm).all():
             raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
@@ -653,12 +672,13 @@ def _state(rng):
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64],
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64],
                          ids=lambda b: b.__name__)
 @pytest.mark.parametrize("fmt", [BFLOAT16, FP16, FP32], ids=str)
-def test_cholesky_raise_leaves_any_bit_generator_where_python_did(fmt, bit_generator):
-    """A stochastic breakdown in the middle of a factorization leaves the rng
-    where the Python loop left it, also for generators that cannot ``advance``.
+def test_cholesky_raise_leaves_any_bit_generator_where_the_mask_call_does(fmt, bit_generator):
+    """A stochastic breakdown in the middle of a factorization raises after
+    the whole factorization, so it leaves the rng where the mask call on the
+    same input, and the Python loop, leave it, whatever its bit generator.
 
     Under the strict IEEE range at scale 1e300 the "loaded" Gram matrices clamp
     on entry and break down at pivot 1 in these formats."""
@@ -671,11 +691,72 @@ def test_cholesky_raise_leaves_any_bit_generator_where_python_did(fmt, bit_gener
             continue
         for policy in policies:
             where = f"{name}, {policy.mode.value}, b={policy.block_size}"
-            rng_got, rng_want = (np.random.Generator(bit_generator(8)) for _ in range(2))
+            rng_got, rng_want, rng_mask = (np.random.Generator(bit_generator(8)) for _ in range(3))
             _, got_err = _outcome(call, args, opts, policy, rng_got)
             _, want_err = _outcome(oracle, args, opts, policy, rng_want)
+            _outcome(call, args, dict(error="mask"), policy, rng_mask)
             assert got_err == want_err, where
-            assert _state(rng_got) == _state(rng_want), where
+            assert _state(rng_got) == _state(rng_want) == _state(rng_mask), where
             mid += want_err is not None and want_err[0] is CholeskyBreakdownError \
                 and "pivot 0" not in want_err[1]
     assert mid == len(policies)
+
+
+def _broken_lanes(K):
+    """Well-conditioned Gram matrices of K users, one lane each breaking down
+    first at column 0, 1 and K - 1 (that one also at 1), a lane breaking at 1
+    and K - 1, and a lane that never breaks; the columns, K for none."""
+    H = _complex(np.random.default_rng(41), (6, 3 * K, K), 1.0)
+    C = np.conj(np.swapaxes(H, -1, -2)) @ H
+    for lane, columns in enumerate([(0,), (1,), (K - 1,), (1, K - 1), ()]):
+        for j in columns:
+            C[lane, j, j] = -1.0
+    return C[:5], [0, 1, K - 1, 1, K]
+
+
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+def test_breakdown_mask_and_raise_per_lane(mode, range_mode):
+    """The factor core gives each lane's first broken column (K for none);
+    the mask call gives the oracle's R and mask; the raise reports the
+    smallest broken column of the lanes it is given, and leaves the rng
+    where the mask call and the oracle leave it."""
+    K = 4
+    C, first = _broken_lanes(K)
+    policy = PrecisionPolicy.uniform(FP16, rounding=mode, range_mode=range_mode)
+    (Cq,) = _rounded("cholesky_fp", policy, np.random.default_rng(2), C)
+    assert kernels._chol(Cq, policy, np.random.default_rng(3))[1].tolist() == first
+    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+    (R, mask), (R_want, mask_want) = (cholesky_fp(C, policy, rng_got, error="mask"),
+                                      _oracle_cholesky(C, policy, rng_want, error="mask"))
+    assert mask.tolist() == mask_want.tolist() == [j < K for j in first]
+    np.testing.assert_array_equal(R.view(np.uint64), R_want.view(np.uint64))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    for lanes in ([0, 1, 2, 3, 4], [1, 2, 3, 4], [2, 4], [3, 2], [4]):
+        rngs = [np.random.default_rng(7) for _ in range(3)]
+        cholesky_fp(C[lanes], policy, rngs[0], error="mask")
+        outcomes = [_outcome(call, (C[lanes],), dict(error="raise"), policy, g)[1]
+                    for call, g in ((cholesky_fp, rngs[1]), (_oracle_cholesky, rngs[2]))]
+        smallest = min(first[lane] for lane in lanes)
+        want = None if smallest == K else \
+            (CholeskyBreakdownError, f"matrix numerically not positive definite (pivot {smallest})")
+        assert outcomes == [want, want], lanes
+        assert len({_state(g) for g in rngs}) == 1, lanes
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+def test_strict_fp16_pivot_that_flushes_to_zero_breaks_down(rounding):
+    """The second pivot's acc is (2^-10 + 2^-20) - R_01^2 = 2^-20, below
+    fp16's x_min = 2^-14.  The strict range flushes it to 0: a breakdown,
+    whose pivot is 1.0, never 0, so the solves of the broken R go through.
+    The unbounded range keeps it: a pivot of 2^-10."""
+    C = np.array([[2.0**-10, 2.0**-10], [2.0**-10, 2.0**-10 + 2.0**-20]], dtype=complex)
+    rhs = np.array([1.0, 1.0], dtype=complex)
+    for range_mode, broken, pivot in ((RangeMode.STRICT_IEEE, True, 1.0),
+                                      (RangeMode.UNBOUNDED, False, 2.0**-10)):
+        policy = PrecisionPolicy.uniform(FP16, rounding=rounding, range_mode=range_mode)
+        rng = np.random.default_rng(8)
+        R, mask = cholesky_fp(C, policy, rng, error="mask")
+        assert (bool(mask), R[1, 1]) == (broken, pivot), range_mode
+        for side in ("lower-conjugate", "upper"):
+            assert np.isfinite(trisolve_fp(R, rhs, side, policy, rng)).all()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestZfChannelRounding:
         stages = [(lanes, K, K), (lanes, K)] if detect else [(lanes, K, K)]
         if paired:
             core = harness._zf_detect if detect else harness._zf_precode
-            harness._paired(zf.__name__, core, (H, y), policy, np.random.default_rng(1), error="mask")
+            harness._paired(zf.__name__, core, (H, y), policy, np.random.default_rng(1))
         else:
             zf(H, y, policy, np.random.default_rng(1))
         assert shapes == [H.shape, y.shape] + stages * (2 if paired else 1)
@@ -293,6 +294,28 @@ class TestZfChannelRounding:
             ref, bd_ref = zf(H[keep], y[keep], policy, error="mask")
             assert not bd_ref.any()
             np.testing.assert_array_equal(out[keep].view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+def test_stochastic_breakdown_raises_after_the_solves(zf, bit_generator):
+    """A zero-forcing call raises its breakdown after the solves, at the
+    smallest broken column, with the output and generator end state of the
+    mask call, whatever the bit generator."""
+    rng = np.random.default_rng(21)
+    lanes, M, K = 5, 16, 3
+    H = _channel(rng, lanes, M, K)
+    y = _channel(rng, lanes, M if zf is zf_detect_ne else K)
+    H[[1, 3], :, 1] = 0.0  # a zero column: the factor breaks down at column 1
+    policy = PrecisionPolicy.uniform(FP16, rounding=RoundingMode.STOCHASTIC)
+    g, want = (np.random.Generator(bit_generator(4)) for _ in range(2))
+    _, bd = zf(H, y, policy, want, error="mask")
+    with pytest.raises(kernels.CholeskyBreakdownError) as exc:
+        zf(H, y, policy, g)
+    assert (exc.value.pivot_index, bd.tolist()) == (1, [False, True, False, True, False])
+    assert json.dumps(g.bit_generator.state, default=np.ndarray.tolist) \
+        == json.dumps(want.bit_generator.state, default=np.ndarray.tolist)
 
 
 def _entry_cases():
@@ -374,9 +397,13 @@ class TestZfKeywords:
         assert g.bit_generator.state == before
 
 
+# the public call in either error mode, and the paired run, which has none
+_CALLS = pytest.mark.parametrize("paired, error", [(False, "raise"), (False, "mask"), (True, None)],
+                                 ids=["raise-public", "mask-public", "paired"])
+
+
 class TestZfOverflow:
-    @pytest.mark.parametrize("paired", [False, True], ids=["public", "paired"])
-    @pytest.mark.parametrize("error", ["raise", "mask"])
+    @_CALLS
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
     def test_overflowing_solution_raises(self, zf, rounding, error, paired):
@@ -390,12 +417,11 @@ class TestZfOverflow:
         with pytest.raises(ValueError, match="^trisolve_fp gave a non-finite solution$"):
             if paired:
                 core = harness._zf_detect if detect else harness._zf_precode
-                harness._paired(zf.__name__, core, (H, y), policy, g, error=error)
+                harness._paired(zf.__name__, core, (H, y), policy, g)
             else:
                 zf(H, y, policy, g, error=error)
 
-    @pytest.mark.parametrize("paired", [False, True], ids=["public", "paired"])
-    @pytest.mark.parametrize("error", ["raise", "mask"])
+    @_CALLS
     @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
     def test_overflowing_right_hand_side_raises_under_the_transceivers_name(
             self, rounding, error, paired):
@@ -407,6 +433,6 @@ class TestZfOverflow:
         g = np.random.default_rng(5)
         with pytest.raises(ValueError, match="^zf_detect_ne requires finite input$"):
             if paired:
-                harness._paired("zf_detect_ne", harness._zf_detect, (H, z), policy, g, error=error)
+                harness._paired("zf_detect_ne", harness._zf_detect, (H, z), policy, g)
             else:
                 zf_detect_ne(H, z, policy, g, error=error)
