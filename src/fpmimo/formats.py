@@ -135,7 +135,18 @@ def _uniforms(mode: RoundingMode, rng, size: int):
     return rng.random(size)
 
 
-def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, found=None):
+def _out(out, shape: tuple, dtype):
+    """A fresh array of ``shape`` and ``dtype``, or ``out`` once checked to
+    be a C-contiguous one, which the C core writes in C order."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous {np.dtype(dtype)} of shape {tuple(shape)}")
+    return out
+
+
+def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, found=None,
+           out=None):
     """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
     A real ``x`` is rounded as float64, a complex one as complex128, both
@@ -143,8 +154,10 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, 
     reads ``x`` through its shape and strides, so no view is copied.  It does
     not raise on a non-finite value, which propagates, and it never writes
     into ``x``.  The result is a fresh array (a scalar for a 0-d input,
-    except a real one under the strict range), except on the real fp64
-    nearest-even unbounded passthrough, which returns ``x`` itself.  With
+    except a real one under the strict range), or ``out``, a C-contiguous
+    array of ``x``'s shape and carrier dtype that does not overlap ``x``,
+    when given; the real fp64 nearest-even unbounded passthrough returns
+    ``x`` itself either way.  With
     ``found``, a one-entry int64 array, the C pass also sets ``found[0]``
     to 1 if some part of the result is not finite or, under the strict
     range, which clamps an infinity, some part of ``x``, so that one pass
@@ -158,7 +171,7 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, 
             and range_mode is RangeMode.UNBOUNDED):
         return x
     x = np.asarray(x, dtype=np.complex128 if parts == 2 else np.float64)
-    out = np.empty(x.shape, dtype=x.dtype)
+    out = _out(out, x.shape, x.dtype)
     u = _uniforms(mode, rng, parts * x.size)
     geom = np.array([*x.shape, *x.strides], dtype=np.int64)
     _core.lib().fp_round(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -47,10 +48,44 @@ _SCENARIOS = ("SIMO", "MISO", "MU-SIMO", "MU-MISO")
 # sizes, so the RNG consumption (and thus every result) does not depend on the
 # trial count.  Slabs bound memory: the paired transceiver run and the rate
 # analysis go over slabs of a chunk's trials, each holding at most
-# _SLAB_ENTRIES complex entries (16 MiB) of any per-trial array.
+# _SLAB_ENTRIES complex entries (16 MiB) of any per-trial array.  A chunk's
+# per-antenna draws and a slab's per-antenna arrays live in the thread's pool
+# (``_pooled``), so the second and later chunks, slabs and points reuse pages
+# that are already faulted in: a fresh array of many MB is handed back to the
+# OS when it is freed, and its successor faults in every page again.  After a
+# trial loop a thread keeps its pool only while it holds at most _POOL_KEPT
+# bytes, as the 230 MB of a 1024-trial nearest-even MISO point at M = 10000
+# do; a stochastic point's slab is its whole chunk, so at large M its pool
+# is released.
 _CHUNK_SINGLE = 1024
 _CHUNK_MU = 64
 _SLAB_ENTRIES = 1 << 20
+_POOL_KEPT = 256 << 20
+
+
+class _Pool(threading.local):
+    """A thread's reused arrays: one complex128 buffer per role."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_POOL = _Pool()
+
+
+def _pooled(role: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous complex128 array of ``shape`` in this thread's buffer
+    for ``role``, grown to the largest request.
+
+    Each role names one array of a trial loop; arrays live at once have
+    distinct roles, and what is read from one is copied out before the loop
+    (``_trials``) returns, so no caller of the loop sees a pooled array.
+    """
+    buffers, n = _POOL.buffers, math.prod(shape)
+    if role not in buffers or buffers[role].size < n:
+        buffers.pop(role, None)  # the old buffer is freed before the larger one is made
+        buffers[role] = np.empty(n, dtype=np.complex128)
+    return buffers[role][:n].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -248,9 +283,13 @@ def estimate_channel_mmse(H, tau: int, rho: float, rng) -> np.ndarray:
     """
     if tau < 1 or not 0 < rho < math.inf:
         raise ValueError("tau >= 1 and a finite rho > 0 required")
-    H = np.asarray(H, dtype=np.complex128)
-    p = tau * rho
-    w = _noise(rng, H.shape, math.sqrt(2.0 * p))
+    return _estimate(np.asarray(H, dtype=np.complex128), tau * rho, rng)
+
+
+def _estimate(H, p: float, rng, out=None):
+    """The MMSE estimate of :func:`estimate_channel_mmse` at the pilot SNR
+    ``p`` = tau*rho, into a fresh array or ``out`` (see ``kernels._noise``)."""
+    w = _noise(rng, H.shape, math.sqrt(2.0 * p), out=out)
     np.add(H, w, out=w)
     return np.multiply(p / (p + 1.0), w, out=w)
 
@@ -276,9 +315,9 @@ def _pilot_factor(config: ExperimentConfig) -> float:
     return 1.0
 
 
-def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round):
-    """Round ``inputs`` once, in order, and run the transceiver ``name`` on
-    them twice, through its ``core``.
+def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round, out_shape=None):
+    """Round ``inputs``, complex arrays, once, in order, and run the
+    transceiver ``name`` on them twice, through its ``core``.
 
     The rounding (``kernels._rounded``) is the public transceiver's entry,
     and its C pass is also the check: a part that is not finite raises
@@ -287,10 +326,16 @@ def _paired(name: str, core, inputs, policy: PrecisionPolicy, rng_round):
     end state of the public call; the second is under
     ``_reference_policy(policy)``, which rounds no input and draws nothing.
     Returns the rounded inputs and the two results, as the core returns
-    them.
+    them.  The rounded inputs go into the pool, under the roles "input0",
+    "input1", ...; with ``out_shape``, so do the two results, by the core's
+    ``out=``.
     """
-    q = _rounded(name, policy, rng_round, *inputs)
-    return q, core(*q, policy, rng_round), core(*q, _reference_policy(policy))
+    q = _rounded(name, policy, rng_round, *inputs,
+                 out=[_pooled(f"input{i}", np.shape(x)) for i, x in enumerate(inputs)])
+    if out_shape is None:
+        return q, core(*q, policy, rng_round), core(*q, _reference_policy(policy))
+    return (q, core(*q, policy, rng_round, out=_pooled("output0", out_shape)),
+            core(*q, _reference_policy(policy), out=_pooled("output1", out_shape)))
 
 
 def _trials(draw, run, trials: int, chunk: int, policy: PrecisionPolicy) -> dict:
@@ -304,28 +349,42 @@ def _trials(draw, run, trials: int, chunk: int, policy: PrecisionPolicy) -> dict
     kernel and reduction works per trial, so under nearest-even a slab gives
     the bits of the whole chunk.  Under stochastic rounding the slab is the
     whole chunk, since each call lays its uniforms out across all its lanes.
+    ``draw`` and ``run`` may hold their arrays in the thread's pool
+    (``_pooled``), for the next chunk and slab to reuse, but ``run``'s dicts
+    must be fresh; the joined arrays are.  On return the pool is released if
+    it holds more than ``_POOL_KEPT`` bytes.
     """
     parts = []
-    for done in range(0, trials, chunk):
-        c = min(chunk, trials - done)
-        arrays = draw(c)
-        step = c
-        if policy.rounding is not RoundingMode.STOCHASTIC:
-            step = max(1, _SLAB_ENTRIES // max(a.size // c for a in arrays))
-        parts += [run(*(a[i:i + step] for a in arrays)) for i in range(0, c, step)]
+    try:
+        for done in range(0, trials, chunk):
+            c = min(chunk, trials - done)
+            arrays = draw(c)
+            step = c
+            if policy.rounding is not RoundingMode.STOCHASTIC:
+                step = max(1, _SLAB_ENTRIES // max(a.size // c for a in arrays))
+            parts += [run(*(a[i:i + step] for a in arrays)) for i in range(0, c, step)]
+    finally:
+        if sum(b.nbytes for b in _POOL.buffers.values()) > _POOL_KEPT:
+            _POOL.buffers.clear()
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
 def _draw(c, M, rho, config, rng):
     """A chunk's draws, in the stream's order: channel, symbols, the uplink
     noise, and the pilot noise of an MMSE estimate.  Returns the channel, the
-    symbols, the noise (uplink only) and the channel the receiver uses."""
+    symbols, the noise (uplink only) and the channel the receiver uses, the
+    per-antenna ones in the pool.  A single-user channel is drawn as
+    ``draw_channel``'s (c, M, 1), in the same order."""
     single = config.scenario in ("SIMO", "MISO")
-    H = draw_channel(M, 1 if single else config.K, rng, (c,))
-    H = H[..., 0] if single else H
+    shape = (c, M) if single else (c, M, config.K)
+    H = _noise(rng, shape, out=_pooled("channel", shape))
     x = _unit_symbols(rng, (c,) if single else (c, config.K))
-    noise = (_noise(rng, (c, M)),) if config.scenario.endswith("SIMO") else ()
-    Hc = H if config.csi == "perfect" else estimate_channel_mmse(H, config.tau, rho, rng)
+    noise = ()
+    if config.scenario.endswith("SIMO"):
+        noise = (_noise(rng, (c, M), out=_pooled("noise", (c, M))),)
+    Hc = H
+    if config.csi == "mmse":
+        Hc = _estimate(H, config.tau * rho, rng, _pooled("estimate", shape))
     return (H, x, *noise, Hc)
 
 
@@ -341,9 +400,11 @@ def _draw(c, M, rho, config, rng):
 
 
 def _slab_simo(h, x, noise, comb, rho, config, rng_round):
-    z = np.multiply(math.sqrt(rho), h)
+    # the signal is made in the pooled buffer that _paired rounds the
+    # received signal into, which is free until then
+    z = np.multiply(math.sqrt(rho), h, out=_pooled("input1", h.shape))
     np.multiply(z, x[:, None], out=z)
-    z = np.add(z, noise, out=noise)  # the rebinding frees the signal's slab
+    z = np.add(z, noise, out=noise)
     (hq, zq), r_fp, r_ref = _paired("mrc_combine", _inner, (comb, z), config.policy, rng_round)
     err = np.abs(np.asarray(r_fp) - np.asarray(r_ref))
     hn = _norm(hq)
@@ -363,8 +424,8 @@ def _slab_simo(h, x, noise, comb, rho, config, rng_round):
 
 
 def _slab_miso(h, x, comb, rho, config, rng_round):
-    hn = comb / _norm(comb)[:, None]
-    _, ds, s_ref = _paired("mrt_precode", _mrt, (hn, x), config.policy, rng_round)
+    hn = np.divide(comb, _norm(comb)[:, None], out=_pooled("direction", comb.shape))
+    _, ds, s_ref = _paired("mrt_precode", _mrt, (hn, x), config.policy, rng_round, hn.shape)
     ds -= s_ref  # in place in s_fp, which nothing else reads
     err = _norm(ds)
     # received y = sqrt(rho) h^H s + n with unit-power symbol and noise

@@ -17,7 +17,8 @@ reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
 Each public kernel and transceiver enters the operands it is given by
 ``_rounded``, as the harness's paired run enters its inputs: each operand is
-rounded into a fresh array by one ``fp_round`` pass, which is also the
+rounded into a fresh array (the paired run's into the harness's reused
+buffers, its ``out=``) by one ``fp_round`` pass, which is also the
 check, raising ValueError on a part that is not finite once rounded or,
 under the strict range, before.  Under stochastic rounding ``_rounded``
 first checks every operand by ``np.isfinite``, so a bad one raises before
@@ -59,7 +60,7 @@ import numpy as np
 
 from . import _core
 from .formats import (
-    FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _round, _uniforms,
+    FP64, FloatFormat, RangeMode, RoundingMode, _c_format, _out, _round, _uniforms,
 )
 
 __all__ = [
@@ -213,16 +214,17 @@ def _split_normal(rng, shape: tuple, pieces: int, out=None):
     return out
 
 
-def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
+def _noise(rng, shape: tuple, d: float = math.sqrt(2.0), out=None):
     """iid complex normals (re + 1j*im) / d with numpy's bits, re and im
     standard normal: CN(0, 1) for the default d, CN(0, 2/d^2) for any.
 
     All real parts are drawn before the imaginary ones, straight into the
     parts of the complex output, which the C core's ``fp_cn`` then joins and
     divides in place, with the bits of ``join_to`` and of numpy's complex
-    division by ``d + 0j``.
+    division by ``d + 0j``.  The output is a fresh array, or ``out``, a
+    C-contiguous complex128 array of ``shape``, when given.
     """
-    z = np.empty(shape, dtype=np.complex128)
+    z = _out(out, shape, np.complex128)
     flat = z.reshape(-1)
     _normal(rng, flat.shape, flat.real)
     _normal(rng, flat.shape, flat.imag)
@@ -230,9 +232,10 @@ def _noise(rng, shape: tuple, d: float = math.sqrt(2.0)):
     return z
 
 
-def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
-    """The operands of a call entered: each rounded into a fresh array by
-    ``_round`` under the policy, in order, as ``round_input`` rounds it; then
+def _rounded(name: str, policy: PrecisionPolicy, rng, *operands, out=None) -> list:
+    """The operands of a call entered: each rounded by ``_round`` under the
+    policy, in order, as ``round_input`` rounds it, into a fresh array or,
+    with ``out``, into its array for that operand (as ``_round``'s); then
     ValueError if a part of a result, or under the strict range of an
     operand, is not finite.  The rounding's C pass makes that check as it
     goes.  Under stochastic rounding each operand is first checked by
@@ -242,11 +245,11 @@ def _rounded(name: str, policy: PrecisionPolicy, rng, *operands) -> list:
     if policy.rounding is RoundingMode.STOCHASTIC and not all(np.isfinite(x).all() for x in operands):
         raise ValueError(f"{name} requires finite input")
     found = np.zeros(1, dtype=np.int64)
-    out = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found)
-           for x in operands]
+    q = [_round(x, policy.working, policy.rounding, policy.range_mode, rng, found, out=o)
+         for x, o in zip(operands, out or [None] * len(operands))]
     if found[0]:
         raise ValueError(f"{name} requires finite input")
-    return out
+    return q
 
 
 def round_input(x, policy: PrecisionPolicy, rng=None):
@@ -268,7 +271,8 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     return _round(x, policy.working, policy.rounding, policy.range_mode, rng)
 
 
-def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = False):
+def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = False,
+         out=None):
     """Rounded sum_i a_i d_i over the last axis, in the C core; with
     ``conj=True`` sum_i conj(a_i) d_i, with the bits of the sum on numpy's
     conjugate of ``a``.
@@ -282,6 +286,8 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = F
     sums, then the imaginary-part sums, in-block steps before block steps.
     ``upper=True`` reduces only the lanes on and above the diagonal of the
     last two lane axes, leaving 0 below it, with the draws of the full call.
+    The result is a fresh array, or ``out``, a C-contiguous complex128 array
+    of the lanes' shape, when given.
     """
     shape = np.broadcast_shapes(a.shape, d.shape)
     lanes, n = shape[:-1], shape[-1]
@@ -295,7 +301,7 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = F
     count = math.prod(lanes)
     g = -(-2 * n // b)
     u = _uniforms(policy.rounding, rng, count * (4 * n + 2 * ((b - 1) * g + g - 1)))
-    out = np.empty(lanes, dtype=np.complex128)
+    out = _out(out, lanes, np.complex128)
     geom = np.array([*lanes, *a.strides, *d.strides], dtype=np.int64)
     _core.lib().fp_dot(
         len(lanes), geom.ctypes.data, n, a.ctypes.data, d.ctypes.data,
@@ -364,15 +370,16 @@ def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
 
 # -- the rounded complex multiply -------------------------------------------
 
-def _cmul(a, b, policy: PrecisionPolicy, rng):
+def _cmul(a, b, policy: PrecisionPolicy, rng, out=None):
     """a * b as 4 rounded real multiplies and 2 rounded adds in the working format.
 
     The naive scheme (no 3-multiply trick) is the one-term reduction of
     :func:`_dot`: its error expands into the 2-term real inner-product model.
+    ``out`` is as :func:`_dot`'s.
     """
     if policy.mode is PolicyMode.MIXED:
         policy = replace(policy, mode=PolicyMode.UNIFORM_LOW)
-    return _dot(a[..., None], b[..., None], policy, rng)
+    return _dot(a[..., None], b[..., None], policy, rng, out=out)
 
 
 def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):

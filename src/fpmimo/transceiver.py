@@ -75,9 +75,10 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     return _mrt(*_rounded("mrt_precode", policy, rng, h, x_d), policy, rng)
 
 
-def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None):
-    """The core of :func:`mrt_precode` on an entered direction and symbols."""
-    return _cmul(hn, x_d[..., None], policy, rng)
+def _mrt(hn, x_d, policy: PrecisionPolicy, rng=None, out=None):
+    """The core of :func:`mrt_precode` on an entered direction and symbols,
+    into a fresh array or ``out`` (see ``kernels._dot``)."""
+    return _cmul(hn, x_d[..., None], policy, rng, out=out)
 
 
 def _factor(name: str, H, policy: PrecisionPolicy, rng):

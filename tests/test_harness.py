@@ -1,6 +1,13 @@
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +26,10 @@ from fpmimo.harness import (
     run_sweep,
     verify_bounds,
 )
-from fpmimo.kernels import PrecisionPolicy, _noise, _norm, _settled
+from fpmimo.kernels import (
+    PrecisionPolicy, _noise, _norm, _settled, inner_product_fp, matvec_fp, round_input,
+)
+from fpmimo.transceiver import mrt_precode
 
 POL16 = PrecisionPolicy.uniform(FP16)
 POL64 = PrecisionPolicy.uniform(FP64)
@@ -316,7 +326,9 @@ def test_reference_run_repeats_policy_run(monkeypatch, scenario, name, rounding)
 
     def spy(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
-        arrays = {k: v.copy() for k, v in bound.items() if isinstance(v, np.ndarray)}
+        # the inputs: ``out`` is the pooled buffer each run writes its result into
+        arrays = {k: v.copy() for k, v in bound.items()
+                  if isinstance(v, np.ndarray) and k != "out"}
         calls.append((arrays, bound["policy"]))
         return inner(*args, **kwargs)
 
@@ -347,9 +359,9 @@ def test_paired_runs_pass_over_no_m_entry_operand_beyond_the_rounding(
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
     rounded, paired = harness._rounded, set()
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         start = len(roundings)
-        out = rounded(*args)
+        out = rounded(*args, **kwargs)
         paired.update(range(start, len(roundings)))
         return out
 
@@ -545,21 +557,177 @@ def test_stochastic_runs_whole_chunks_under_any_slab_budget(monkeypatch, tmp_pat
     assert study == inner_product_violation_study(16, POL_SR, trials=20, seed=2)
 
 
+# -- the pool: reused full-size arrays, one set per thread ------------------
+
+def _in_fresh_thread(fn):
+    """``fn()`` on a new thread, whose pool starts empty; its result, or its
+    exception raised here."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=600)
+
+
+def _pool_bytes() -> int:
+    return sum(b.nbytes for b in harness._POOL.buffers.values())
+
+
 def test_point_memory_is_its_draws_plus_a_few_slabs():
     """A MISO point at M = 10000 holds the 1024-trial chunk's 164 MB channel
-    and a few slab-sized arrays, not five chunk-sized arrays (about 820 MB).
+    and a few slab-sized arrays, not five chunk-sized arrays (about 820 MB),
+    and keeps them pooled when it returns, since they fit in _POOL_KEPT.
 
     numpy reports its buffers to ``tracemalloc``, so the peak does not
     depend on the host's allocator.  It is about 230 MB when ``_normal``
     splits the channel's draws over the C core's threads and 246 MB on one
-    thread, where each part passes through one more 82 MB array.
+    thread, where each part passes through one more 82 MB array.  The point
+    runs on a fresh thread, so its pool starts cold whatever ran before.
     """
     M, trials = 10_000, 1024
     cfg = ExperimentConfig("MISO", (M,), POL16, trials=trials)
-    tracemalloc.start()
-    try:
-        harness._collect_point(cfg, M, 10.0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def point():
+        tracemalloc.start()
+        try:
+            harness._collect_point(cfg, M, 10.0, 0)
+            return tracemalloc.get_traced_memory()[1], _pool_bytes()
+        finally:
+            tracemalloc.stop()
+
+    peak, kept = _in_fresh_thread(point)
     assert peak < 260e6
+    assert 200e6 < kept <= harness._POOL_KEPT  # the chunk's channel and four slabs
+
+
+def test_a_pool_past_its_bound_is_released_when_the_point_returns(monkeypatch):
+    """A stochastic point's slab is its whole chunk: at M = 10000 and 512
+    trials its channel, direction, rounded direction and the two MRT
+    outputs are five 82 MB arrays, past _POOL_KEPT, so the thread lets go
+    of them when the point returns."""
+    M = 10_000
+    cfg = ExperimentConfig("MISO", (M,), POL_SR, trials=512)
+    pooled, largest = harness._pooled, []
+
+    def spy(role, shape):
+        out = pooled(role, shape)
+        largest.append(_pool_bytes())
+        return out
+
+    monkeypatch.setattr(harness, "_pooled", spy)
+    kept = _in_fresh_thread(lambda: (harness._collect_point(cfg, M, 10.0, 0), _pool_bytes())[1])
+    assert max(largest) > 5 * 80e6 > harness._POOL_KEPT
+    assert kept == 0
+
+
+def test_public_results_share_no_memory_with_the_pool_or_their_last_result():
+    """The public draws, kernels and transceivers return fresh arrays, also
+    in a thread whose pool holds every role of the harness's slabs."""
+    for scenario in ("SIMO", "MISO", "MU-SIMO", "MU-MISO"):
+        cfg = ExperimentConfig(scenario, (16,), POL16, K=2, trials=8, csi="mmse")
+        harness._collect_point(cfg, 16, 10.0, 0)
+    rng = np.random.default_rng(0)
+    H = draw_channel(16, 2, rng, (8,))
+    h, x = H[..., 0], np.exp(2j * np.pi * rng.random(8))
+    calls = {
+        "draw_channel": lambda: draw_channel(16, 2, rng, (8,)),
+        "estimate_channel_mmse": lambda: estimate_channel_mmse(H, 4, 10.0, rng),
+        "mrt_precode": lambda: mrt_precode(h, x, POL16),
+        "inner_product_fp": lambda: inner_product_fp(h, h, POL16),
+        "matvec_fp": lambda: matvec_fp(H, H[:, 0], POL16),
+        "round_input": lambda: round_input(h, POL16),
+    }
+    for name, call in calls.items():
+        first, second = call(), call()
+        pool = list(harness._POOL.buffers.values())
+        assert len(pool) >= 8, name
+        for out in (first, second):
+            assert not any(np.shares_memory(out, b) for b in pool), name
+        assert not np.shares_memory(first, second), name
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("scenario", ["SIMO", "MISO", "MU-SIMO", "MU-MISO"])
+def test_pooled_runs_leave_earlier_results_and_repeat(monkeypatch, tmp_path, scenario,
+                                                      rounding):
+    """A point's result, one slab of one chunk, keeps its bytes after the
+    next point has run in the same thread; and a sweep run twice in one
+    thread writes the same CSV, with slabs of 7 trials, so that each point
+    reuses its buffers slab after slab and chunk after chunk."""
+    M = 16
+    policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
+    cfg = ExperimentConfig(scenario, (M, 2 * M), policy, K=2, rho_grid_db=(0.0, 10.0),
+                           trials=40, seed=4, csi="mmse")
+    first = harness._collect_point(cfg, M, 10.0, 0)
+    saved = {k: v.copy() for k, v in first.items()}
+    harness._collect_point(cfg, M, 1.0, 3)  # the same M: the same buffers, not grown ones
+    for key, value in saved.items():
+        assert first[key].tobytes() == value.tobytes(), key
+    monkeypatch.setattr(harness, "_SLAB_ENTRIES", 7 * M * 2)
+    cfg = replace(cfg, trials=70)
+    assert _csv_bytes(cfg, tmp_path / "a.csv") == _csv_bytes(cfg, tmp_path / "b.csv")
+
+
+def test_threads_running_sweeps_at_once_write_the_sequential_bytes(tmp_path):
+    """Three threads, more than the cores of a small host, each run the same
+    MISO and SIMO sweeps at once, with a short switch interval; each writes
+    the CSV bytes of a sequential run, so no thread reads another's pool."""
+    configs = [
+        ExperimentConfig("MISO", (64, 2048), POL16, rho_grid_db=(0.0, 10.0), trials=300),
+        ExperimentConfig("SIMO", (64, 2048), POL16, trials=300, csi="mmse"),
+        ExperimentConfig("SIMO", (64,), POL_SR, trials=100, seed=5),
+    ]
+    want = [_csv_bytes(cfg, tmp_path / f"want{i}.csv") for i, cfg in enumerate(configs)]
+
+    def sweeps(t):
+        return [_csv_bytes(cfg, tmp_path / f"{t}-{i}.csv") for i, cfg in enumerate(configs)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            got = [f.result(timeout=600) for f in [pool.submit(sweeps, t) for t in range(3)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+# Runs a MISO point twice on a fresh thread of a fresh interpreter, whose
+# allocator holds no freed pages yet, with numpy's huge-page advice off, so
+# that each 4 KiB page faults apart; prints each run's minor faults.
+_FAULTS = textwrap.dedent("""
+    import json, resource
+    from concurrent.futures import ThreadPoolExecutor
+    from numpy._core.multiarray import _set_madvise_hugepage
+    import fpmimo.harness as harness
+    from fpmimo import FP16, ExperimentConfig, PrecisionPolicy
+
+    M = 4096
+    cfg = ExperimentConfig("MISO", (M,), PrecisionPolicy.uniform(FP16), trials=256)
+
+    def faults():
+        counts = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            harness._collect_point(cfg, M, 10.0, 0)
+            counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return counts
+
+    _set_madvise_hugepage(False)
+    with ThreadPoolExecutor(1) as pool:
+        print(json.dumps(pool.submit(faults).result()))
+""")
+
+
+def test_the_second_point_in_a_thread_faults_in_few_pages():
+    """A MISO point at M = 4096 and 256 trials holds five 17 MB arrays.  Run
+    twice in a fresh thread, the second run reuses the first one's pages: it
+    makes at most a tenth of the first run's minor page faults."""
+    src = str(Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    if first < 2000:
+        pytest.skip(f"the first run made {first} faults for about 84 MB: the host backs "
+                    f"them with huge pages")
+    assert second <= first / 10

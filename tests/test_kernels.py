@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fpmimo.kernels as kernels
 from fpmimo.bounds import gamma_n, xi_bn
 from fpmimo.formats import BFLOAT16, FP16, FP32, FP64, RangeMode, RoundingMode, round_to_format
 from fpmimo.kernels import (
@@ -683,3 +684,30 @@ def test_gram_rejects_mismatched_shapes():
                  (np.ones(3), np.ones(3))]:
         with pytest.raises(ValueError, match="shape mismatch"):
             _gram(a, b)
+
+
+_OUT_CALLS = {
+    "_round": lambda out: kernels._round(
+        np.ones((3, 4), complex), FP16, RoundingMode.NEAREST_EVEN, RangeMode.UNBOUNDED, None,
+        out=out),
+    "_noise": lambda out: kernels._noise(np.random.default_rng(0), (3, 4), out=out),
+    "_dot": lambda out: kernels._dot(np.ones((3, 4, 5), complex), np.ones(5, complex), POL16,
+                                     None, out=out),
+}
+
+
+@pytest.mark.parametrize("name", list(_OUT_CALLS))
+def test_out_is_written_only_when_c_contiguous_of_the_result_type(name):
+    """The private ``out=`` of the cores that write a C-order result: the
+    result goes into a fitting array; a strided one, one of another shape
+    or another dtype raises ValueError and is not written."""
+    call = _OUT_CALLS[name]
+    want = call(None)
+    out = np.full((3, 4), 7 + 7j)
+    assert call(out) is out
+    assert out.tobytes() == want.tobytes()
+    for bad in (np.full((3, 8), 7 + 7j)[:, ::2], np.full((4, 3), 7 + 7j), np.full((3, 4), 7.0)):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="^out must be C-contiguous"):
+            call(bad)
+        assert bad.tobytes() == before.tobytes()
