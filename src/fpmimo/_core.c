@@ -6,7 +6,10 @@
  * (fp_trisolve).  fp_dot conjugates its first operand on request, as np.conj
  * does, by the sign of its loaded imaginary part, and runs a carrier copy of
  * its loop, with no rounding, when both formats are fp64 under nearest-even
- * and the unbounded range.  join_to writes complex results as complex128.
+ * and the unbounded range; its nearest-even and carrier loops are also
+ * instantiated with a compile-time block size of 1, for uniform policies
+ * (and mixed ones with b = 1), so that the block bookkeeping folds away.
+ * join_to writes complex results as complex128.
  * fp_round tells, on request, whether an operand it rounds is finite, so
  * that one pass rounds an operand and checks it.  Each entry's comment gives
  * the layout of its stochastic uniforms.
@@ -14,22 +17,28 @@
  * Some entries round nothing.  fp_gram computes fp64 Gram products A^H B in
  * numpy's order for the subscripts "...mk,...ml->...kl" on A.conj() and B,
  * and so with its bits on numbers, for the rate analysis of the harness and
- * the condition numbers of the bounds; fp_norm computes the norms of
- * contiguous complex rows in fused form, the package's one fp64 norm, with
- * the bits of numpy.linalg's norm(x, axis=-1) where numpy fuses.  fp_normal draws the standard normals of
- * numpy's Generator.standard_normal on a PCG64, bit for bit and to the same
- * end state, with numpy's own ziggurat (random_standard_normal of
- * libnpyrandom.a), splitting the draws across threads by decoding pieces of
- * the stream from their first word and joining them where the true chain of
- * samples meets them, into an output of any stride; fp_cn then makes
- * CN(0, 1) samples of the real and imaginary parts so drawn in place, with
- * the bits of numpy's (1j*im + re) / d.
+ * the condition numbers of the bounds, a one-entry block's two sums in
+ * registers; fp_norm computes the norms of contiguous complex rows in fused
+ * form, the package's one fp64 norm, with the bits of numpy.linalg's
+ * norm(x, axis=-1) where numpy fuses, and on request each row divided by its
+ * norm, as numpy divides, while the row is in cache.  fp_normal draws the
+ * standard normals of numpy's Generator.standard_normal on a PCG64, bit for
+ * bit and to the same end state, with numpy's own ziggurat
+ * (random_standard_normal of libnpyrandom.a), splitting the draws across
+ * threads by decoding pieces of the stream from their first word and joining
+ * them where the true chain of samples meets them, into an output of any
+ * stride; fp_cn then makes CN(0, 1) samples of the real and imaginary parts
+ * so drawn in place, with the bits of numpy's (1j*im + re) / d.
  * fpmimo/_core.py compiles this file on first use, with numpy's include
  * directory and linked to libnpyrandom.a, and loads it with ctypes; it must
  * be built with -ffp-contract=off, so that no product and sum fuse into one
  * rounding unless an fma() says so, and with -pthread, as the elementwise
  * entries, fp_dot, fp_gram and fp_norm split their lanes across threads
- * (split_lanes) with the bits of one thread, and fp_normal its pieces.
+ * (split_lanes) with the bits of one thread, and fp_normal its pieces.  It
+ * names no -march, so that it loads on any x86-64: the one fma() it calls,
+ * in fp_norm's row sum, is compiled twice there (FMA_CLONES), as the FMA
+ * instruction and as libm's fma, which give the same bits, as both are
+ * correctly rounded, and the loader picks one for the CPU once.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -360,6 +369,48 @@ void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, d
     split_lanes(m.n, m.n, fn, &m);
 }
 
+/* Division by a real d, as numpy divides a complex128 by d + 0i, branch for
+ * branch.  When |d| >= 0 (d not NaN) and d = 0: re / |d| and im / |d|.  When
+ * |d| >= 0 and d != 0: with rat = 0 / d and scl = 1 / (d + 0 rat),
+ * (re + im rat) scl and (im - re rat) scl.  When d is NaN: with rat = d / 0
+ * and scl = 1 / (0 + d rat), (re rat + im) scl and (im rat - re) scl.
+ * quot_by works out the divisor's part once; quot_to divides one entry. */
+typedef struct {
+    int branch; /* 0: d = 0; 1: d a number, not 0; 2: d NaN */
+    double d, rat, scl;
+} quot_t;
+
+ALWAYS_INLINE quot_t quot_by(double d)
+{
+    quot_t q = {0, fabs(d), 0.0, 0.0};
+    if (!(fabs(d) >= 0.0)) {
+        q.branch = 2;
+        q.rat = d / 0.0;
+        q.scl = 1.0 / (0.0 + d * q.rat);
+    } else if (d != 0.0) {
+        q.branch = 1;
+        q.rat = 0.0 / d;
+        q.scl = 1.0 / (d + 0.0 * q.rat);
+    }
+    return q;
+}
+
+/* out[0] + i out[1] = (re + i im) / (d + 0i), d as q has it; out may be
+ * where re and im were read from */
+ALWAYS_INLINE void quot_to(double re, double im, const quot_t *q, double *out)
+{
+    if (q->branch == 1) {
+        out[0] = (re + im * q->rat) * q->scl;
+        out[1] = (im - re * q->rat) * q->scl;
+    } else if (q->branch == 0) {
+        out[0] = re / q->d;
+        out[1] = im / q->d;
+    } else {
+        out[0] = (re * q->rat + im) * q->scl;
+        out[1] = (im * q->rat - re) * q->scl;
+    }
+}
+
 /* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */
 typedef struct {
     double *z;
@@ -369,22 +420,19 @@ typedef struct {
 static void cn_range(const void *job, int64_t lo, int64_t hi)
 {
     const cn_t *c = job;
-    const double rat = 0.0 / c->d, scl = 1.0 / (c->d + 0.0 * rat);
+    const quot_t q = quot_by(c->d);
     double *z = c->z;
     for (int64_t i = lo; i < hi; i++) {
         double j[2];
         join_to(z[2 * i], z[2 * i + 1], j);
-        z[2 * i] = (j[0] + j[1] * rat) * scl;
-        z[2 * i + 1] = (j[1] - j[0] * rat) * scl;
+        quot_to(j[0], j[1], &q, z + 2 * i);
     }
 }
 
 /* In place on the n complex128 entries z_i = re + i im, whose parts are
  * standard normals: z_i = (re + i im) / (d + 0i) with the bits of numpy's
- * (1j*im + re) / d, that is join_to, then numpy's complex division by a
- * divisor whose real part is the larger, with rat = 0 / d and
- * scl = 1 / (d + 0 rat): re' = (re + im rat) scl, im' = (im - re rat) scl.
- * d = sqrt(2) gives CN(0, 1) samples. */
+ * (1j*im + re) / d, that is join_to, then numpy's complex division by d + 0i
+ * (quot_to).  d = sqrt(2) gives CN(0, 1) samples. */
 void fp_cn(int64_t n, double *z, double d)
 {
     const cn_t c = {z, d};
@@ -409,7 +457,8 @@ ALWAYS_INLINE double fl_dot(double x, const rounder_t *r, const double *u, int c
     return carrier ? x : round_to(x, r, u);
 }
 
-ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t l,
+/* t added to s at position p of block blk, b being the plan's block size */
+ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t l, int64_t b,
                             const plan_t *pl, const double *u, int carrier)
 {
     if (p == 0)
@@ -417,12 +466,12 @@ ALWAYS_INLINE void add_term(acc_t *s, double t, int64_t p, int64_t blk, int64_t 
     else
         s->blk = fl_dot(s->blk + t, &pl->lo,
                         u ? u + ((p - 1) * pl->lanes + l) * pl->g + blk : NULL, carrier);
-    if (p == pl->b - 1) {
+    if (p == b - 1) {
         if (blk == 0)
             s->sum = s->blk;
         else
             s->sum = fl_dot(s->sum + s->blk, &pl->hi,
-                            u ? u + ((pl->b - 1) * pl->g + blk - 1) * pl->lanes + l : NULL,
+                            u ? u + ((b - 1) * pl->g + blk - 1) * pl->lanes + l : NULL,
                             carrier);
     }
 }
@@ -450,13 +499,15 @@ typedef struct {
     double *out;
 } dot_t;
 
-ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int carrier, int64_t lo,
-                             int64_t hi)
+/* The lanes [lo, hi) of job, whose block size is b: pl.b, or a constant 1
+ * where the plan's is 1, so that the block bookkeeping folds away. */
+ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int carrier, int64_t b,
+                             int64_t lo, int64_t hi)
 {
     const plan_t pl = job->pl;
     const int64_t n = job->n, ndim = job->w.ndim, ta = job->w.sa[ndim], td = job->w.sd[ndim];
     int64_t prod = pl.lanes * n;
-    int64_t steps = ((pl.b - 1) * pl.g + pl.g - 1) * pl.lanes;
+    int64_t steps = ((b - 1) * pl.g + pl.g - 1) * pl.lanes;
     const double *ue = u ? u + 4 * prod : NULL, *uf = u ? ue + steps : NULL;
     double *out = job->out;
     walk_t w = job->w;
@@ -479,43 +530,54 @@ ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int carrier, int
             double e1 = -fl_dot(aim * dim, &pl.lo, up ? up + prod : NULL, carrier);
             double f0 = fl_dot(ar * dim, &pl.lo, up ? up + 2 * prod : NULL, carrier);
             double f1 = fl_dot(aim * dr, &pl.lo, up ? up + 3 * prod : NULL, carrier);
-            add_term(&e, e0, p, blk, l, &pl, ue, carrier);
-            add_term(&f, f0, p, blk, l, &pl, uf, carrier);
-            if (++p == pl.b) {
+            add_term(&e, e0, p, blk, l, b, &pl, ue, carrier);
+            add_term(&f, f0, p, blk, l, b, &pl, uf, carrier);
+            if (++p == b) {
                 p = 0;
                 blk++;
             }
-            add_term(&e, e1, p, blk, l, &pl, ue, carrier);
-            add_term(&f, f1, p, blk, l, &pl, uf, carrier);
-            if (++p == pl.b) {
+            add_term(&e, e1, p, blk, l, b, &pl, ue, carrier);
+            add_term(&f, f1, p, blk, l, b, &pl, uf, carrier);
+            if (++p == b) {
                 p = 0;
                 blk++;
             }
         }
         for (; blk < pl.g; p = 0, blk++)
-            for (; p < pl.b; p++) {
-                add_term(&e, 0.0, p, blk, l, &pl, ue, carrier);
-                add_term(&f, 0.0, p, blk, l, &pl, uf, carrier);
+            for (; p < b; p++) {
+                add_term(&e, 0.0, p, blk, l, b, &pl, ue, carrier);
+                add_term(&f, 0.0, p, blk, l, b, &pl, uf, carrier);
             }
         join_to(e.sum, f.sum, out + 2 * l);
     }
 }
 
-/* three copies, so that the nearest-even one has no stochastic branches and
- * the carrier one no rounding at all */
+/* five copies, so that the nearest-even ones have no stochastic branches,
+ * the carrier ones no rounding at all, and the b = 1 ones (uniform policies,
+ * and mixed ones with b = 1) no block bookkeeping */
 static void dot_nearest(const void *job, int64_t lo, int64_t hi)
 {
-    dot_lanes(job, NULL, 0, lo, hi);
+    dot_lanes(job, NULL, 0, ((const dot_t *)job)->pl.b, lo, hi);
+}
+
+static void dot_nearest1(const void *job, int64_t lo, int64_t hi)
+{
+    dot_lanes(job, NULL, 0, 1, lo, hi);
 }
 
 static void dot_stochastic(const void *job, int64_t lo, int64_t hi)
 {
-    dot_lanes(job, ((const dot_t *)job)->u, 0, lo, hi);
+    dot_lanes(job, ((const dot_t *)job)->u, 0, ((const dot_t *)job)->pl.b, lo, hi);
 }
 
 static void dot_carrier(const void *job, int64_t lo, int64_t hi)
 {
-    dot_lanes(job, NULL, 1, lo, hi);
+    dot_lanes(job, NULL, 1, ((const dot_t *)job)->pl.b, lo, hi);
+}
+
+static void dot_carrier1(const void *job, int64_t lo, int64_t hi)
+{
+    dot_lanes(job, NULL, 1, 1, lo, hi);
 }
 
 /* out = sum_i a_i d_i over the last axis of two complex128 arrays
@@ -532,7 +594,9 @@ static void dot_carrier(const void *job, int64_t lo, int64_t hi)
  * joined by join_to.  When lo and hi are both the carrier (t = 53) unbounded
  * and u is NULL, rounding keeps every value, so the call runs dot_carrier,
  * the same loop in the same order, +0.0 padding included, with no round_to:
- * the fp64 reference of the harness at the cost of a plain fp64 sum.
+ * the fp64 reference of the harness at the cost of a plain fp64 sum.  With
+ * b = 1 and u NULL it runs dot_nearest1 or dot_carrier1, the same loop with
+ * b a constant.
  *
  * u is NULL for nearest-even.  Else it holds the uniforms of the whole call,
  * laid out in the order of an elementwise evaluation over all lanes (L of
@@ -557,7 +621,9 @@ void fp_dot(int64_t ndim, const int64_t *geom, int64_t n,
     for (int64_t k = 0; k < ndim; k++)
         job.pl.lanes *= geom[k];
     const int carrier = lo->t == 53 && !lo->strict && hi->t == 53 && !hi->strict;
-    const range_fn fn = u ? dot_stochastic : carrier ? dot_carrier : dot_nearest;
+    const range_fn fn = u         ? dot_stochastic
+                        : carrier ? (b == 1 ? dot_carrier1 : dot_carrier)
+                                  : (b == 1 ? dot_nearest1 : dot_nearest);
     split_lanes(job.pl.lanes, job.pl.lanes * n, fn, &job);
 }
 
@@ -735,6 +801,17 @@ static void gram_range(const void *job, int64_t lo, int64_t hi)
     for (int64_t l = lo; l < hi; l++) {
         const double *A = j->a + 2 * M * K * l, *B = j->b + 2 * M * N * l;
         double *restrict G = j->g + 2 * K * N * l;
+        if (K == 1 && N == 1) { /* one entry: its sums in registers, m innermost */
+            double re = 0.0, im = 0.0;
+            for (int64_t m = 0; m < M; m++) {
+                const double ar = A[2 * m], ai = -A[2 * m + 1], br = B[2 * m], bi = B[2 * m + 1];
+                re = re + (ar * br - ai * bi);
+                im = im + (ar * bi + ai * br);
+            }
+            G[0] = re;
+            G[1] = im;
+            continue;
+        }
         for (int64_t i = 0; i < 2 * K * N; i++)
             G[i] = 0.0;
         for (int64_t m = 0; m < M; m++) {
@@ -761,8 +838,11 @@ static void gram_range(const void *job, int64_t lo, int64_t hi)
  * im = im + (ar bi + ai br).  A NaN operand gives a NaN entry, but its sign
  * and payload are the compiler's, not numpy's: no caller passes a NaN (the
  * channels are drawn, and a transceiver's operands are checked on entry),
- * and a CSV prints any NaN as nan.  The lanes split like fp_dot's, with work
- * L M K N. */
+ * and a CSV prints any NaN as nan.  A one-entry block (K = N = 1, the MISO
+ * rate terms h^H s) keeps its two sums in registers and runs m innermost;
+ * larger blocks run m outermost, which is faster there (at K = N = 4, m
+ * innermost took a quarter longer).  The lanes split like fp_dot's, with
+ * work L M K N. */
 void fp_gram(int64_t L, int64_t M, int64_t K, int64_t N, const double *a, const double *b,
              double *g)
 {
@@ -778,13 +858,21 @@ ALWAYS_INLINE double abs2(const double *p)
     return fma(p[0], p[0], p[1] * p[1]);
 }
 
+/* pairwise_abs2 twice on x86-64: with FMA, where fma() is the vfmadd
+ * instruction, and by default, where it is libm's, with the same bits */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define FMA_CLONES
+#endif
+
 /* The sum of abs2 over the n complex128 entries at p, in the order of numpy's
  * pairwise add.reduce (pairwise_sum of its loops): fewer than 8 terms in
  * order from 0.0; at most 128 in 8 running sums r_j over the terms j mod 8
  * of the whole groups of 8, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
  * (r6 + r7)), then the rest in order; more, the halves split at n / 2
  * rounded down to a multiple of 8, added. */
-static double pairwise_abs2(const double *p, int64_t n)
+FMA_CLONES static double pairwise_abs2(const double *p, int64_t n)
 {
     if (n < 8) {
         double res = 0.0;
@@ -814,24 +902,36 @@ static double pairwise_abs2(const double *p, int64_t n)
 typedef struct {
     int64_t n;
     const double *x;
-    double *out;
+    double *out, *unit;
 } norm_t;
 
 static void norm_range(const void *job, int64_t lo, int64_t hi)
 {
     const norm_t *j = job;
-    for (int64_t l = lo; l < hi; l++)
-        j->out[l] = sqrt(0.0 + pairwise_abs2(j->x + 2 * j->n * l, j->n));
+    for (int64_t l = lo; l < hi; l++) {
+        const double *x = j->x + 2 * j->n * l;
+        const double d = sqrt(0.0 + pairwise_abs2(x, j->n));
+        j->out[l] = d;
+        if (j->unit) { /* while the lane is in cache */
+            const quot_t q = quot_by(d);
+            double *u = j->unit + 2 * j->n * l;
+            for (int64_t i = 0; i < j->n; i++)
+                quot_to(x[2 * i], x[2 * i + 1], &q, u + 2 * i);
+        }
+    }
 }
 
 /* out[l] = the 2-norm of lane l of L C-contiguous lanes of n complex128
  * terms in fused form: 0.0 plus the pairwise sum of abs2 along the lane
  * (pairwise_abs2), then sqrt.  numpy.linalg's norm(x, axis=-1),
  * sqrt(add.reduce((x.conj() * x).real, axis=-1)), has these bits where its
- * complex multiply fuses.  The lanes split like fp_gram's, with work L n. */
-void fp_norm(int64_t L, int64_t n, const double *x, double *out)
+ * complex multiply fuses.  Unless unit is NULL, lane l of the complex128
+ * unit, laid out as x and possibly x itself, is then x's lane divided by
+ * out[l] as numpy divides by out[l] + 0i (quot_to).  The lanes split like
+ * fp_gram's, with work L n. */
+void fp_norm(int64_t L, int64_t n, const double *x, double *out, double *unit)
 {
-    const norm_t job = {n, x, out};
+    const norm_t job = {n, x, out, unit};
     split_lanes(L, L * n, norm_range, &job);
 }
 

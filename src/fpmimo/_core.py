@@ -120,7 +120,7 @@ def lib() -> ctypes.CDLL:
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),
-        (so.fp_norm, [i64, i64, ptr, ptr]),
+        (so.fp_norm, [i64, i64, ptr, ptr, ptr]),
         (so.fp_normal, [i64, i64, ptr, ptr, i64, ptr]),
     ):
         fn.argtypes, fn.restype = argtypes, None

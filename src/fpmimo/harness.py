@@ -424,7 +424,8 @@ def _slab_simo(h, x, noise, comb, rho, config, rng_round):
 
 
 def _slab_miso(h, x, comb, rho, config, rng_round):
-    hn = np.divide(comb, _norm(comb)[:, None], out=_pooled("direction", comb.shape))
+    hn = _pooled("direction", comb.shape)
+    _norm(comb, unit=hn)
     _, ds, s_ref = _paired("mrt_precode", _mrt, (hn, x), config.policy, rng_round, hn.shape)
     ds -= s_ref  # in place in s_fp, which nothing else reads
     err = _norm(ds)
@@ -641,8 +642,8 @@ def inner_product_violation_study(
         return draw_channel(n, 1, rng, (c,))[..., 0], draw_channel(n, 1, rng, (c,))[..., 0]
 
     def run(a, b):
-        a /= _norm(a)[:, None]
-        b /= _norm(b)[:, None]
+        _norm(a, unit=a)
+        _norm(b, unit=b)
         (aq, bq), s_fp, s_ref = _paired("inner_product_fp", _inner, (a, b), policy, rng_round)
         norms = _norm(aq) * _norm(bq)
         return {"err": np.abs(s_fp - s_ref) / norms}

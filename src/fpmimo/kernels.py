@@ -38,7 +38,9 @@ the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
 ``B``, on numbers.  ``_norm`` is ``fp_norm``, the package's one fp64 norm, in
 fused form: each term ``fma(re, re, im*im)``, the row summed in numpy's
 pairwise order; numpy.linalg's ``norm(x, axis=-1)`` gives these bits where
-its complex multiply fuses.  Every Gaussian draw of the package
+its complex multiply fuses.  With ``unit=`` it also writes each row over
+its norm, with the bits of numpy's division, while the row is in cache: the
+package's one normalization.  Every Gaussian draw of the package
 goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
 same end state, which hands large draws from a PCG64 to the C core's
 ``fp_normal``, split across its threads, with numpy's own ziggurat (from
@@ -140,7 +142,7 @@ def _gram(A, B):
     return out
 
 
-def _norm(x):
+def _norm(x, unit=None):
     """The 2-norms of the rows of a complex ``x`` (its last axis), in the C
     core (``fp_norm``): the package's one fp64 norm.
 
@@ -150,6 +152,12 @@ def _norm(x):
     read in place.  numpy.linalg's ``norm(x, axis=-1)`` of that copy gives
     them where numpy's complex multiply fuses a product into its sum (x86-64
     with FMA).  A 0-d ``x`` raises ValueError.
+
+    With ``unit``, a C-contiguous complex128 array of ``x``'s shape (``x``
+    itself, for one in place), each row divided by its norm is also written
+    there, as the row is read, with the bits of numpy's
+    ``x / _norm(x)[..., None]``: a zero norm gives numpy's infinities and
+    NaNs, as its division does.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 1:  # before ascontiguousarray, which makes a 0-d array 1-d
@@ -157,7 +165,10 @@ def _norm(x):
     x = np.ascontiguousarray(x)
     *lanes, n = x.shape
     out = np.empty(lanes)
-    _core.lib().fp_norm(out.size, n, x.ctypes.data, out.ctypes.data)
+    if unit is not None:
+        unit = _out(unit, x.shape, np.complex128)
+    _core.lib().fp_norm(out.size, n, x.ctypes.data, out.ctypes.data,
+                        None if unit is None else unit.ctypes.data)
     return out if out.ndim else out[()]
 
 

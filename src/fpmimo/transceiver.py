@@ -52,26 +52,29 @@ def mrc_combine(h, z, policy: PrecisionPolicy, rng=None):
 def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
     """Matched-filter precoding s = (h/||h||) * x_d, shape (..., M).
 
-    The norm (``kernels._norm``, the harness's, with bits that do not depend
-    on the layout of ``h``) and the division are carried in full precision;
-    only the per-entry complex scalar products run at the working format (4
-    rounded real multiplies + 2 rounded additions per entry), so the error
-    does not grow with M.  ``prenormalized=True`` skips the norm division (the caller
-    already passes a unit-norm direction), which lets a full-precision rerun
-    consume bit-identical inputs.  Non-finite ``h`` or ``x_d``, or a norm
-    of ``h`` that overflows, raises ValueError.
+    The direction h/||h|| is carried in full precision: ``kernels._norm``
+    (the harness's, with bits that do not depend on the layout of ``h``)
+    writes it into a fresh array as it takes the norm, with the bits of
+    numpy's ``h / _norm(h)[..., None]``.  Only the per-entry complex scalar
+    products run at the working format (4 rounded real multiplies + 2
+    rounded additions per entry), so the error does not grow with M.
+    ``prenormalized=True`` skips the normalization (the caller already
+    passes a unit-norm direction), which lets a full-precision rerun consume
+    bit-identical inputs.  Non-finite ``h`` or ``x_d``, a norm of ``h`` that
+    overflows, or a zero ``h`` raises ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     x_d = np.asarray(x_d, dtype=np.complex128)
     if not prenormalized:
         if not np.isfinite(h).all():  # before the norm, which would turn a bad h into NaN
             raise ValueError("mrt_precode requires finite input")
-        nrm = _norm(h)[..., None]
-        if not np.isfinite(nrm).all():  # else h / nrm would be a precoder of zeros
+        unit = np.empty(h.shape, dtype=np.complex128)
+        nrm = _norm(h, unit=unit)
+        if not np.isfinite(nrm).all():  # else the direction would be a precoder of zeros
             raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
-        h = h / nrm
+        h = unit
     return _mrt(*_rounded("mrt_precode", policy, rng, h, x_d), policy, rng)
 
 

@@ -1,5 +1,6 @@
 """The build-on-first-use loader of the C rounding core (``fpmimo._core``)."""
 
+import ast
 import ctypes
 import os
 import re
@@ -102,12 +103,37 @@ def test_every_entry_point_is_declared():
         assert fn.restype is None, name
 
 
+def _divides_by_norm(node) -> bool:
+    """``node`` is a division, ``/``, ``/=`` or ``np.divide``, by a call of ``_norm``."""
+    if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.Div):
+        divisors = [node.right if isinstance(node, ast.BinOp) else node.value]
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "divide":
+        divisors = node.args[1:2]
+    else:
+        return False
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_norm"
+               for d in divisors for n in ast.walk(d))
+
+
 def test_no_module_calls_numpys_norm():
     """``kernels._norm`` is the package's one fp64 norm: numpy's depends on the
-    array's layout."""
-    calls = [f"{py.name}:{i}" for py in sorted(_core.SOURCE.parent.glob("*.py"))
+    array's layout.  A row over its norm is ``_norm``'s ``unit=`` output,
+    written while the row is read, not a division by ``_norm(`` by hand."""
+    modules = sorted(_core.SOURCE.parent.glob("*.py"))
+    calls = [f"{py.name}:{i}" for py in modules
              for i, line in enumerate(py.read_text().splitlines(), 1) if "linalg.norm" in line]
+    calls += [f"{py.name}:{node.lineno}" for py in modules
+              for node in ast.walk(ast.parse(py.read_text())) if _divides_by_norm(node)]
     assert calls == []
+
+
+def test_build_names_no_instruction_set():
+    """The library must load on any x86-64, FMA or not: FMA comes only from
+    the norm's dispatched clone, never from a flag of the build, and no
+    product and sum fuse unless an fma() says so."""
+    for command in (_core.COMMAND, _core.compile_command("core.c", "core.so")):
+        isa = [flag for flag in command if re.match(r"-march=|-mfma$|-mavx", flag)]
+        assert isa == [] and "-ffp-contract=off" in command, command
 
 
 def test_thread_count_stays_within_affinity():

@@ -237,6 +237,79 @@ def test_norm_of_any_layout_is_the_norm_of_its_contiguous_copy():
         _norm(x[0, 0])
 
 
+# -- _norm's unit rows -------------------------------------------------------------
+
+def _check_unit(x):
+    """``_norm(x, unit=)`` writes numpy's ``x / _norm(x)[..., None]`` and
+    returns the norms it returns without ``unit``."""
+    norms = _norm(x)
+    with np.errstate(all="ignore"):
+        want = x / norms[..., None]
+    unit = np.full(np.shape(x), 7 + 7j)
+    _bytes_equal(_norm(x, unit=unit), norms)
+    _bytes_equal(unit, want)
+
+
+@pytest.mark.parametrize("shape", [
+    (512, 10000), (512, 256), (1024, 64), (64, 4), (1024, 1), (37, 2049), (64, 3, 257),
+    (10000,), (1,), (5, 0),
+], ids=str)
+def test_unit_rows_at_the_harness_shapes(shape):
+    """Below and above the thread split; norms that overflow (1e300) and
+    rows of subnormals (1e-310)."""
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 1e300, 1e-310):
+        _check_unit(_complex(rng, shape, scale))
+
+
+@pytest.mark.parametrize("n", [1, 8, 129, 4097])
+def test_unit_rows_of_strided_rows(n):
+    """Step-2 views, [..., 0] views and rows read backwards, each divided
+    from its C-contiguous copy."""
+    rng = np.random.default_rng(n)
+    _check_unit(_complex(rng, (5, 2 * n))[:, ::2])
+    _check_unit(_complex(rng, (5, n, 2))[..., 0])
+    _check_unit(_complex(rng, (5, n))[:, ::-1])
+    _check_unit(np.asfortranarray(_complex(rng, (3, n))))
+
+
+def test_unit_rows_of_signed_zeros_and_a_zero_norm():
+    """Signed zeros in a row of nonzero norm; rows of subnormals and zeros
+    whose norm underflows to 0, where numpy's division takes its zero-divisor
+    branch (x / +0: infinities, and NaN for a zero); rows with an infinity
+    (an infinite norm) and with a NaN."""
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1.0])
+    re, im = np.meshgrid(values, values)
+    x = np.empty(re.shape + (3,), dtype=np.complex128)
+    x.real, x.imag = re[..., None], im[..., None]
+    x.real[:, :, 1] = -0.0
+    x.imag[:, :, 2] = 0.5
+    _check_unit(x)
+    tiny = np.array([[5e-324 + 5e-324j, -5e-324 + 0j, 0j, -0.0 - 0j, 1e-170 - 1e-170j]])
+    assert _norm(tiny)[0] == 0.0
+    _check_unit(tiny)
+    _check_unit(np.array([[1 + 1j, np.inf + 0j, -2j], [1 + 1j, np.nan + 0j, -2j]]))
+
+
+def test_unit_rows_in_place():
+    rng = np.random.default_rng(5)
+    for x in (_complex(rng, (64, 300)), _complex(rng, (3, 2, 5), 1e-310), _complex(rng, (7,))):
+        with np.errstate(all="ignore"):
+            want = x / _norm(x)[..., None]
+        norms = _norm(x)
+        _bytes_equal(_norm(x, unit=x), norms)
+        _bytes_equal(x, want)
+
+
+def test_unit_must_be_c_contiguous_complex_of_the_shape():
+    x = _complex(np.random.default_rng(6), (3, 4))
+    for bad in (np.empty((3, 8), complex)[:, ::2], np.empty((4, 3), complex), np.empty((3, 4))):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="^out must be C-contiguous"):
+            _norm(x, unit=bad)
+        assert bad.tobytes() == before.tobytes()
+
+
 # -- _noise --------------------------------------------------------------------
 
 def _oracle_noise(rng, shape, d):

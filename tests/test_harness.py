@@ -428,15 +428,17 @@ def test_public_call_equals_the_paired_run(name, policy):
 def test_normalizing_mrt_equals_the_slab_path(rounding):
     """``mrt_precode`` normalizes h as ``_slab_miso`` does, by ``_norm``, so
     the public call gives the bytes and generator end state of the slab's
-    path: h / _norm(h), then the paired run's policy run."""
+    path: the unit rows of ``_norm(h, unit=)``, then the paired run's policy
+    run."""
     rng = np.random.default_rng(24)
     h = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
     x = np.exp(2j * np.pi * rng.random(6))
     policy = PrecisionPolicy.uniform(FP16, rounding=rounding)
     g, want = np.random.default_rng(9), np.random.default_rng(9)
     got = harness.mrt_precode(h, x, policy, g)
-    _, out, _ = harness._paired("mrt_precode", harness._mrt, (h / _norm(h)[:, None], x),
-                                policy, want)
+    hn = np.empty_like(h)
+    _norm(h, unit=hn)
+    _, out, _ = harness._paired("mrt_precode", harness._mrt, (hn, x), policy, want)
     assert (got.dtype, got.shape, got.tobytes()) == (out.dtype, out.shape, out.tobytes())
     assert g.bit_generator.state == want.bit_generator.state
 

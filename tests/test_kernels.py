@@ -602,6 +602,31 @@ def test_unaligned_operands_give_the_bytes_of_aligned_ones(policy):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("fmt", [FP16, BFLOAT16, FP64], ids=lambda f: f.name)
+def test_one_term_blocks_give_the_bytes_of_one_whole_block(fmt, range_mode, n):
+    """A uniform policy runs ``fp_dot``'s b = 1 copy (its carrier copy for
+    unbounded fp64); ``mixed(f, f, 2n)`` runs the blocked loop on one block
+    of 2n terms, with no padding: the same sums in the same order.  Operands
+    spread over the range, so that sums overflow and products fall below it;
+    an inner product and the upper Gram."""
+    rng = np.random.default_rng([n, fmt.significand_bits])
+    uniform = PrecisionPolicy.uniform(fmt, range_mode=range_mode)
+    one_block = PrecisionPolicy.mixed(fmt, fmt, 2 * n, range_mode=range_mode)
+    top = fmt.exponent_max // 2
+
+    def spread(shape):
+        return round_input(_cn(rng, shape) * 2.0 ** rng.integers(-top, top, shape), uniform)
+
+    a, d = spread((9, n)), spread((9, n))
+    _assert_same_bits(_dot(a, d, uniform, None, conj=True), _dot(a, d, one_block, None, conj=True))
+    Ht = np.swapaxes(spread((3, n, 4)), -1, -2)
+    gram = (Ht[..., :, None, :], Ht[..., None, :, :])
+    _assert_same_bits(_dot(*gram, uniform, None, upper=True, conj=True),
+                      _dot(*gram, one_block, None, upper=True, conj=True))
+
+
 # -- the unrounded Gram products: numpy's bits ------------------------------
 
 # Each call form the harness and the bounds use, as (numpy's contraction of
