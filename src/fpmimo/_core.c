@@ -9,7 +9,9 @@
  * and the unbounded range; its nearest-even and carrier loops are also
  * instantiated with a compile-time block size of 1, for uniform policies
  * (and mixed ones with b = 1), so that the block bookkeeping folds away.
- * join_to writes complex results as complex128.
+ * Every complex result is stored as its two parts, each one rounding of a
+ * real operation, as IEEE rounds it: a signed zero keeps its sign, and a
+ * finite part keeps its value beside an infinite or NaN one.
  * fp_round tells, on request, whether an operand it rounds is finite, so
  * that one pass rounds an operand and checks it.  Each entry's comment gives
  * the layout of its stochastic uniforms.
@@ -20,15 +22,17 @@
  * the condition numbers of the bounds, a one-entry block's two sums in
  * registers; fp_norm computes the norms of contiguous complex rows in fused
  * form, the package's one fp64 norm, with the bits of numpy.linalg's
- * norm(x, axis=-1) where numpy fuses, and on request each row divided by its
- * norm, as numpy divides, while the row is in cache.  fp_normal draws the
+ * norm(x, axis=-1) where numpy fuses, and on request each row times the
+ * reciprocal of its norm while the row is in cache.  fp_normal draws the
  * standard normals of numpy's Generator.standard_normal on a PCG64, bit for
  * bit and to the same end state, with numpy's own ziggurat
  * (random_standard_normal of libnpyrandom.a), splitting the draws across
  * threads by decoding pieces of the stream from their first word and joining
  * them where the true chain of samples meets them, into an output of any
  * stride; fp_cn then makes CN(0, 1) samples of the real and imaginary parts
- * so drawn in place, with the bits of numpy's (1j*im + re) / d.
+ * so drawn in place, each part times 1 / d.  Both multiplies by a reciprocal
+ * have the bits of numpy's complex division by d + 0i on finite nonzero
+ * parts, as numpy computes (re + im*0) * (1/d) there.
  * fpmimo/_core.py compiles this file on first use, with numpy's include
  * directory and linked to libnpyrandom.a, and loads it with ctypes; it must
  * be built with -ffp-contract=off, so that no product and sum fuse into one
@@ -70,7 +74,7 @@ static double frexp_round(double x, int t, const double *u)
     double s = ldexp(frexp(x, &e), t);
     if (u) {
         double lo = floor(s);
-        s = lo + (double)(*u < s - lo);
+        s = *u < s - lo ? lo + 1.0 : lo; /* not lo + 0.0, which turns -0 into +0 */
     } else {
         s = rint(s);
     }
@@ -122,36 +126,6 @@ ALWAYS_INLINE double round_to(double x, const rounder_t *r, const double *u)
             return 0.0;
     }
     return x;
-}
-
-/* x, quieted as an operation quiets a NaN, by its bits */
-ALWAYS_INLINE double quiet(double x)
-{
-    uint64_t b;
-    memcpy(&b, &x, sizeof b);
-    b |= (uint64_t)1 << 51;
-    memcpy(&x, &b, sizeof x);
-    return x;
-}
-
-/* r = x op y for an add, subtract or multiply, with the NaN x86-64 returns
- * for that operand order: x's, quieted, if x is a NaN, else y's.  A NaN made
- * from numbers (inf - inf, 0 inf) is r itself. */
-ALWAYS_INLINE double nan_first(double x, double y, double r)
-{
-    return isnan(x) ? quiet(x) : isnan(y) ? quiet(y) : r;
-}
-
-/* out[0] + i out[1] = re + i im with the bits of numpy's 1j*im + re, signed
- * zeros and NaNs included: (0 + 1i)(im + 0i), then + (re + 0i), every
- * operation rounded as written.  The one sum whose operands may both be NaN
- * (an infinite im makes 0 im one) takes its NaN by nan_first, as the
- * compiler may swap the operands of an add. */
-ALWAYS_INLINE void join_to(double re, double im, double *out)
-{
-    const double t = 0.0 * im - 1.0 * 0.0;
-    out[0] = nan_first(t, re, t + re);
-    out[1] = (0.0 * 0.0 + 1.0 * im) + 0.0;
 }
 
 /* the double at byte offset k of p */
@@ -292,8 +266,8 @@ typedef struct {
 
 /* The lanes [lo, hi) rounded into out, with fp_round's check unless found is
  * NULL.  Under the strict range, which clamps an infinity to x_max, it reads
- * x; else out, which is not finite where x is not.  It costs a rounding pass
- * about a tenth of its time, so it is made only when asked for. */
+ * x; else the rounded parts, each not finite where x's is not.  It costs a
+ * rounding pass about a tenth of its time, so it is made only when asked. */
 ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int64_t lo, int64_t hi)
 {
     const rounder_t r = m->r;
@@ -318,9 +292,10 @@ ALWAYS_INLINE void round_lanes(const elem_t *m, const double *u, int parts, int6
                 continue;
             }
             const double xi = load(p, 8), im = round_to(xi, &r, u ? u + n + i : NULL);
-            join_to(re, im, out + 2 * i);
-            if (check) /* the joined real part is finite iff both rounded parts are */
-                bad |= strict ? !(isfinite(xr) & isfinite(xi)) : !isfinite(out[2 * i]);
+            out[2 * i] = re;
+            out[2 * i + 1] = im;
+            if (check)
+                bad |= strict ? !(isfinite(xr) & isfinite(xi)) : !(isfinite(re) & isfinite(im));
         }
     }
     if (bad)
@@ -351,10 +326,11 @@ static void round_complex_stochastic(const void *job, int64_t lo, int64_t hi)
 /* out = fl(x) entry by entry, for the n entries of an ndim-dimensional array
  * x of float64 (parts = 1) or complex128 (parts = 2), walked in C order, into
  * the C-contiguous out of the same type; geom holds x's shape (ndim entries),
- * then its byte strides.  A complex entry is fl(Re x_i) + i fl(Im x_i),
- * joined by join_to.  u is NULL for nearest-even, else it holds parts * n
- * uniforms: one per part, the real parts taking the first n and any
- * imaginary parts the last n.  Unless found is NULL, *found is set to 1 if
+ * then its byte strides.  A complex entry is fl(Re x_i) + i fl(Im x_i), so a
+ * part that rounding keeps, a signed zero included, is copied bit for bit.
+ * u is NULL for nearest-even, else it holds parts * n uniforms: one per
+ * part, the real parts taking the first n and any imaginary parts the last
+ * n.  Unless found is NULL, *found is set to 1 if
  * some part of out, or under the strict range of x, is not finite, so that
  * one pass rounds an operand and checks it. */
 void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, double *out,
@@ -369,73 +345,26 @@ void fp_round(int64_t ndim, const int64_t *geom, int64_t parts, const char *x, d
     split_lanes(m.n, m.n, fn, &m);
 }
 
-/* Division by a real d, as numpy divides a complex128 by d + 0i, branch for
- * branch.  When |d| >= 0 (d not NaN) and d = 0: re / |d| and im / |d|.  When
- * |d| >= 0 and d != 0: with rat = 0 / d and scl = 1 / (d + 0 rat),
- * (re + im rat) scl and (im - re rat) scl.  When d is NaN: with rat = d / 0
- * and scl = 1 / (0 + d rat), (re rat + im) scl and (im rat - re) scl.
- * quot_by works out the divisor's part once; quot_to divides one entry. */
-typedef struct {
-    int branch; /* 0: d = 0; 1: d a number, not 0; 2: d NaN */
-    double d, rat, scl;
-} quot_t;
-
-ALWAYS_INLINE quot_t quot_by(double d)
-{
-    quot_t q = {0, fabs(d), 0.0, 0.0};
-    if (!(fabs(d) >= 0.0)) {
-        q.branch = 2;
-        q.rat = d / 0.0;
-        q.scl = 1.0 / (0.0 + d * q.rat);
-    } else if (d != 0.0) {
-        q.branch = 1;
-        q.rat = 0.0 / d;
-        q.scl = 1.0 / (d + 0.0 * q.rat);
-    }
-    return q;
-}
-
-/* out[0] + i out[1] = (re + i im) / (d + 0i), d as q has it; out may be
- * where re and im were read from */
-ALWAYS_INLINE void quot_to(double re, double im, const quot_t *q, double *out)
-{
-    if (q->branch == 1) {
-        out[0] = (re + im * q->rat) * q->scl;
-        out[1] = (im - re * q->rat) * q->scl;
-    } else if (q->branch == 0) {
-        out[0] = re / q->d;
-        out[1] = im / q->d;
-    } else {
-        out[0] = (re * q->rat + im) * q->scl;
-        out[1] = (im * q->rat - re) * q->scl;
-    }
-}
-
-/* The arguments of fp_cn: n complex128 entries at z, divided by d + 0i. */
+/* The arguments of fp_cn: n complex128 entries at z, scaled by s = 1 / d. */
 typedef struct {
     double *z;
-    double d;
+    double s;
 } cn_t;
 
 static void cn_range(const void *job, int64_t lo, int64_t hi)
 {
     const cn_t *c = job;
-    const quot_t q = quot_by(c->d);
-    double *z = c->z;
-    for (int64_t i = lo; i < hi; i++) {
-        double j[2];
-        join_to(z[2 * i], z[2 * i + 1], j);
-        quot_to(j[0], j[1], &q, z + 2 * i);
-    }
+    for (int64_t i = 2 * lo; i < 2 * hi; i++)
+        c->z[i] *= c->s;
 }
 
 /* In place on the n complex128 entries z_i = re + i im, whose parts are
- * standard normals: z_i = (re + i im) / (d + 0i) with the bits of numpy's
- * (1j*im + re) / d, that is join_to, then numpy's complex division by d + 0i
- * (quot_to).  d = sqrt(2) gives CN(0, 1) samples. */
+ * standard normals: z_i = re s + i im s with s = 1 / d, which on finite
+ * nonzero parts has the bits of numpy's (1j*im + re) / d.  d = sqrt(2) gives
+ * CN(0, 1) samples. */
 void fp_cn(int64_t n, double *z, double d)
 {
-    const cn_t c = {z, d};
+    const cn_t c = {z, 1.0 / d};
     split_lanes(n, n, cn_range, &c);
 }
 
@@ -548,7 +477,8 @@ ALWAYS_INLINE void dot_lanes(const dot_t *job, const double *u, int carrier, int
                 add_term(&e, 0.0, p, blk, l, b, &pl, ue, carrier);
                 add_term(&f, 0.0, p, blk, l, b, &pl, uf, carrier);
             }
-        join_to(e.sum, f.sum, out + 2 * l);
+        out[2 * l] = e.sum;
+        out[2 * l + 1] = f.sum;
     }
 }
 
@@ -590,9 +520,9 @@ static void dot_carrier1(const void *job, int64_t lo, int64_t hi)
  * rounding.  The 2n terms of e, padded with +0.0 to whole blocks of b, are
  * summed in order within each block, rounding in lo, and the block sums are
  * added in order, rounding in hi; f likewise.  A sequential sum in one format
- * is b = 1 with hi = lo.  Lane l's sums e + i f go to the complex128 out[l],
- * joined by join_to.  When lo and hi are both the carrier (t = 53) unbounded
- * and u is NULL, rounding keeps every value, so the call runs dot_carrier,
+ * is b = 1 with hi = lo.  Lane l's sums e + i f go to the complex128 out[l].
+ * When lo and hi are both the carrier (t = 53) unbounded and u is NULL,
+ * rounding keeps every value, so the call runs dot_carrier,
  * the same loop in the same order, +0.0 padding included, with no round_to:
  * the fp64 reference of the harness at the cost of a plain fp64 sum.  With
  * b = 1 and u NULL it runs dot_nearest1 or dot_carrier1, the same loop with
@@ -647,8 +577,7 @@ ALWAYS_INLINE double fl(double x, const rounder_t *r, draws_t *s)
 
 /* out = (ar + i ai)(dr + i di) as fp_dot's one-term reduction with b = 1: the
  * products e0 = fl(ar dr), e1 = -fl(ai di), f0 = fl(ar di), f1 = fl(ai dr),
- * then fl(e0 + e1) and fl(f0 + f1), joined by join_to; six steps in that
- * order. */
+ * then fl(e0 + e1) and fl(f0 + f1); six steps in that order. */
 ALWAYS_INLINE void cmul_to(double ar, double ai, double dr, double di,
                            const rounder_t *r, draws_t *s, double *out)
 {
@@ -656,8 +585,8 @@ ALWAYS_INLINE void cmul_to(double ar, double ai, double dr, double di,
     double e1 = -fl(ai * di, r, s);
     double f0 = fl(ar * di, r, s);
     double f1 = fl(ai * dr, r, s);
-    double e = fl(e0 + e1, r, s);
-    join_to(e, fl(f0 + f1, r, s), out);
+    out[0] = fl(e0 + e1, r, s);
+    out[1] = fl(f0 + f1, r, s);
 }
 
 /* (tr, ti) = (fl(tr - Re p), fl(ti - Im p)) for the complex128 p: two steps,
@@ -669,13 +598,12 @@ ALWAYS_INLINE void sub_to(double *tr, double *ti, const double *p,
     *ti = fl(*ti - p[1], r, s);
 }
 
-/* out = fl(tr / d) + i fl(ti / d), joined by join_to: two steps, the real
- * part first */
+/* out = fl(tr / d) + i fl(ti / d): two steps, the real part first */
 ALWAYS_INLINE void div_to(double tr, double ti, double d, const rounder_t *r,
                           draws_t *s, double *out)
 {
-    double re = fl(tr / d, r, s);
-    join_to(re, fl(ti / d, r, s), out);
+    out[0] = fl(tr / d, r, s);
+    out[1] = fl(ti / d, r, s);
 }
 
 /* the parts of entry (i, k) of a K x K complex128 matrix m */
@@ -913,10 +841,10 @@ static void norm_range(const void *job, int64_t lo, int64_t hi)
         const double d = sqrt(0.0 + pairwise_abs2(x, j->n));
         j->out[l] = d;
         if (j->unit) { /* while the lane is in cache */
-            const quot_t q = quot_by(d);
+            const double s = 1.0 / d;
             double *u = j->unit + 2 * j->n * l;
-            for (int64_t i = 0; i < j->n; i++)
-                quot_to(x[2 * i], x[2 * i + 1], &q, u + 2 * i);
+            for (int64_t i = 0; i < 2 * j->n; i++)
+                u[i] = x[i] * s;
         }
     }
 }
@@ -926,9 +854,10 @@ static void norm_range(const void *job, int64_t lo, int64_t hi)
  * (pairwise_abs2), then sqrt.  numpy.linalg's norm(x, axis=-1),
  * sqrt(add.reduce((x.conj() * x).real, axis=-1)), has these bits where its
  * complex multiply fuses.  Unless unit is NULL, lane l of the complex128
- * unit, laid out as x and possibly x itself, is then x's lane divided by
- * out[l] as numpy divides by out[l] + 0i (quot_to).  The lanes split like
- * fp_gram's, with work L n. */
+ * unit, laid out as x and possibly x itself, is then x's lane, each part
+ * times 1 / out[l]: on finite nonzero parts, the bits of numpy's division by
+ * out[l] + 0i.  A zero norm gives infinities, and NaN for a zero part.  The
+ * lanes split like fp_gram's, with work L n. */
 void fp_norm(int64_t L, int64_t n, const double *x, double *out, double *unit)
 {
     const norm_t job = {n, x, out, unit};

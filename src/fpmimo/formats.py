@@ -149,8 +149,9 @@ def _round(x, fmt: FloatFormat, mode: RoundingMode, range_mode: RangeMode, rng, 
            out=None):
     """The elementwise rounding core behind :func:`round_to_format` and the kernels.
 
-    A real ``x`` is rounded as float64, a complex one as complex128, both
-    parts of each entry, joined by ``join_to``; one C pass (``fp_round``)
+    A real ``x`` is rounded as float64, a complex one as complex128, each
+    part of each entry on its own, so a part that rounding keeps, a signed
+    zero included, keeps its bits; one C pass (``fp_round``)
     reads ``x`` through its shape and strides, so no view is copied.  It does
     not raise on a non-finite value, which propagates, and it never writes
     into ``x``.  The result is a fresh array (a scalar for a 0-d input,

@@ -11,8 +11,8 @@ rounded complex multiply is the one-term reduction: ``_cmul`` in MRT
 precoding, its six steps in C inside the factor and the solves.  Under
 stochastic rounding each kernel draws one block of uniforms after rounding
 its inputs, laid out as the comment of its entry in ``_core.c`` says.  Every
-complex result is joined from its two parts by ``join_to`` in ``_core.c``,
-with numpy's ``1j*im + re`` bits.  ``inner_product_fp`` conjugates inside the
+complex result is stored as its two parts, each one rounded real operation,
+so a signed zero keeps its sign.  ``inner_product_fp`` conjugates inside the
 reduction (``fp_dot``'s conj flag), making no conjugated copy.
 
 Each public kernel and transceiver enters the operands it is given by
@@ -38,15 +38,15 @@ the order of numpy's contraction ``"...mk,...ml->...kl"`` of ``A.conj()`` and
 ``B``, on numbers.  ``_norm`` is ``fp_norm``, the package's one fp64 norm, in
 fused form: each term ``fma(re, re, im*im)``, the row summed in numpy's
 pairwise order; numpy.linalg's ``norm(x, axis=-1)`` gives these bits where
-its complex multiply fuses.  With ``unit=`` it also writes each row over
-its norm, with the bits of numpy's division, while the row is in cache: the
-package's one normalization.  Every Gaussian draw of the package
-goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
+its complex multiply fuses.  With ``unit=`` it also writes each row times
+the reciprocal of its norm, with the bits of numpy's division on finite
+nonzero parts, while the row is in cache: the package's one normalization.
+Every Gaussian draw of the package goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
 same end state, which hands large draws from a PCG64 to the C core's
 ``fp_normal``, split across its threads, with numpy's own ziggurat (from
 ``libnpyrandom.a``), into an output of any stride; the CN draws of channels
 and noise are ``_noise``, drawn into the parts of their complex output and
-joined and divided in place by ``fp_cn``.
+scaled in place by ``fp_cn``.
 
 All kernels accept leading batch dimensions and vectorize across them; the
 scalar reduction order along the contraction axis is part of the contract.
@@ -154,10 +154,10 @@ def _norm(x, unit=None):
     with FMA).  A 0-d ``x`` raises ValueError.
 
     With ``unit``, a C-contiguous complex128 array of ``x``'s shape (``x``
-    itself, for one in place), each row divided by its norm is also written
-    there, as the row is read, with the bits of numpy's
-    ``x / _norm(x)[..., None]``: a zero norm gives numpy's infinities and
-    NaNs, as its division does.
+    itself, for one in place), each part of each row times the reciprocal of
+    the row's norm is also written there, as the row is read: numpy's bits
+    of ``x / _norm(x)[..., None]`` on finite nonzero parts, a zero keeping its
+    sign, and a zero norm giving infinities, and NaN for a zero part.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 1:  # before ascontiguousarray, which makes a 0-d array 1-d
@@ -226,14 +226,14 @@ def _split_normal(rng, shape: tuple, pieces: int, out=None):
 
 
 def _noise(rng, shape: tuple, d: float = math.sqrt(2.0), out=None):
-    """iid complex normals (re + 1j*im) / d with numpy's bits, re and im
-    standard normal: CN(0, 1) for the default d, CN(0, 2/d^2) for any.
+    """iid complex normals (re + 1j*im) / d, re and im standard normal:
+    CN(0, 1) for the default d, CN(0, 2/d^2) for any.
 
     All real parts are drawn before the imaginary ones, straight into the
-    parts of the complex output, which the C core's ``fp_cn`` then joins and
-    divides in place, with the bits of ``join_to`` and of numpy's complex
-    division by ``d + 0j``.  The output is a fresh array, or ``out``, a
-    C-contiguous complex128 array of ``shape``, when given.
+    parts of the complex output, which the C core's ``fp_cn`` then scales in
+    place, each part times 1 / d: numpy's bits of ``(1j*im + re) / d`` on
+    finite nonzero parts, which every draw is.  The output is a fresh array,
+    or ``out``, a C-contiguous complex128 array of ``shape``, when given.
     """
     z = _out(out, shape, np.complex128)
     flat = z.reshape(-1)
@@ -273,9 +273,12 @@ def round_input(x, policy: PrecisionPolicy, rng=None):
     does no finiteness check, and it never writes into ``x``.  A real ``x``
     is rounded as float64, and under an fp64 nearest-even unbounded policy a
     float64 ``x`` comes back as itself.  A complex ``x`` is rounded as
-    complex128 into a fresh array (a scalar for 0-d); under stochastic
-    rounding it draws all real-part uniforms, in C order, before the
-    imaginary ones.  Either is read through its strides.
+    complex128, each part on its own, into a fresh array (a scalar for 0-d):
+    a part that rounding keeps, a signed zero included, is copied bit for
+    bit, and a finite part beside an infinite or NaN one keeps its value,
+    so under fp64's nearest-even policy the copy has ``x``'s bytes.  Under
+    stochastic rounding it draws all real-part uniforms, in C order, before
+    the imaginary ones.  Either is read through its strides.
     """
     x = np.asarray(x)
     x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
@@ -322,10 +325,12 @@ def _dot(a, d, policy: PrecisionPolicy, rng, upper: bool = False, conj: bool = F
     return out if out.ndim else out[()]
 
 
-def _as_cvec(x, name: str):
+def _as_complex(x, name: str, ndim: int):
+    """``x`` as complex128, or ValueError if it has fewer than ``ndim``
+    dimensions (a vector 1, a matrix 2), before any rounding or draw."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim < 1:
-        raise ValueError(f"{name} must have at least one dimension")
+    if x.ndim < ndim:
+        raise ValueError(f"{name} has too few dimensions ({x.ndim} < {ndim})")
     return x
 
 
@@ -343,8 +348,8 @@ def inner_product_fp(a, b, policy: PrecisionPolicy, rng=None):
 
 def _inner_call(name: str, a, b, policy: PrecisionPolicy, rng=None):
     """The body of :func:`inner_product_fp`, entering its operands under ``name``."""
-    a = _as_cvec(a, "a")
-    b = _as_cvec(b, "b")
+    a = _as_complex(a, "a", 1)
+    b = _as_complex(b, "b", 1)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     out = _inner(*_rounded(name, policy, rng, a, b), policy, rng)
@@ -361,7 +366,7 @@ def _inner(a, b, policy: PrecisionPolicy, rng=None):
 def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     """y = A x, each row reduced like an inner product (mixed-aware)."""
     A = np.asarray(A, dtype=np.complex128)
-    x = _as_cvec(x, "x")
+    x = _as_complex(x, "x", 1)
     if A.shape[-1] != x.shape[-1]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")
     A, x = _rounded("matvec_fp", policy, rng, A, x)
@@ -370,8 +375,8 @@ def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
 
 def matmul_fp(A, B, policy: PrecisionPolicy, rng=None):
     """C = A B, entrywise finite-precision inner products (mixed-aware)."""
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
+    A = _as_complex(A, "A", 2)
+    B = _as_complex(B, "B", 2)
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, B is {B.shape[-2]}x...")
     A, B = _rounded("matmul_fp", policy, rng, A, B)
@@ -411,7 +416,7 @@ def cholesky_fp(C, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     """
     if error not in ("raise", "mask"):
         raise ValueError("error must be 'raise' or 'mask'")
-    C = np.asarray(C, dtype=np.complex128)
+    C = _as_complex(C, "C", 2)
     if C.shape[-2] != C.shape[-1]:
         raise ValueError("C must be square")
     (C,) = _rounded("cholesky_fp", policy, rng, C)
@@ -458,8 +463,8 @@ def trisolve_fp(R, rhs, side: str, policy: PrecisionPolicy, rng=None):
     """
     if side not in ("lower-conjugate", "upper"):
         raise ValueError("side must be 'lower-conjugate' or 'upper'")
-    R = np.asarray(R, dtype=np.complex128)
-    rhs = _as_cvec(rhs, "rhs")
+    R = _as_complex(R, "R", 2)
+    rhs = _as_complex(rhs, "rhs", 1)
     K = R.shape[-1]
     if R.shape[-2] != K or rhs.shape[-1] != K:
         raise ValueError("shape mismatch between R and rhs")

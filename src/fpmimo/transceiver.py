@@ -27,6 +27,7 @@ import numpy as np
 
 from .kernels import (
     PrecisionPolicy,
+    _as_complex,
     _chol,
     _cmul,
     _dot,
@@ -54,10 +55,11 @@ def mrt_precode(h, x_d, policy: PrecisionPolicy, rng=None, prenormalized=False):
 
     The direction h/||h|| is carried in full precision: ``kernels._norm``
     (the harness's, with bits that do not depend on the layout of ``h``)
-    writes it into a fresh array as it takes the norm, with the bits of
-    numpy's ``h / _norm(h)[..., None]``.  Only the per-entry complex scalar
-    products run at the working format (4 rounded real multiplies + 2
-    rounded additions per entry), so the error does not grow with M.
+    writes it into a fresh array as it takes the norm, each part times the
+    reciprocal of the norm, with numpy's bits of ``h / _norm(h)[..., None]``
+    on finite nonzero parts.  Only the per-entry complex scalar products run
+    at the working format (4 rounded real multiplies + 2 rounded additions
+    per entry), so the error does not grow with M.
     ``prenormalized=True`` skips the normalization (the caller already
     passes a unit-norm direction), which lets a full-precision rerun consume
     bit-identical inputs.  Non-finite ``h`` or ``x_d``, a norm of ``h`` that
@@ -108,11 +110,12 @@ def zf_detect_ne(H, z, policy: PrecisionPolicy, rng=None, error: str = "raise"):
     (..., K).  A lane whose factor breaks down is solved on its unit pivots
     (see :func:`~fpmimo.kernels.cholesky_fp`); then ``error="mask"`` returns
     (r, breakdown_mask), and ``error="raise"`` raises CholeskyBreakdownError.
-    A non-finite ``H`` or ``z`` or a bad ``error`` raises ValueError before
-    any draw, an overflowing solution after, before any breakdown raises.
+    A non-finite ``H`` or ``z``, an ``H`` of fewer than two dimensions or a
+    bad ``error`` raises ValueError before any draw, an overflowing solution
+    after, before any breakdown raises.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
+    H = _as_complex(H, "H", 2)
+    z = _as_complex(z, "z", 1)
     if H.shape[-2] != z.shape[-1]:
         raise ValueError("H and z disagree on the antenna count")
     if error not in ("raise", "mask"):
@@ -146,12 +149,13 @@ def zf_precode_ne(
     normalization sqrt(M - K) (the analytic expectation of the zero-forcing
     precoder's power).  ``H`` is (..., M, K), ``x_d`` is (..., K); returns s
     of shape (..., M).  A breakdown is handled as in :func:`zf_detect_ne`.
-    A non-finite ``H`` or ``x_d``, a bad ``error`` or M <= K with
-    ``normalize`` raises ValueError before any draw; so does, after them and
-    before any breakdown raises, a solution that overflows.
+    A non-finite ``H`` or ``x_d``, an ``H`` of fewer than two dimensions, a
+    bad ``error`` or M <= K with ``normalize`` raises ValueError before any
+    draw; so does, after them and before any breakdown raises, a solution
+    that overflows.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    x_d = np.asarray(x_d, dtype=np.complex128)
+    H = _as_complex(H, "H", 2)
+    x_d = _as_complex(x_d, "x_d", 1)
     if x_d.shape[-1] != H.shape[-1]:
         raise ValueError("x_d and H disagree on the user count")
     if error not in ("raise", "mask"):

@@ -190,3 +190,49 @@ def test_one_cpu_gives_the_bytes_of_all(tmp_path):
     for name in ("miso.csv", "simo.csv", "mu-miso.csv", "upsilon.txt", "inner.json"):
         pinned = (tmp_path / f"pin-{name}").read_bytes()
         assert pinned == (tmp_path / f"all-{name}").read_bytes(), name
+
+
+# Makes one threaded call of each kind, an fp_dot reduction over 4000 x 100
+# and an fp_normal draw of 2^17 normals split over pieces, then forks and
+# makes the same calls in the forked child, which must give the same bytes
+# and exit; a core whose threads live on past a call (a pool a fork does not
+# copy) could hang the child here, and then the child is killed after 60 s.
+_FORK_CHILD = textwrap.dedent("""
+    import os, signal, time
+    import numpy as np
+    from fpmimo import _core
+    from fpmimo.formats import FP16
+    from fpmimo.kernels import PrecisionPolicy, _normal, inner_product_fp
+
+    def calls():
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4000, 100)) + 1j * rng.standard_normal((4000, 100))
+        inner = inner_product_fp(a, a[::-1], PrecisionPolicy.uniform(FP16))
+        return inner.tobytes() + _normal(np.random.default_rng(4), (1 << 17,)).tobytes()
+
+    before = calls()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if calls() == before else 1)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise SystemExit("the forked child hung")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status[1]) == 0, status
+    print(_core.threads())
+""")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_threaded_calls_work_in_a_forked_child():
+    """The core starts its threads in each call and joins them before it
+    returns, so a child forked after a threaded call can make one too."""
+    src = str(_core.SOURCE.parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FORK_CHILD], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == _core.threads() > 1

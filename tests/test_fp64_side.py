@@ -1,8 +1,9 @@
 """The harness's fp64 side in the C core, byte for byte: the row norms
-(``_norm``) against their definition written out (``_oracle_norm``), and
-against the numpy they replaced the CN draws (``_noise``), the conjugating
-reduction of ``inner_product_fp`` and the fp64 entry of the kernels
-(``_rounded``) and ``round_input``."""
+(``_norm``) against their definition written out (``_oracle_norm``), their
+unit rows against numpy's division, against the numpy they replaced the CN
+draws (``_noise``) and the conjugating reduction of ``inner_product_fp``,
+and the fp64 entry of the kernels (``_rounded``) and ``round_input`` against
+the bytes of the operand itself."""
 
 import math
 import os
@@ -273,22 +274,42 @@ def test_unit_rows_of_strided_rows(n):
     _check_unit(np.asfortranarray(_complex(rng, (3, n))))
 
 
+def _check_unit_parts(x):
+    """``_norm(x, unit=)`` writes each part times the reciprocal of its row's
+    norm, computed here in numpy on the float64 view, and returns the norms
+    it returns without ``unit``; where a part and its partner are finite and
+    nonzero and the norm is too, that is numpy's ``x / norm`` byte for byte.
+    Returns the unit rows."""
+    norms = _norm(x)
+    unit = np.full(np.shape(x), 7 + 7j)
+    _bytes_equal(_norm(x, unit=unit), norms)
+    with np.errstate(all="ignore"):
+        scaled = x.view(np.float64) * (1.0 / norms)[..., None]
+        divided = x / norms[..., None]
+    _bytes_equal(unit, scaled.view(np.complex128))
+    plain = (np.isfinite(x) & (x.real != 0) & (x.imag != 0)
+             & np.isfinite(norms[..., None]) & (norms[..., None] != 0))
+    _bytes_equal(unit[plain], divided[plain])
+    return unit
+
+
 def test_unit_rows_of_signed_zeros_and_a_zero_norm():
-    """Signed zeros in a row of nonzero norm; rows of subnormals and zeros
-    whose norm underflows to 0, where numpy's division takes its zero-divisor
-    branch (x / +0: infinities, and NaN for a zero); rows with an infinity
-    (an infinite norm) and with a NaN."""
+    """Signed zeros in a row of nonzero norm keep their sign; rows of
+    subnormals and zeros whose norm underflows to 0 give infinities, and NaN
+    for a zero part (x times 1 / +0); rows with an infinity (an infinite
+    norm) and with a NaN."""
     values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1.0])
     re, im = np.meshgrid(values, values)
     x = np.empty(re.shape + (3,), dtype=np.complex128)
     x.real, x.imag = re[..., None], im[..., None]
     x.real[:, :, 1] = -0.0
     x.imag[:, :, 2] = 0.5
-    _check_unit(x)
+    unit = _check_unit_parts(x)
+    assert np.signbit(unit.real[:, :, 1]).all()  # -0.0 times a positive reciprocal
     tiny = np.array([[5e-324 + 5e-324j, -5e-324 + 0j, 0j, -0.0 - 0j, 1e-170 - 1e-170j]])
     assert _norm(tiny)[0] == 0.0
-    _check_unit(tiny)
-    _check_unit(np.array([[1 + 1j, np.inf + 0j, -2j], [1 + 1j, np.nan + 0j, -2j]]))
+    _check_unit_parts(tiny)
+    _check_unit_parts(np.array([[1 + 1j, np.inf + 0j, -2j], [1 + 1j, np.nan + 0j, -2j]]))
 
 
 def test_unit_rows_in_place():
@@ -386,9 +407,12 @@ def test_conjugating_dot_flips_the_sign_of_specials_as_np_conj():
         _bytes_equal(got, want)
 
 
-# -- the fp64 entry: an operand joined into a copy ------------------------------
+# -- the fp64 entry: an operand copied bit for bit ------------------------------
 
-def test_fp64_entry_joins_x_into_a_copy_with_numpys_bits():
+def test_fp64_entry_copies_x_bit_for_bit():
+    """Under fp64 nothing rounds, so round_input returns a copy that owns its
+    data and holds x's bytes: signed zeros, and a finite part beside an
+    infinite one, included."""
     rng = np.random.default_rng(13)
     fp64 = PrecisionPolicy.uniform(FP64)
     strict = PrecisionPolicy.uniform(FP64, range_mode=RangeMode.STRICT_IEEE)
@@ -403,15 +427,12 @@ def test_fp64_entry_joins_x_into_a_copy_with_numpys_bits():
         "large": _complex(rng, (1024, 80)), "rounded": round_input(clean, POLICIES["uniform"]),
     }
     for name, x in inputs.items():
-        with np.errstate(invalid="ignore"):
-            got = round_input(x, fp64)
-            want = 1j * x.imag
-            want += x.real
-        assert got is not x, name  # round_input always copies
-        _bytes_equal(got, want)
+        got = round_input(x, fp64)
+        assert got is not x and got.flags.owndata, name  # round_input always copies
+        _bytes_equal(got, x)
         if np.isfinite(x).all():  # no finite part here is out of fp64's strict range
             for policy in (fp64, strict):
-                _bytes_equal(_rounded("matmul_fp", policy, None, x)[0], want)
+                _bytes_equal(_rounded("matmul_fp", policy, None, x)[0], x)
     assert isinstance(round_input(np.array(1 + 2j), fp64), complex)
 
 
@@ -421,10 +442,11 @@ _X86_V2 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def test_oracles_hold_at_numpys_x86_v2_baseline():
-    """The norm, MRT and join oracles are written in IEEE operations, not in
-    numpy's dispatch, so the tests that compare with them pass with numpy
-    held at its X86_V2 baseline (no AVX2, no FMA), as on a host without
-    them: rerun in a child process with ``NPY_DISABLE_CPU_FEATURES`` set."""
+    """The norm and MRT oracles, the exact complex results and the unit
+    rows are written in IEEE operations, not in numpy's dispatch, so the
+    tests that compare with them pass with numpy held at its X86_V2 baseline
+    (no AVX2, no FMA), as on a host without them: rerun in a child process
+    with ``NPY_DISABLE_CPU_FEATURES`` set."""
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _X86_V2}
     probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"],
                            env=env, capture_output=True, text=True)
@@ -435,7 +457,8 @@ def test_oracles_hold_at_numpys_x86_v2_baseline():
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(tests / "test_fp64_side.py"), str(tests / "test_rounding_oracles.py"),
-         "-k", "_norm_ or fused_terms or join_matches or (complex_multiply and fp64)"],
+         "-k", "_norm_ or fused_terms or unit_rows_of_signed or fp64_copy or fp64_entry"
+               " or (complex_input and fp64) or (complex_multiply and fp64)"],
         env=env, cwd=tests.parent, capture_output=True, text=True,
     )
     assert child.returncode == 0, child.stdout[-4000:]  # 5 if it selects no test

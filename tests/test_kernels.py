@@ -515,6 +515,36 @@ def test_non_finite_input_in_the_last_range_rejected_before_any_draw(policy):
             assert rng.bit_generator.state == before, (name, arg)
 
 
+def _flat_cases():
+    """(id, call(policy, rng), operand name) for each kernel given an operand
+    of too few dimensions."""
+    rng = np.random.default_rng(37)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return [
+        ("matmul_fp-1d-A", lambda p, g: matmul_fp(cn(4), cn(4, 3), p, g), "A"),
+        ("matmul_fp-1d-B", lambda p, g: matmul_fp(cn(3, 4), cn(4), p, g), "B"),
+        ("cholesky_fp-0d", lambda p, g: cholesky_fp(np.array(2 + 0j), p, g), "C"),
+        ("cholesky_fp-1d", lambda p, g: cholesky_fp(cn(3), p, g), "C"),
+        ("trisolve_fp-1d-R", lambda p, g: trisolve_fp(cn(3), cn(3), "upper", p, g), "R"),
+    ]
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("call,name", [pytest.param(c, n, id=i) for i, c, n in _flat_cases()])
+def test_too_few_dimensions_rejected_before_any_rounding_or_draw(roundings, call, name, rounding):
+    """A ValueError naming the operand, not an IndexError from its shape,
+    before the operand is rounded or the generator moves."""
+    rng = np.random.default_rng(38)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^{name} has too few dimensions \(\d < 2\)$"):
+        call(PrecisionPolicy.uniform(FP16, rounding=rounding), rng)
+    assert roundings == []
+    assert rng.bit_generator.state == before
+
+
 # -- round_input: a copy, with the bits of what rounding would not change ----
 
 ENTRY_FORMATS = [(fmt, rm) for fmt in (FP16, BFLOAT16, FP32) for rm in RangeMode]
@@ -553,14 +583,14 @@ def test_round_input_copies_what_rounding_changes(fmt, range_mode):
     assert got is not moved and got[-1] == 1.0 + 0.5j
     np.testing.assert_array_equal(bits(got[:-1]), bits(x[:-1]))
 
-    for part in ("real", "imag"):  # a -0.0 part, which the join makes +0.0
+    for part in ("real", "imag"):  # a -0.0 part, which rounding keeps, sign bit and all
         signed = x.copy()
         signed[n // 3] = 1.0 + 1.0j
         getattr(signed, part)[n // 3] = -0.0
         got = round_input(signed, policy)
         assert got is not signed, part
-        assert not np.signbit(getattr(got, part)[n // 3]), part
-        np.testing.assert_array_equal(bits(got[: n // 3]), bits(x[: n // 3]))
+        assert np.signbit(getattr(got, part)[n // 3]), part
+        np.testing.assert_array_equal(bits(got), bits(signed))
 
     for view in (x[::2], x[::-1], x[:-1].reshape(-1, 3)[:, :2]):  # not C-contiguous
         got = round_input(view, policy)

@@ -167,7 +167,7 @@ def _oracle_round_significand(x, fmt, mode, rng):
             raise ValueError("stochastic rounding requires an rng")
         lo = np.floor(scaled)
         frac = scaled - lo
-        k = lo + (rng.random(np.shape(frac)) < frac)
+        k = np.where(rng.random(np.shape(frac)) < frac, lo + 1.0, lo)  # -0.0 stays -0.0
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown rounding mode {mode}")
     return np.ldexp(k, e - t)
@@ -255,8 +255,10 @@ def test_core_matches_formula_on_bit_patterns(fmt, mode, range_mode):
 # -- the fused reduction against the numpy reduction it replaced ---------------
 
 def _oracle_join(re, im):
-    out = 1j * im
-    out += re
+    """re + i im exactly: each part stored as it is, as the C core stores
+    the two rounded parts of a complex result."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=np.complex128)
+    out.real, out.imag = re, im
     return out
 
 
@@ -270,8 +272,9 @@ def _oracle_input(x, policy, rng):
     return _oracle_join(re, rnd(x.imag))
 
 
-# Signed zeros, the smallest subnormals, ones, infinities and NaN: every sign
-# rule of the join shows on some (re, im) pair of these.
+# Signed zeros, the smallest subnormals, ones, infinities and NaN: a join that
+# moved a sign, or a finite part beside an infinite or NaN one, would show on
+# some (re, im) pair of these.
 JOIN_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
 
 
@@ -280,30 +283,18 @@ def _pairs(values):
     return re.ravel(), im.ravel()
 
 
-def _ieee_join(re, im):
-    """re + i im as numpy's ``1j*im + re`` forms it, in IEEE operations on
-    Python floats, each rounded as written: (0 + 1i)(im + 0i), with its
-    complex multiply unfused, then + (re + 0i).  The real sum is the only
-    one whose operands may both be NaN (0 * inf is one); it takes the NaN of
-    its first operand, as numpy does."""
-    t = 0.0 * im - 1.0 * 0.0
-    real = t if math.isnan(t) else re if math.isnan(re) else t + re
-    return real, (0.0 * 0.0 + 1.0 * im) + 0.0
-
-
-def test_join_matches_numpy_on_signed_zeros_and_specials():
-    """Under the fp64 policy nothing rounds, so a copy is join_to of the parts
-    as they are; these pairs move under it, so round_input copies."""
+def test_fp64_copy_keeps_the_bytes_of_signed_zeros_and_specials():
+    """Under the fp64 policy nothing rounds, so round_input returns a copy
+    with x's bytes: every sign pair, and a finite part beside an infinite
+    or NaN one."""
     re, im = _pairs(JOIN_VALUES)
     x = np.empty(re.shape, dtype=np.complex128)
-    x.real, x.imag = re, im  # every sign pair, which no join would give
-    want = np.empty(re.shape, dtype=np.complex128)
-    want.real, want.imag = np.array([_ieee_join(float(r), float(i)) for r, i in zip(re, im)]).T
+    x.real, x.imag = re, im
     got = round_input(x, PrecisionPolicy.uniform(FP64))
     assert got is not x
-    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert (got.shape, got.dtype) == (x.shape, x.dtype)
     assert got.flags.owndata  # not a view, so numpy can reuse it as a temporary
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), x.view(np.uint64))
 
 
 @pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
@@ -312,7 +303,7 @@ def test_join_matches_numpy_on_signed_zeros_and_specials():
 def test_complex_input_matches_oracle_on_signed_zeros(fmt, mode, range_mode):
     re, im = _pairs(JOIN_VALUES[np.isfinite(JOIN_VALUES)])
     x = np.empty(re.shape, dtype=np.complex128)
-    x.real, x.imag = re, im  # every sign pair, which no join would give
+    x.real, x.imag = re, im  # every sign pair
     policy = PrecisionPolicy.uniform(fmt, rounding=mode, range_mode=range_mode)
     inputs = {"pairs": x, "strided": x.reshape(6, 6).T, "0-d": np.array(x[6])}
     for name, z in inputs.items():
@@ -324,6 +315,53 @@ def test_complex_input_matches_oracle_on_signed_zeros(fmt, mode, range_mode):
         got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state, name
+
+
+def _representable(fmt, count):
+    """``count`` values of ``fmt`` across its normal range, both signs, and
+    ±0, ±x_min and ±x_max: values no rounding mode or range mode moves."""
+    rng = np.random.default_rng(fmt.significand_bits)
+    e = rng.integers(fmt.exponent_min, fmt.exponent_max + 1, count)
+    x = np.ldexp(rng.uniform(1.0, 2.0, count), e) * rng.choice([-1.0, 1.0], count)
+    drop = (1 << (53 - fmt.significand_bits)) - 1  # clearing these leaves a t-bit value
+    x = (x.view(np.int64) & ~np.int64(drop)).view(np.float64)
+    return np.concatenate([x, [0.0, -0.0, fmt.x_min, -fmt.x_min, fmt.x_max, -fmt.x_max]])
+
+
+@pytest.mark.parametrize("range_mode", list(RangeMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_complex_input_exact_on_representable_parts(fmt, mode, range_mode):
+    """The complex form of ``test_exact_on_representable``: each part is
+    rounded on its own, so parts already in the format come back bit for
+    bit, every sign pair of zeros included."""
+    re, im = _pairs(_representable(fmt, 30))
+    x = np.empty(re.shape, dtype=np.complex128)
+    x.real, x.imag = re, im
+    zeros = np.flatnonzero((re == 0) & np.signbit(re) & (im == 0) & np.signbit(im))
+    policy = PrecisionPolicy.uniform(fmt, rounding=mode, range_mode=range_mode)
+    for z in (x, x.reshape(36, 36).T, np.array(x[zeros[0]])):
+        got = round_input(z, policy, np.random.default_rng(9))
+        got, z = (np.asarray(v, dtype=np.complex128).reshape(-1) for v in (got, z))
+        np.testing.assert_array_equal(got.view(np.uint64), z.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=str)
+def test_finite_part_beside_a_non_finite_one_keeps_its_value(fmt, mode):
+    """Under the unbounded range round_input keeps the 1.0 of 1 + inf*j bit
+    for bit (and of inf + 1j, and beside a NaN); the entry of every kernel
+    and transceiver still rejects such an operand."""
+    policy = PrecisionPolicy.uniform(fmt, rounding=mode)
+    for bad in (math.inf, -math.inf, math.nan):
+        for z in (complex(1.0, bad), complex(bad, 1.0)):
+            x = np.array([z, 0.5 - 0.25j])
+            got = round_input(x, policy, np.random.default_rng(10))
+            finite = got.real[0] if math.isfinite(z.real) else got.imag[0]
+            assert np.float64(finite).view(np.uint64) == np.float64(1.0).view(np.uint64), z
+            assert not np.isfinite(got[0]) and got[1] == x[1], z
+            with pytest.raises(ValueError, match="^entry requires finite input$"):
+                _rounded("entry", policy, np.random.default_rng(10), x)
 
 
 def _oracle_seq_sum(terms, rnd):
@@ -559,7 +597,9 @@ def _oracle_mrt(h, x_d, policy, rng=None, prenormalized=False):
             raise ValueError("mrt_precode requires a channel whose norm does not overflow")
         if np.any(nrm == 0):
             raise ValueError("mrt_precode requires a nonzero channel")
-        hn = _oracle_input(h / nrm, policy, rng)
+        # each part times the reciprocal, on the float64 view
+        unit = (np.ascontiguousarray(h).view(np.float64) * (1.0 / nrm)).view(np.complex128)
+        hn = _oracle_input(unit, policy, rng)
     x = _oracle_input(x_d[..., None], policy, rng)
     rnd = _oracle_rounder(policy, policy.working, rng)
     return _oracle_join(*_oracle_cmul(hn.real, hn.imag, x.real, x.imag, rnd))

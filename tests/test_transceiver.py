@@ -396,6 +396,21 @@ class TestZfKeywords:
         assert roundings == []
         assert g.bit_generator.state == before
 
+    @pytest.mark.parametrize("rounding", list(RoundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("zf", [zf_detect_ne, zf_precode_ne])
+    def test_flat_channel_raises_before_any_rounding_or_draw(self, roundings, zf, rounding):
+        """A 1-D H raises a ValueError that says H has too few dimensions, not
+        an IndexError or a complaint about the user count, before H is
+        rounded or the generator moves."""
+        rng = np.random.default_rng(25)
+        H, v = _channel(rng, 8), _channel(rng, 8)
+        g = np.random.default_rng(3)
+        before = g.bit_generator.state
+        with pytest.raises(ValueError, match=r"^H has too few dimensions \(1 < 2\)$"):
+            zf(H, v, PrecisionPolicy.uniform(FP16, rounding=rounding), g)
+        assert roundings == []
+        assert g.bit_generator.state == before
+
 
 # the public call in either error mode, and the paired run, which has none
 _CALLS = pytest.mark.parametrize("paired, error", [(False, "raise"), (False, "mask"), (True, None)],
