@@ -25,24 +25,29 @@
  * norm(x, axis=-1) where numpy fuses, and on request each row times the
  * reciprocal of its norm while the row is in cache.  fp_normal draws the
  * standard normals of numpy's Generator.standard_normal on a PCG64, bit for
- * bit and to the same end state, with numpy's own ziggurat
- * (random_standard_normal of libnpyrandom.a), splitting the draws across
- * threads by decoding pieces of the stream from their first word and joining
- * them where the true chain of samples meets them, into an output of any
- * stride; fp_cn then makes CN(0, 1) samples of the real and imaginary parts
- * so drawn in place, each part times 1 / d.  Both multiplies by a reciprocal
- * have the bits of numpy's complex division by d + 0i on finite nonzero
- * parts, as numpy computes (re + im*0) * (1/d) there.
+ * bit and to the same end state, with numpy's own ziggurat: its fast path,
+ * one word and one table lookup on about 99% of draws, inline on tables read
+ * back from numpy's random_standard_normal (libnpyrandom.a) when the library
+ * loads, and that function itself for the rest, over a buffer of words that
+ * four interleaved LCG chains make a block at a time.  It splits the draws
+ * across threads by decoding pieces of the stream from their first word,
+ * joins them where the true chain of samples meets them, and shifts them
+ * into place on the threads too, into an output of any stride; fp_cn then
+ * makes CN(0, 1) samples of the real and imaginary parts so drawn in place,
+ * each part times 1 / d.  Both multiplies by a reciprocal have the bits of
+ * numpy's complex division by d + 0i on finite nonzero parts, as numpy
+ * computes (re + im*0) * (1/d) there.
  * fpmimo/_core.py compiles this file on first use, with numpy's include
  * directory and linked to libnpyrandom.a, and loads it with ctypes; it must
  * be built with -ffp-contract=off, so that no product and sum fuse into one
  * rounding unless an fma() says so, and with -pthread, as the elementwise
  * entries, fp_dot, fp_gram and fp_norm split their lanes across threads
- * (split_lanes) with the bits of one thread, and fp_normal its pieces.  It
- * names no -march, so that it loads on any x86-64: the one fma() it calls,
- * in fp_norm's row sum, is compiled twice there (FMA_CLONES), as the FMA
- * instruction and as libm's fma, which give the same bits, as both are
- * correctly rounded, and the loader picks one for the CPU once.
+ * (split_lanes) with the bits of one thread, and fp_normal its pieces and
+ * their shift.  It names no -march, so that it loads on any x86-64: the one
+ * fma() it calls, in fp_norm's row sum, is compiled twice there
+ * (FMA_CLONES), as the FMA instruction and as libm's fma, which give the
+ * same bits, as both are correctly rounded, and the loader picks one for the
+ * CPU once.
  *
  * Nearest-even works on the bit pattern.  Zero, subnormal, infinite and NaN
  * inputs (exponent field 0 or 0x7ff) take the frexp/ldexp/rint formula
@@ -872,6 +877,109 @@ void fp_norm(int64_t L, int64_t n, const double *x, double *out, double *unit)
  * it has no next_uint32. */
 double random_standard_normal(bitgen_t *bitgen_state);
 
+/* The fast path of that ziggurat, inline.  From a word w, idx = w & 0xff and
+ * rabs = (w >> 9) & (2^52 - 1); when rabs < ki[idx] (about 99% of words) the
+ * sample is rabs wi[idx], negated when bit 8 of w is set, and takes no other
+ * word.  Else numpy's function decodes the sample from w on (the wedges, the
+ * tail, its exp and log1p).  numpy's tables are local symbols of its library,
+ * so they are read back from its function when the library loads
+ * (read_ziggurat); ki[idx] = 0 sends every word of box idx to numpy's path. */
+static double zig_wi[256];
+static uint64_t zig_ki[256];
+
+#define RABS (((uint64_t)1 << 52) - 1)
+
+/* numpy's next_double from the word w: its top 53 bits times 2^-53 */
+ALWAYS_INLINE double word_double(uint64_t w)
+{
+    return (double)(w >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The fast-path sample of w, when rabs < ki[idx]: the sign bit XOR bit 8 of
+ * w gives the bits of numpy's -x for every x, +-0 included. */
+ALWAYS_INLINE double fast_normal(uint64_t w)
+{
+    return flip((double)(int64_t)((w >> 9) & RABS) * zig_wi[w & 0xff], (w & 0x100) << 55);
+}
+
+ALWAYS_INLINE int is_fast(uint64_t w)
+{
+    return ((w >> 9) & RABS) < zig_ki[w & 0xff];
+}
+
+/* A probe of numpy's ziggurat: its first word is w, every later one 2^63
+ * (next_double 0.5, which ends any tail or wedge loop; as a word, +0.0) */
+typedef struct {
+    uint64_t w;
+    int64_t words;
+} probe_t;
+
+static uint64_t probe_next64(void *st)
+{
+    probe_t *p = st;
+    return p->words++ ? (uint64_t)1 << 63 : p->w;
+}
+
+static double probe_next_double(void *st)
+{
+    return word_double(probe_next64(st));
+}
+
+/* numpy's sample from w, and whether it took w alone */
+static double probe(uint64_t w, int *alone)
+{
+    probe_t p = {w, 0};
+    bitgen_t b = {&p, probe_next64, NULL, probe_next_double, probe_next64};
+    const double x = random_standard_normal(&b);
+    *alone = p.words == 1;
+    return x;
+}
+
+/* The tables read back from numpy's function: ki[idx] is the least rabs at
+ * which it takes a second word (2^52 if none), by bisection, and wi[idx] its
+ * sample at rabs = 1.  Then each idx is checked at rabs = 0, 1 and ki - 1
+ * (those below ki), both signs: numpy's function must take one word and give
+ * fast_normal's bits.  On any mismatch every ki is 0, so that every word
+ * takes numpy's path. */
+__attribute__((constructor)) static void read_ziggurat(void)
+{
+    int alone, ok = 1;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = RABS + 1;
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            probe(mid << 9 | idx, &alone);
+            if (alone)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        zig_ki[idx] = lo;
+        zig_wi[idx] = probe((uint64_t)1 << 9 | idx, &alone);
+    }
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        const uint64_t ki = zig_ki[idx], rabs[3] = {0, 1, ki - 1};
+        for (int k = 0; k < 3; k++)
+            for (uint64_t sign = 0; sign < 2 && rabs[k] < ki; sign++) {
+                const uint64_t w = rabs[k] << 9 | sign << 8 | idx;
+                const double want = probe(w, &alone), got = fast_normal(w);
+                ok &= alone && memcmp(&want, &got, sizeof want) == 0;
+            }
+    }
+    if (!ok)
+        memset(zig_ki, 0, sizeof zig_ki);
+}
+
+/* *out = how many of the ziggurat's 256 boxes have the inline fast path: all
+ * but those whose ki numpy sets to 0 (its box 1), or none if the load-time
+ * check failed */
+void fp_ziggurat(int64_t *out)
+{
+    *out = 0;
+    for (int idx = 0; idx < 256; idx++)
+        *out += zig_ki[idx] > 0;
+}
+
 /* A PCG64 stream as numpy steps it: a 128-bit LCG, then the XSL-RR output of
  * the new state.  pos counts the words taken since the call's entry state. */
 typedef struct {
@@ -881,55 +989,142 @@ typedef struct {
 
 #define PCG_MULT (((unsigned __int128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 
-static uint64_t pcg_next64(void *st)
+/* the LCG's d steps as one, s -> mult s + plus (O'Neill, HMC-CS-2014-0905) */
+static void pcg_jump(unsigned __int128 inc, uint64_t d, unsigned __int128 *mult,
+                     unsigned __int128 *plus)
 {
-    pcg_t *g = st;
-    g->s = g->s * PCG_MULT + g->inc;
-    g->pos++;
-    uint64_t x = (uint64_t)(g->s >> 64) ^ (uint64_t)g->s;
-    unsigned rot = (unsigned)(g->s >> 122);
-    return (x >> rot) | (x << ((64 - rot) & 63));
+    unsigned __int128 m = PCG_MULT, c = inc, acc_mult = 1, acc_plus = 0;
+    for (; d; d >>= 1) {
+        if (d & 1) {
+            acc_mult *= m;
+            acc_plus = acc_plus * m + c;
+        }
+        c = (m + 1) * c;
+        m *= m;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
 }
 
-static double pcg_next_double(void *st)
-{
-    return (double)(pcg_next64(st) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* the stream g moved on to word pos, by the LCG's jump-ahead (O'Neill,
- * HMC-CS-2014-0905) from g's own word */
+/* the stream g moved on to word pos */
 static pcg_t pcg_at(pcg_t g, int64_t pos)
 {
-    unsigned __int128 mult = PCG_MULT, plus = g.inc, acc_mult = 1, acc_plus = 0;
-    for (uint64_t d = (uint64_t)(pos - g.pos); d; d >>= 1) {
-        if (d & 1) {
-            acc_mult *= mult;
-            acc_plus = acc_plus * mult + plus;
-        }
-        plus = (mult + 1) * plus;
-        mult *= mult;
-    }
-    g.s = acc_mult * g.s + acc_plus;
+    unsigned __int128 mult, plus;
+    pcg_jump(g.inc, (uint64_t)(pos - g.pos), &mult, &plus);
+    g.s = mult * g.s + plus;
     g.pos = pos;
     return g;
 }
 
-/* numpy's normal draws on *g, into the doubles s bytes apart from out, while
- * they start before word hi; returns how many it made.  The first SYNC
- * samples' start words go to first, when it is not NULL. */
-#define SYNC 16
-
-static int64_t normals_to(pcg_t *g, int64_t hi, char *out, int64_t s, int64_t *first)
+ALWAYS_INLINE uint64_t xsl_rr(unsigned __int128 s)
 {
-    bitgen_t b = {g, pcg_next64, NULL, pcg_next_double, pcg_next64};
-    int64_t k = 0;
-    for (; k < SYNC && g->pos < hi; k++) {
-        if (first)
-            first[k] = g->pos;
-        store(out, k * s, random_standard_normal(&b));
+    const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned rot = (unsigned)(s >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* The words of a stream, made a block at a time into a buffer on the
+ * taker's stack by four interleaved LCG chains, each stepping four words at
+ * once (mult M^4, plus c (M^3 + M^2 + M + 1)), so that the chains' 128-bit
+ * multiplies overlap.  w[i] is the next word, the stream's word at + i. */
+#define WORDS 256
+
+typedef struct {
+    unsigned __int128 s[4], mult, plus; /* s[j]: the state of the block's word j */
+    int64_t at, i;
+    uint64_t w[WORDS];
+} words_t;
+
+static words_t words_from(pcg_t g)
+{
+    words_t b = {.at = g.pos - WORDS, .i = WORDS};
+    for (int j = 0; j < 4; j++)
+        b.s[j] = g.s = g.s * PCG_MULT + g.inc;
+    pcg_jump(g.inc, 4, &b.mult, &b.plus);
+    return b;
+}
+
+__attribute__((noinline)) static void refill(words_t *b)
+{
+    unsigned __int128 s0 = b->s[0], s1 = b->s[1], s2 = b->s[2], s3 = b->s[3];
+    const unsigned __int128 mult = b->mult, plus = b->plus;
+    for (int64_t k = 0; k < WORDS; k += 4) {
+        b->w[k] = xsl_rr(s0);
+        b->w[k + 1] = xsl_rr(s1);
+        b->w[k + 2] = xsl_rr(s2);
+        b->w[k + 3] = xsl_rr(s3);
+        s0 = s0 * mult + plus;
+        s1 = s1 * mult + plus;
+        s2 = s2 * mult + plus;
+        s3 = s3 * mult + plus;
     }
-    for (; g->pos < hi; k++)
-        store(out, k * s, random_standard_normal(&b));
+    b->s[0] = s0, b->s[1] = s1, b->s[2] = s2, b->s[3] = s3;
+    b->at += WORDS;
+    b->i = 0;
+}
+
+ALWAYS_INLINE int64_t taken(const words_t *b)
+{
+    return b->at + b->i;
+}
+
+static uint64_t words_next64(void *st)
+{
+    words_t *b = st;
+    if (b->i == WORDS)
+        refill(b);
+    return b->w[b->i++];
+}
+
+static double words_next_double(void *st)
+{
+    return word_double(words_next64(st));
+}
+
+/* the next sample of b, numpy's function on bg, a bitgen_t over b, when its
+ * first word is not on the fast path */
+ALWAYS_INLINE double next_normal(words_t *b, bitgen_t *bg)
+{
+    if (b->i == WORDS)
+        refill(b);
+    const uint64_t w = b->w[b->i];
+    if (!is_fast(w))
+        return random_standard_normal(bg);
+    b->i++;
+    return fast_normal(w);
+}
+
+/* numpy's normal draws on *g, into the doubles s bytes apart from out, while
+ * they are fewer than n and start before word hi; returns how many it made.
+ * The first SYNC samples' start words go to first, when it is not NULL.
+ * After those, runs of fast-path words are decoded in a loop of their own,
+ * over the block with its index in a register, as each takes one word. */
+#define SYNC 16
+#define MAX_PIECES 64
+
+static int64_t normals_to(words_t *g, int64_t hi, int64_t n, char *out, int64_t s, int64_t *first)
+{
+    bitgen_t b = {g, words_next64, NULL, words_next_double, words_next64};
+    int64_t k = 0;
+    for (; k < SYNC && k < n && taken(g) < hi; k++) {
+        if (first)
+            first[k] = taken(g);
+        store(out, k * s, next_normal(g, &b));
+    }
+    while (k < n && taken(g) < hi) {
+        if (g->i == WORDS)
+            refill(g);
+        int64_t i = g->i, stop = hi - g->at;
+        stop = stop < WORDS ? stop : WORDS;
+        stop = stop < i + n - k ? stop : i + n - k;
+        char *o = out + k * s;
+        for (uint64_t w; i < stop && is_fast(w = g->w[i]); i++, o += s)
+            store(o, 0, fast_normal(w));
+        k += i - g->i;
+        g->i = i;
+        if (i < stop)
+            store(out, k++ * s, random_standard_normal(&b));
+    }
     return k;
 }
 
@@ -937,7 +1132,9 @@ static int64_t normals_to(pcg_t *g, int64_t hi, char *out, int64_t s, int64_t *f
  * [dst, dst + count), the two ranges overlapping or not, as memmove moves */
 static void move(char *out, int64_t s, int64_t dst, int64_t src, int64_t count)
 {
-    if (dst <= src)
+    if (s == sizeof(double))
+        memmove(out + dst * s, out + src * s, count * s);
+    else if (dst <= src)
         for (int64_t k = 0; k < count; k++)
             store(out, (dst + k) * s, load(out, (src + k) * s));
     else
@@ -954,15 +1151,20 @@ typedef struct {
     int64_t count;   /* the samples */
     int64_t end;     /* the word after the last */
     int64_t first[SYNC];
+    int64_t src, dst, len; /* in the true chain: its len true samples, from entry
+                              src on, belong at the entries from dst on */
 } piece_t;
 
 /* The arguments of a round: the stream at a known sample start, its pieces,
- * and the output, its doubles s bytes apart. */
+ * and the output, its doubles s bytes apart; for the shift, the pieces of
+ * the true chain after the first, p[1..m), and the chunks of their
+ * destinations, chunk c moving the entries [x[c], y[c]) of [x[c], x[c + 1]). */
 typedef struct {
     pcg_t g;
     piece_t *p;
     char *out;
-    int64_t s;
+    int64_t s, m;
+    int64_t x[MAX_THREADS + 1], y[MAX_THREADS];
 } round_t;
 
 static void normal_range(const void *job, int64_t lo, int64_t hi)
@@ -971,30 +1173,97 @@ static void normal_range(const void *job, int64_t lo, int64_t hi)
     for (int64_t i = lo; i < hi; i++) {
         piece_t *p = &r->p[i];
         int64_t first[SYNC];
-        /* the stream on this thread's stack: in shared memory, its updates
-         * on every word would contend with the other threads' */
-        pcg_t g = pcg_at(r->g, p->lo);
-        p->count = normals_to(&g, p->hi, r->out + p->at * r->s, r->s, first);
-        p->end = g.pos;
+        /* the words on this thread's stack: in shared memory, its updates on
+         * every word would contend with the other threads' */
+        words_t g = words_from(pcg_at(r->g, p->lo));
+        p->count = normals_to(&g, p->hi, p->hi - p->lo, r->out + p->at * r->s, r->s, first);
+        p->end = taken(&g);
         memcpy(p->first, first, sizeof first);
     }
 }
 
-/* Standard normals split across threads.  Each round cuts the words of the
- * draws still to make, one word for each, into `pieces` contiguous pieces
- * and decodes every piece from its first word, the pieces split across
- * threads as lanes (split_lanes), into the output at the piece's word offset.  Then the
- * caller walks the true chain of samples: the first piece starts at a true
- * sample, so all of its samples are true, and the word after its last is
- * where the next true sample starts.  A piece whose decoding passed that
- * word among its first SYNC samples agrees with the true chain from there
- * on, its samples from there are moved (move) to follow the last true one,
- * and the word after its last is the next true start.  Else (about once in
- * 10^4 pieces) its true samples are drawn again, one thread, from the true
- * start.  A sample takes at least one word, so a round makes no more draws
- * than are wanted, and rounds repeat while the draws left fill at least
- * MIN_PIECE words a piece; the rest are drawn on one thread. */
-#define MAX_PIECES 64
+/* the chain's entries [lo, hi) moved from their samples to the entries from
+ * to on */
+static void gather(const round_t *r, int64_t lo, int64_t hi, int64_t to)
+{
+    for (int64_t t = 1; t < r->m; t++) {
+        const piece_t *p = &r->p[t];
+        const int64_t a = lo > p->dst ? lo : p->dst, b = hi < p->dst + p->len ? hi : p->dst + p->len;
+        if (a < b)
+            move(r->out, r->s, to + a - lo, p->src + a - p->dst, b - a);
+    }
+}
+
+/* the first of the chain's entries [lo, hi) whose sample sits at entry hi or
+ * after, else hi */
+static int64_t first_kept(const round_t *r, int64_t lo, int64_t hi)
+{
+    for (int64_t t = 1; t < r->m; t++) {
+        const piece_t *p = &r->p[t];
+        const int64_t a = lo > p->dst ? lo : p->dst, b = hi < p->dst + p->len ? hi : p->dst + p->len;
+        const int64_t from = hi - (p->src - p->dst);
+        if (a < b && from < b)
+            return from > a ? from : a;
+    }
+    return hi;
+}
+
+static void shift_range(const void *job, int64_t lo, int64_t hi)
+{
+    const round_t *r = job;
+    for (int64_t c = lo; c < hi; c++)
+        gather(r, r->x[c], r->y[c], r->x[c]);
+}
+
+/* The true chain's samples after the first piece's moved into place, split
+ * across threads in chunks of their destinations.  A chunk moves its entries
+ * in order, each from an entry at or after its own, so it overwrites no
+ * entry that it still reads.  The only entries that the next chunk may
+ * overwrite before a chunk reads them are the chunk's last ones, whose
+ * samples sit at or after the next chunk's first entry: they are copied to
+ * the room (room entries from entry room_at, which the round leaves unused)
+ * first, and put in place from there once the chunks are done.  When they do
+ * not fit, the chunks are fewer, down to one, which keeps none. */
+static void shift(round_t *r, int64_t room_at, int64_t room)
+{
+    if (r->m < 2)
+        return;
+    const int64_t lo = r->p[1].dst, W = r->p[r->m - 1].dst + r->p[r->m - 1].len - lo;
+    int64_t C = W / MIN_WORK < threads ? W / MIN_WORK : threads;
+    for (C = C < 1 ? 1 : C;; C--) {
+        int64_t kept = 0;
+        for (int64_t c = 0; c <= C; c++)
+            r->x[c] = lo + W * c / C;
+        for (int64_t c = 0; c < C; c++) {
+            r->y[c] = c < C - 1 ? first_kept(r, r->x[c], r->x[c + 1]) : r->x[C];
+            kept += r->x[c + 1] - r->y[c];
+        }
+        if (kept <= room)
+            break;
+    }
+    for (int64_t c = 0, k = room_at; c < C; k += r->x[c + 1] - r->y[c], c++)
+        gather(r, r->y[c], r->x[c + 1], k);
+    split_lanes(C, W, shift_range, r);
+    for (int64_t c = 0, k = room_at; c < C; k += r->x[c + 1] - r->y[c], c++)
+        move(r->out, r->s, r->y[c], k, r->x[c + 1] - r->y[c]);
+}
+
+/* Standard normals split across threads.  Each round cuts the words of all
+ * but a sixteenth of the draws still to make, one word for each, into
+ * `pieces` contiguous pieces and decodes every piece from its first word, the
+ * pieces split across threads as lanes (split_lanes), into the output at the
+ * piece's word offset.  Then the caller walks the true chain of samples: the
+ * first piece starts at a true sample, so all of its samples are true, and
+ * the word after its last is where the next true sample starts.  A piece
+ * whose decoding passed that word among its first SYNC samples agrees with
+ * the true chain from there on, its samples from there follow the last true
+ * one, and the word after its last is the next true start.  Else (about once
+ * in 10^4 pieces) the round ends before it, and the next round decodes its
+ * words again from the true start.  The chain's samples are then shifted into
+ * place on the threads (shift), the sixteenth left over as its room.  A
+ * sample takes at least one word, so a round makes no more draws than are
+ * wanted, and rounds repeat while the words fill at least MIN_PIECE a piece;
+ * the rest are drawn on one thread. */
 #define MIN_PIECE ((int64_t)1 << 13)
 
 /* The doubles at byte offsets i * s of out, i < n, = the n standard normals
@@ -1008,34 +1277,35 @@ void fp_normal(int64_t n, int64_t pieces, const uint64_t *state, char *out, int6
                      (unsigned __int128)state[2] << 64 | state[3], 0};
     pieces = pieces < 1 ? 1 : pieces > MAX_PIECES ? MAX_PIECES : pieces;
     int64_t done = 0, at = 0; /* the draws made, and the word the next starts at */
-    while (pieces > 1 && n - done >= pieces * MIN_PIECE) {
-        const int64_t R = n - done;
+    for (;;) {
+        const int64_t R = (n - done) - (n - done) / 16; /* the rest is the shift's room */
+        if (pieces < 2 || R < pieces * MIN_PIECE)
+            break;
         piece_t p[MAX_PIECES];
         for (int64_t t = 0; t < pieces; t++)
             p[t] = (piece_t){.lo = at + R * t / pieces, .hi = at + R * (t + 1) / pieces,
                              .at = done + R * t / pieces};
-        const round_t job = {pcg_at(e, at), p, out, s};
-        split_lanes(pieces, pieces * MIN_WORK, normal_range, &job); /* a thread a piece */
-        done += p[0].count;
-        at = p[0].end;
-        for (int64_t t = 1; t < pieces; t++) {
+        round_t r = {.g = pcg_at(e, at), .p = p, .out = out, .s = s, .m = 1};
+        split_lanes(pieces, pieces * MIN_WORK, normal_range, &r); /* a thread a piece */
+        p[0].src = p[0].dst = done;
+        p[0].len = p[0].count;
+        for (int64_t t = 1; t < pieces; t++, r.m++) {
             int64_t j = 0, sync = p[t].count < SYNC ? p[t].count : SYNC;
-            while (j < sync && p[t].first[j] < at)
+            while (j < sync && p[t].first[j] < p[t - 1].end)
                 j++;
-            if (j < sync && p[t].first[j] == at) {
-                move(out, s, done, p[t].at + j, p[t].count - j);
-                done += p[t].count - j;
-                at = p[t].end;
-            } else {
-                pcg_t g = pcg_at(e, at);
-                done += normals_to(&g, p[t].hi, out + done * s, s, NULL);
-                at = g.pos;
-            }
+            if (j == sync || p[t].first[j] != p[t - 1].end)
+                break;
+            p[t].src = p[t].at + j;
+            p[t].dst = p[t - 1].dst + p[t - 1].len;
+            p[t].len = p[t].count - j;
         }
+        shift(&r, done + R, n - done - R);
+        done = p[r.m - 1].dst + p[r.m - 1].len;
+        at = p[r.m - 1].end;
     }
-    pcg_t g = pcg_at(e, at);
-    for (bitgen_t b = {&g, pcg_next64, NULL, pcg_next_double, pcg_next64}; done < n; done++)
-        store(out, done * s, random_standard_normal(&b));
-    end[0] = (uint64_t)(g.s >> 64);
-    end[1] = (uint64_t)g.s;
+    words_t g = words_from(pcg_at(e, at));
+    normals_to(&g, INT64_MAX, n - done, out + done * s, s, NULL);
+    const pcg_t last = pcg_at(e, taken(&g));
+    end[0] = (uint64_t)(last.s >> 64);
+    end[1] = (uint64_t)last.s;
 }

@@ -3,17 +3,16 @@
 The C source is compiled on first use, not at import, with the C compiler
 Python was built with, by :func:`compile_command`.  It links numpy's static
 ``libnpyrandom.a`` (the C API of ``numpy.random``), whose ziggurat
-``fp_normal`` calls, and reads ``numpy/random/bitgen.h`` from numpy's include
-directory.  The shared library goes into the ``__pycache__`` directory beside
-the source, named by the sha256 of the source, the compile command and the
-bytes of ``libnpyrandom.a``, so an edited source or command, or another
-numpy, builds afresh and an unchanged one loads the cached build.  A failed
-build, or a missing ``libnpyrandom.a``, raises :class:`RuntimeError` with the
-command and the compiler's output or the library's path; there is no
+``fp_normal`` runs, its fast path inline on tables read back from it at load,
+and reads ``numpy/random/bitgen.h`` from numpy's include directory.  The
+library goes into ``__pycache__``, named by the sha256 of the source, the
+command and ``libnpyrandom.a``'s bytes, so an edited source or command, or
+another numpy, builds afresh and an unchanged one loads the cached build.  A
+failed build, or a missing ``libnpyrandom.a``, raises :class:`RuntimeError`
+with the command and the compiler's output or the library's path; there is no
 pure-Python fallback.  It is built with ``-pthread``: a large call splits its
-lanes, or its normal draws, over as many threads as the process may use CPUs
-when the library loads (at most eight; ``fp_threads`` reports the count, and
-:func:`threads` returns it), with the bits of one thread.
+lanes, or its normal draws, over the CPUs the process may use when the library
+loads (at most eight; :func:`threads`), with the bits of one thread.
 """
 
 from __future__ import annotations
@@ -120,6 +119,7 @@ def lib() -> ctypes.CDLL:
         (so.fp_trisolve, [i64, i64, flag, ptr, ptr, fmt, ptr, ptr]),
         (so.fp_gram, [i64, i64, i64, i64, ptr, ptr, ptr]),
         (so.fp_threads, [ptr]),
+        (so.fp_ziggurat, [ptr]),
         (so.fp_norm, [i64, i64, ptr, ptr, ptr]),
         (so.fp_normal, [i64, i64, ptr, ptr, i64, ptr]),
     ):

@@ -42,9 +42,9 @@ its complex multiply fuses.  With ``unit=`` it also writes each row times
 the reciprocal of its norm, with the bits of numpy's division on finite
 nonzero parts, while the row is in cache: the package's one normalization.
 Every Gaussian draw of the package goes through ``_normal``, ``rng.standard_normal`` byte for byte and to the
-same end state, which hands large draws from a PCG64 to the C core's
-``fp_normal``, split across its threads, with numpy's own ziggurat (from
-``libnpyrandom.a``), into an output of any stride; the CN draws of channels
+same end state, which hands PCG64 draws to the C core's ``fp_normal``: numpy's
+ziggurat, its fast path inline (tables read back from ``libnpyrandom.a``), split
+across threads, into an output of any stride; the CN draws of channels
 and noise are ``_noise``, drawn into the parts of their complex output and
 scaled in place by ``fp_cn``.
 
@@ -172,10 +172,10 @@ def _norm(x, unit=None):
     return out if out.ndim else out[()]
 
 
-# Draws below this many go to numpy in one piece: threads cost more than
-# splitting them saves.  It is two of fp_normal's MIN_PIECE, the least it
-# splits over two threads.
-_NORMAL_SPLIT = 1 << 14
+# Draws below this many go to numpy, as fp_normal's fixed cost (~15 us, the
+# state's round trip) exceeds its saving: on a 2-vCPU Xeon VM, 1024 draws took
+# 19 us by numpy and 23 us by fp_normal, 2048 draws 37 us and 31 us.
+_NORMAL_SPLIT = 1 << 11
 _U64 = (1 << 64) - 1
 
 
@@ -365,7 +365,7 @@ def _inner(a, b, policy: PrecisionPolicy, rng=None):
 
 def matvec_fp(A, x, policy: PrecisionPolicy, rng=None):
     """y = A x, each row reduced like an inner product (mixed-aware)."""
-    A = np.asarray(A, dtype=np.complex128)
+    A = _as_complex(A, "A", 2)
     x = _as_complex(x, "x", 1)
     if A.shape[-1] != x.shape[-1]:
         raise ValueError(f"dim mismatch: A is ...x{A.shape[-1]}, x has {x.shape[-1]}")

@@ -524,6 +524,8 @@ def _flat_cases():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     return [
+        ("matvec_fp-0d-A", lambda p, g: matvec_fp(np.array(2 + 0j), cn(4), p, g), "A"),
+        ("matvec_fp-1d-A", lambda p, g: matvec_fp(cn(4), cn(4), p, g), "A"),
         ("matmul_fp-1d-A", lambda p, g: matmul_fp(cn(4), cn(4, 3), p, g), "A"),
         ("matmul_fp-1d-B", lambda p, g: matmul_fp(cn(3, 4), cn(4), p, g), "B"),
         ("cholesky_fp-0d", lambda p, g: cholesky_fp(np.array(2 + 0j), p, g), "C"),
